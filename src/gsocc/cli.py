@@ -14,20 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import formats, metrics, synth
+from . import formats, pipeline, synth
 from .core import GaussianSet
 from .errors import ConfigError, GsoccError, StageError, UndefinedMetricError
-from .initialize import init_gaussians
-from .losses import compute_loss_report
-from .pipeline import (
-    GroundTruthClassAttributes,
-    PipelineConfig,
-    distinct_occupied_voxels,
-    run_pipeline,
-)
-from .refine import SurfaceSnapWeights, default_basis, refine_positions, zero_weights
-from .render import render_grid
+from .pipeline import PipelineConfig, distinct_occupied_voxels, run_pipeline
 from .sampling import sample_representatives
+
+
+def _float_tuple(text: str) -> tuple:
+    return tuple(float(t) for t in text.split(","))
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -40,24 +35,15 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--noise", type=float, dest="noise_std", help="depth noise std-dev, meters")
     p.add_argument("--rig", choices=tuple(synth.RIGS))
     p.add_argument("--dump-probs", action="store_true", dest="dump_probs", default=None)
-    p.add_argument("--out", type=Path, help="output directory")
+    p.add_argument("--out", dest="out_dir", help="output directory")
 
 
 def _load_config(args) -> PipelineConfig:
+    """The --config document (or the defaults) with every given flag whose
+    dest names a PipelineConfig field applied on top."""
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     doc = cfg.to_dict()
-    overrides = {
-        "seed": args.seed,
-        "grid_size": args.grid_size,
-        "refine": args.refine,
-        "ray_stride": args.ray_stride,
-        "threads": args.threads,
-        "noise_std": args.noise_std,
-        "rig": args.rig,
-        "dump_probs": args.dump_probs,
-        "out_dir": str(args.out) if args.out else None,
-    }
-    doc.update({k: v for k, v in overrides.items() if v is not None})
+    doc.update({k: v for k, v in vars(args).items() if k in doc and v is not None})
     return PipelineConfig.from_dict(doc)
 
 
@@ -68,19 +54,16 @@ def _read_scene(path) -> synth.SceneSpec:
         raise ConfigError(f"cannot read scene {path}: {e}") from e
 
 
-def _emit(doc: dict, path: Path | None):
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if path is None:
-        print(text)
-    else:
-        path.write_text(text)
+def _read_depths(paths) -> list | None:
+    return [formats.read_depth_map(p) for p in paths] if paths else None
+
+
+def _emit(doc: dict):
+    print(json.dumps(doc, sort_keys=True, indent=2))
 
 
 def cmd_gen_scene(args) -> int:
-    cfg = _load_config(args)
-    scene = synth.generate_scene(cfg.seed, cfg.scene_config())
-    out = args.scene or Path("scene.json")
-    out.write_text(scene.to_json())
+    pipeline.write_scene(_load_config(args), args.scene or Path("scene.json"))
     return 0
 
 
@@ -89,70 +72,42 @@ def cmd_render_depth(args) -> int:
     scene = _read_scene(args.scene)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, dm in enumerate(synth.render_depth_maps(scene, cfg.cameras(), cfg.noise_std)):
-        formats.write_depth_map(out_dir / f"depth_{i:03d}.dpm", dm)
+    pipeline.write_depths(cfg, scene, out_dir.joinpath)
     return 0
 
 
 def cmd_init(args) -> int:
     cfg = _load_config(args)
-    scene = _read_scene(args.scene)
-    cams = cfg.cameras()
-    depths = [formats.read_depth_map(p) for p in args.depths]
-    attrs = GroundTruthClassAttributes(
-        scene, cams, cfg.gauss_scale, cfg.gauss_opacity, cfg.num_classes
-    )
-    gs = init_gaussians(cams, depths, attrs, n_workers=cfg.threads)
-    formats.write_gaussian_set(args.output, gs)
+    pipeline.write_init(cfg, _read_scene(args.scene), _read_depths(args.depths), args.output)
     return 0
 
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
     gs = formats.read_gaussian_set(args.gaussians)
-    spec = cfg.sampling_spec()
     if args.dry_run:
         _emit(
             {
                 "input_count": len(gs),
-                "distinct_occupied_voxels": distinct_occupied_voxels(gs, spec),
-            },
-            None,
+                "distinct_occupied_voxels": distinct_occupied_voxels(gs, cfg.sampling_spec()),
+            }
         )
         return 0
-    sampled = sample_representatives(gs, spec, cfg.seed, n_workers=cfg.threads)
-    formats.write_gaussian_set(args.output, sampled)
+    pipeline.write_sampled(cfg, gs, args.output)
     return 0
 
 
 def cmd_refine(args) -> int:
     cfg = _load_config(args)
     gs = formats.read_gaussian_set(args.gaussians)
-    basis = default_basis(cfg.grid_size / 2.0)
-    if cfg.refine == "off":
-        refined = gs
-    elif cfg.refine == "zero":
-        refined = refine_positions(gs, basis, zero_weights(gs, basis))
-    else:
-        if not args.scene:
-            raise ConfigError("--refine oracle-snap needs --scene")
-        weights = SurfaceSnapWeights(_read_scene(args.scene))(gs, basis)
-        refined = refine_positions(gs, basis, weights)
-    formats.write_gaussian_set(args.output, refined)
+    scene = _read_scene(args.scene) if args.scene else None
+    pipeline.write_refined(cfg, gs, scene, args.output)
     return 0
 
 
 def cmd_render(args) -> int:
     cfg = _load_config(args)
-    gs = formats.read_gaussian_set(args.gaussians)
-    dims = cfg.grid_dims()
-    field = render_grid(gs, dims, np.asarray(cfg.extents_min), cfg.voxel_size)
-    formats.write_occupancy(
-        args.output,
-        field.to_grid(),
-        cfg.num_classes,
-        probs=field.probs if cfg.dump_probs else None,
-    )
+    pipeline.write_render(cfg, formats.read_gaussian_set(args.gaussians), args.output)
     return 0
 
 
@@ -161,56 +116,25 @@ def cmd_metrics(args) -> int:
     pred, _, _ = formats.read_occupancy(args.pred)
     gt, _, _ = formats.read_occupancy(args.gt)
     gaussians = formats.read_gaussian_set(args.gaussians) if args.gaussians else None
-    thresholds = (
-        tuple(float(t) for t in args.ray_thresholds.split(","))
-        if args.ray_thresholds
-        else cfg.ray_thresholds
-    )
-    report = metrics.evaluate(
-        pred,
-        gt,
-        cams=cfg.cameras(),
-        gaussians=gaussians,
-        thresholds=thresholds,
-        stride=cfg.ray_stride,
-    )
-    text = report.to_json()
-    if args.output:
-        args.output.write_text(text)
-    else:
-        print(text)
+    pipeline.write_metrics(cfg, pred, gt, gaussians, args.output)
     return 0
 
 
 def cmd_eval_loss(args) -> int:
     cfg = _load_config(args)
-    pred, _, probs = formats.read_occupancy(args.pred)
+    _, _, probs = formats.read_occupancy(args.pred)
     if probs is None:
         raise ConfigError(f"{args.pred} has no probability dump; render with --dump-probs")
     gt, _, _ = formats.read_occupancy(args.gt)
-    pred_depths = [formats.read_depth_map(p) for p in args.pred_depths or []]
-    gt_depths = [formats.read_depth_map(p) for p in args.gt_depths or []]
-    report = compute_loss_report(
-        np.asarray(probs, dtype=np.float64).reshape(-1, probs.shape[-1]),
-        gt.labels.reshape(-1),
-        pred_depths=pred_depths or None,
-        gt_depths=gt_depths or None,
-        lambda_occ=cfg.lambda_occ,
-        lambda_depth=cfg.lambda_depth,
-        alpha_unc=cfg.alpha_unc,
-    )
-    text = report.to_json()
-    if args.output:
-        args.output.write_text(text)
-    else:
-        print(text)
+    pred_depths = _read_depths(args.pred_depths)
+    gt_depths = _read_depths(args.gt_depths)
+    pipeline.write_losses(cfg, probs, gt, pred_depths, gt_depths, args.output)
     return 0
 
 
 def cmd_pipeline(args) -> int:
     cfg = _load_config(args)
-    summary = run_pipeline(cfg)
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    _emit(run_pipeline(cfg))
     return 0
 
 
@@ -239,8 +163,7 @@ def cmd_bench(args) -> int:
             "sampled": len(sampled),
             "seconds": elapsed,
             "gaussians_per_second": n / elapsed,
-        },
-        None,
+        }
     )
     return 0
 
@@ -293,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", type=Path, required=True)
     p.add_argument("--gt", type=Path, required=True)
     p.add_argument("--gaussians", type=Path, help="optional set for Perc./Dist.")
-    p.add_argument("--ray-thresholds", help="comma-separated meters, e.g. 1,2,4")
+    p.add_argument(
+        "--ray-thresholds", type=_float_tuple, help="comma-separated meters, e.g. 1,2,4"
+    )
     p.add_argument("--output", type=Path)
     _add_common(p)
     p.set_defaults(fn=cmd_metrics)

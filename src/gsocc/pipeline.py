@@ -2,17 +2,19 @@
 refine -> render -> metrics/losses, with every stage's artifact written to
 disk.
 
-Artifacts of a stage are written to <name>.partial and committed by rename
-when the stage completes, so a failed stage leaves its partial outputs
-behind for inspection. The rendered grid is produced from the *reloaded*
-refined set, which makes the standalone `render` subcommand reproduce
-pred.occ bitwise from gaussians_refined.gsb.
+Each stage is one `write_*` function, shared with the CLI subcommand of the
+same stage. Within run_pipeline, artifacts of a stage are written to
+<name>.partial and committed by rename when the stage completes, so a failed
+stage leaves its partial outputs behind for inspection. The stages after init
+consume the *reloaded* GSB of the stage before, which makes the standalone
+subcommands reproduce the pipeline's artifacts bitwise.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, metrics, synth
-from .core import GaussianSet, VoxelGridSpec
+from .core import S_MIN, GaussianSet, VoxelGridSpec
 from .errors import ConfigError, GsoccError, StageError
 from .initialize import init_gaussians
 from .losses import compute_loss_report
@@ -71,6 +73,12 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        try:
+            self._validate()
+        except TypeError as e:  # a field of the wrong type, e.g. a string threshold
+            raise ConfigError(f"config field of the wrong type: {e}") from e
+
+    def _validate(self):
         if self.refine not in REFINE_MODES:
             raise ConfigError(f"refine mode must be one of {REFINE_MODES}")
         if self.rig not in synth.RIGS:
@@ -81,6 +89,16 @@ class PipelineConfig:
             raise ConfigError("downsample ratio must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.ray_stride < 1:
+            raise ConfigError("ray_stride must be >= 1")
+        if not self.ray_thresholds or not all(
+            math.isfinite(t) and t > 0 for t in self.ray_thresholds
+        ):
+            raise ConfigError("ray_thresholds must be a non-empty list of finite positive meters")
+        if not 0.0 <= self.gauss_opacity <= 1.0:
+            raise ConfigError("gauss_opacity must lie in [0, 1]")
+        if not (math.isfinite(self.gauss_scale) and self.gauss_scale >= S_MIN):
+            raise ConfigError(f"gauss_scale must be finite and >= s_min={S_MIN}")
         if self.num_classes < 1 or self.ground_class > self.num_classes or any(
             c > self.num_classes or c < 1 for c in self.box_classes
         ):
@@ -216,45 +234,54 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Execute all stages; returns the run summary dict."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cams = config.cameras()
-    dims = config.grid_dims()
-    origin = np.asarray(config.extents_min, dtype=np.float64)
 
-    scene = _run_stage(
-        "gen-scene",
-        out,
-        lambda st: _write_scene(st, config),
+    scene = _run_stage("gen-scene", out, lambda st: write_scene(config, st.path("scene.json")))
+    gt_grid = _run_stage("rasterize-gt", out, lambda st: write_gt(config, scene, st.path("gt.occ")))
+    depths = _run_stage("render-depth", out, lambda st: write_depths(config, scene, st.path))
+    _run_stage(
+        "init", out, lambda st: write_init(config, scene, depths, st.path("gaussians_init.gsb"))
     )
-    gt_grid = _run_stage("rasterize-gt", out, lambda st: _write_gt(st, scene, config, dims, origin))
-    depths = _run_stage("render-depth", out, lambda st: _write_depths(st, scene, cams, config))
-    attrs = GroundTruthClassAttributes(
-        scene, cams, config.gauss_scale, config.gauss_opacity, config.num_classes
-    )
-    _run_stage("init", out, lambda st: _write_init(st, cams, depths, attrs, config))
     # Each stage below consumes the artifact it reloads, not the in-memory
-    # float64 set, so standalone subcommands reproduce the same bytes.
+    # float64 set, so standalone subcommands reproduce the same bytes. The
+    # float64 set is already dropped when the reload runs, which bounds peak
+    # memory on large rigs.
     init_set = formats.read_gaussian_set(out / "gaussians_init.gsb")
-    spec = config.sampling_spec()
-    _run_stage("sample", out, lambda st: _write_sampled(st, init_set, spec, config))
-    sampled = formats.read_gaussian_set(out / "gaussians_sampled.gsb")
-    _run_stage("refine", out, lambda st: _write_refined(st, sampled, scene, config))
-    refined = formats.read_gaussian_set(out / "gaussians_refined.gsb")
-    field = _run_stage(
-        "render", out, lambda st: _write_render(st, refined, dims, origin, config)
+    _run_stage(
+        "sample", out, lambda st: write_sampled(config, init_set, st.path("gaussians_sampled.gsb"))
     )
+    sampled = formats.read_gaussian_set(out / "gaussians_sampled.gsb")
+    _run_stage(
+        "refine",
+        out,
+        lambda st: write_refined(config, sampled, scene, st.path("gaussians_refined.gsb")),
+    )
+    refined = formats.read_gaussian_set(out / "gaussians_refined.gsb")
+    field = _run_stage("render", out, lambda st: write_render(config, refined, st.path("pred.occ")))
     report = _run_stage(
         "metrics",
         out,
-        lambda st: _write_metrics(st, field, gt_grid, cams, init_set, config),
+        lambda st: write_metrics(
+            config, field.to_grid(), gt_grid, init_set, st.path("metrics.json")
+        ),
     )
+    # The depth loss compares against noise-free depth maps.
     losses = _run_stage(
-        "eval-loss", out, lambda st: _write_losses(st, field, gt_grid, depths, scene, cams, config)
+        "eval-loss",
+        out,
+        lambda st: write_losses(
+            config,
+            field.probs,
+            gt_grid,
+            depths,
+            depths if config.noise_std == 0 else synth.render_depth_maps(scene, config.cameras()),
+            st.path("losses.json"),
+        ),
     )
     summary = {
         "initial_count": len(init_set),
         "sampled_count": len(sampled),
         "refined_count": len(refined),
-        "distinct_occupied_voxels": distinct_occupied_voxels(init_set, spec),
+        "distinct_occupied_voxels": distinct_occupied_voxels(init_set, config.sampling_spec()),
         "iou": report.iou,
         "miou": report.miou,
         "rayiou": report.rayiou,
@@ -268,54 +295,78 @@ def run_pipeline(config: PipelineConfig) -> dict:
     return summary
 
 
-def _write_scene(stage, config):
+# Stage functions: each one computes a stage from the config and its inputs,
+# writes the stage's artifact and returns the in-memory result. run_pipeline
+# and the matching CLI subcommand both call them.
+
+
+def _write_text(path, text: str) -> None:
+    """Write `text` to `path`, or print it when `path` is None."""
+    if path is None:
+        print(text)
+    else:
+        Path(path).write_text(text)
+
+
+def write_scene(config: PipelineConfig, path) -> synth.SceneSpec:
     scene = synth.generate_scene(config.seed, config.scene_config())
-    stage.path("scene.json").write_text(scene.to_json())
+    _write_text(path, scene.to_json())
     return scene
 
 
-def _write_gt(stage, scene, config, dims, origin):
-    grid = synth.rasterize_gt_grid(scene, dims, origin, config.voxel_size)
-    formats.write_occupancy(stage.path("gt.occ"), grid, config.num_classes)
+def write_gt(config: PipelineConfig, scene, path):
+    origin = np.asarray(config.extents_min, dtype=np.float64)
+    grid = synth.rasterize_gt_grid(scene, config.grid_dims(), origin, config.voxel_size)
+    formats.write_occupancy(path, grid, config.num_classes)
     return grid
 
 
-def _write_depths(stage, scene, cams, config):
-    depths = synth.render_depth_maps(scene, cams, noise_std=config.noise_std)
+def write_depths(config: PipelineConfig, scene, path_for) -> list:
+    """Write view i's depth map to `path_for("depth_<iii>.dpm")`."""
+    depths = synth.render_depth_maps(scene, config.cameras(), noise_std=config.noise_std)
     for i, dm in enumerate(depths):
-        formats.write_depth_map(stage.path(f"depth_{i:03d}.dpm"), dm)
+        formats.write_depth_map(path_for(f"depth_{i:03d}.dpm"), dm)
     return depths
 
 
-def _write_init(stage, cams, depths, attrs, config):
+def write_init(config: PipelineConfig, scene, depths: list, path) -> GaussianSet:
+    cams = config.cameras()
+    attrs = GroundTruthClassAttributes(
+        scene, cams, config.gauss_scale, config.gauss_opacity, config.num_classes
+    )
     gs = init_gaussians(cams, depths, attrs, n_workers=config.threads)
-    formats.write_gaussian_set(stage.path("gaussians_init.gsb"), gs)
+    formats.write_gaussian_set(path, gs)
     return gs
 
 
-def _write_sampled(stage, gs, spec, config):
-    sampled = sample_representatives(gs, spec, config.seed, n_workers=config.threads)
-    formats.write_gaussian_set(stage.path("gaussians_sampled.gsb"), sampled)
+def write_sampled(config: PipelineConfig, gs: GaussianSet, path) -> GaussianSet:
+    sampled = sample_representatives(
+        gs, config.sampling_spec(), config.seed, n_workers=config.threads
+    )
+    formats.write_gaussian_set(path, sampled)
     return sampled
 
 
-def _write_refined(stage, sampled, scene, config):
+def write_refined(config: PipelineConfig, gs: GaussianSet, scene, path) -> GaussianSet:
+    """Refine per `config.refine`; oracle-snap needs the scene, others ignore it."""
     basis = default_basis(config.grid_size / 2.0)
     if config.refine == "off":
-        refined = sampled
+        refined = gs
     elif config.refine == "zero":
-        refined = refine_positions(sampled, basis, zero_weights(sampled, basis))
+        refined = refine_positions(gs, basis, zero_weights(gs, basis))
     else:
-        weights = SurfaceSnapWeights(scene)(sampled, basis)
-        refined = refine_positions(sampled, basis, weights)
-    formats.write_gaussian_set(stage.path("gaussians_refined.gsb"), refined)
+        if scene is None:
+            raise ConfigError("refine mode oracle-snap needs a scene")
+        refined = refine_positions(gs, basis, SurfaceSnapWeights(scene)(gs, basis))
+    formats.write_gaussian_set(path, refined)
     return refined
 
 
-def _write_render(stage, refined, dims, origin, config):
-    field = render_grid(refined, dims, origin, config.voxel_size)
+def write_render(config: PipelineConfig, gs: GaussianSet, path):
+    origin = np.asarray(config.extents_min, dtype=np.float64)
+    field = render_grid(gs, config.grid_dims(), origin, config.voxel_size)
     formats.write_occupancy(
-        stage.path("pred.occ"),
+        path,
         field.to_grid(),
         config.num_classes,
         probs=field.probs if config.dump_probs else None,
@@ -323,33 +374,30 @@ def _write_render(stage, refined, dims, origin, config):
     return field
 
 
-def _write_metrics(stage, field, gt_grid, cams, init_set, config):
+def write_metrics(config: PipelineConfig, pred, gt, gaussians, path) -> metrics.MetricReport:
+    """Evaluate `pred` against `gt`; Perc./Dist. only when `gaussians` is given."""
     report = metrics.evaluate(
-        field.to_grid(),
-        gt_grid,
-        cams=cams,
-        gaussians=init_set,
+        pred,
+        gt,
+        cams=config.cameras(),
+        gaussians=gaussians,
         thresholds=config.ray_thresholds,
         stride=config.ray_stride,
     )
-    stage.path("metrics.json").write_text(report.to_json())
+    _write_text(path, report.to_json())
     return report
 
 
-def _write_losses(stage, field, gt_grid, depths, scene, cams, config):
-    clean = (
-        depths
-        if config.noise_std == 0
-        else synth.render_depth_maps(scene, cams, noise_std=0.0)
-    )
+def write_losses(config: PipelineConfig, probs, gt, pred_depths, gt_depths, path):
+    """Objectives on rendered `probs`; the depth term only when depths are given."""
     report = compute_loss_report(
-        field.probs.reshape(-1, field.probs.shape[-1]),
-        gt_grid.labels.reshape(-1),
-        pred_depths=depths,
-        gt_depths=clean,
+        np.asarray(probs, dtype=np.float64).reshape(-1, probs.shape[-1]),
+        gt.labels.reshape(-1),
+        pred_depths=pred_depths,
+        gt_depths=gt_depths,
         lambda_occ=config.lambda_occ,
         lambda_depth=config.lambda_depth,
         alpha_unc=config.alpha_unc,
     )
-    stage.path("losses.json").write_text(report.to_json())
+    _write_text(path, report.to_json())
     return report

@@ -55,16 +55,40 @@ class TestPipelineCommand:
         assert run(["pipeline", "--config", config_file, "--refine", "zero", "--out", out2]) == 0
         assert (out1 / "pred.occ").read_bytes() == (out2 / "pred.occ").read_bytes()
 
-    def test_render_subcommand_reproduces_pred_occ(self, tmp_path, config_file):
-        out = tmp_path / "run"
-        assert run(["pipeline", "--config", config_file, "--out", out]) == 0
-        redone = tmp_path / "pred_again.occ"
-        assert run([
-            "render", "--config", config_file,
-            "--gaussians", out / "gaussians_refined.gsb",
-            "--output", redone,
-        ]) == 0
-        assert redone.read_bytes() == (out / "pred.occ").read_bytes()
+    @pytest.mark.parametrize("refine, argv, artifacts", [
+        pytest.param("zero", ["gen-scene", "--scene", "{new}/scene.json"],
+                     ["scene.json"], id="gen-scene"),
+        pytest.param("zero", ["render-depth", "--scene", "{run}/scene.json", "--out", "{new}"],
+                     [f"depth_{i:03d}.dpm" for i in range(6)], id="render-depth"),
+        pytest.param("zero", ["sample", "--gaussians", "{run}/gaussians_init.gsb",
+                              "--output", "{new}/gaussians_sampled.gsb"],
+                     ["gaussians_sampled.gsb"], id="sample"),
+        *(
+            pytest.param(mode, ["refine", "--refine", mode, "--scene", "{run}/scene.json",
+                                "--gaussians", "{run}/gaussians_sampled.gsb",
+                                "--output", "{new}/gaussians_refined.gsb"],
+                         ["gaussians_refined.gsb"], id=f"refine-{mode}")
+            for mode in ("off", "zero", "oracle-snap")
+        ),
+        pytest.param("zero", ["render", "--gaussians", "{run}/gaussians_refined.gsb",
+                              "--output", "{new}/pred.occ"],
+                     ["pred.occ"], id="render"),
+        pytest.param("zero", ["metrics", "--pred", "{run}/pred.occ", "--gt", "{run}/gt.occ",
+                              "--gaussians", "{run}/gaussians_init.gsb",
+                              "--output", "{new}/metrics.json"],
+                     ["metrics.json"], id="metrics"),
+    ])
+    def test_subcommand_reproduces_pipeline_artifact(self, tmp_path, config_file,
+                                                     refine, argv, artifacts):
+        # The subcommand reads the pipeline's own input files and must write
+        # the pipeline's artifact byte for byte.
+        out, new = tmp_path / "run", tmp_path / "new"
+        new.mkdir()
+        assert run(["pipeline", "--config", config_file, "--refine", refine, "--out", out]) == 0
+        argv = [a.format(run=out, new=new) for a in argv]
+        assert run([argv[0], "--config", config_file, *argv[1:]]) == 0
+        for name in artifacts:
+            assert (new / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_dry_run_sample_matches_summary(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
@@ -144,6 +168,44 @@ class TestErrors:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"refine": "sideways"}))
         assert run(["pipeline", "--config", bad, "--out", tmp_path / "x"]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=f"{field}={value}")
+        for field, value in [
+            ("ray_stride", 0),
+            ("ray_stride", -4),
+            ("ray_thresholds", []),
+            ("ray_thresholds", [-1.0]),
+            ("gauss_opacity", 3.0),
+            ("gauss_scale", 0.0),
+            ("gauss_scale", -0.3),
+            ("threads", "2"),
+            ("ray_thresholds", 2.0),
+        ]
+    ])
+    def test_bad_config_value_exit_2(self, tmp_path, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, field: value}))
+        assert run(["pipeline", "--config", bad, "--out", tmp_path / "x"]) == 2
+
+    def test_malformed_ray_thresholds_exit_2(self, tmp_path, config_file):
+        run_dir = tmp_path / "run"
+        assert run(["pipeline", "--config", config_file, "--out", run_dir]) == 0
+        try:
+            code = run(["metrics", "--config", config_file, "--pred", run_dir / "pred.occ",
+                        "--gt", run_dir / "gt.occ", "--ray-thresholds", "1,abc"])
+        except SystemExit as e:  # rejected by the argument parser
+            code = e.code
+        assert code == 2
+
+    def test_oracle_snap_refine_without_scene_exit_2(self, tmp_path, config_file, rng):
+        from gsocc.formats import write_gaussian_set
+        from conftest import random_gaussian_set
+
+        write_gaussian_set(tmp_path / "g.gsb", random_gaussian_set(rng, 4, num_classes=4))
+        assert run(["refine", "--config", config_file, "--refine", "oracle-snap",
+                    "--gaussians", tmp_path / "g.gsb", "--output", tmp_path / "r.gsb"]) == 2
+        assert not (tmp_path / "r.gsb").exists()
 
     def test_missing_scene_file_exit_2(self, tmp_path, config_file):
         assert run(["render-depth", "--config", config_file,
