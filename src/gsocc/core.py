@@ -10,11 +10,12 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidRotationError, ShapeError
+from .errors import ConfigError, InvalidRotationError, ShapeError
 
 logger = logging.getLogger(__name__)
 
@@ -347,11 +348,17 @@ class VoxelGridSpec:
             raise ValueError("grid_size must be positive")
         object.__setattr__(self, "min_corner", lo)
         object.__setattr__(self, "max_corner", hi)
-        v_min = np.floor(lo / self.grid_size).astype(np.int64)
-        v_max = np.ceil(hi / self.grid_size).astype(np.int64) - 1
+        v_min = np.floor(lo / self.grid_size)
+        v_end = np.ceil(hi / self.grid_size)
+        # Keys are int64 linear indices below num_cells, which keeps the
+        # reserved OUT_OF_BOUNDS key (2^64 - 1) unreachable.
+        in_range = (np.abs([v_min, v_end]) < 2.0**63).all()
+        if not in_range or math.prod(int(e) - int(m) for e, m in zip(v_end, v_min)) >= 2**63:
+            raise ConfigError(f"grid_size {self.grid_size} is too fine for int64 voxel keys")
+        v_min = v_min.astype(np.int64)
         object.__setattr__(self, "v_min", v_min)
-        object.__setattr__(self, "dims", v_max - v_min + 1)
+        object.__setattr__(self, "dims", v_end.astype(np.int64) - v_min)
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(int(d) for d in self.dims)

@@ -17,6 +17,10 @@ All binary formats are little-endian:
     u8 labels in (X, Y, Z) C-order, then optionally f32 probabilities
     of shape (X, Y, Z, C+1) when has_probs is 1.
 
+Readers raise ConfigError naming the file when its length differs from
+what the header implies, and read_gaussian_set also when the set fails
+GaussianSet.validate().
+
 GSB1 additionally has a JSON mirror for debugging. Attention-weight
 fixtures are flat f32 files with a JSON sidecar giving shapes and stage
 labels; offset bases are plain JSON lists of 3-float rows.
@@ -25,6 +29,7 @@ labels; offset bases are plain JSON lists of 3-float rows.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -36,6 +41,21 @@ from .errors import ConfigError
 GSB_MAGIC = b"GSB1\x00\x00\x00\x00"
 DPM_MAGIC = b"DPM1"
 OCC_MAGIC = b"OCC1"
+
+
+def _unpack(f, path, fmt: str) -> tuple:
+    """Read and unpack one struct `fmt` from `f`, or raise ConfigError."""
+    buf = f.read(struct.calcsize(fmt))
+    if len(buf) != struct.calcsize(fmt):
+        raise ConfigError(f"{path}: truncated header")
+    return struct.unpack(fmt, buf)
+
+
+def _check_payload(f, path, expected: int) -> None:
+    """Raise ConfigError unless exactly `expected` bytes follow the header."""
+    found = os.fstat(f.fileno()).st_size - f.tell()
+    if found != expected:
+        raise ConfigError(f"{path}: header implies {expected} payload bytes, found {found}")
 
 
 def write_gaussian_set(path, gs: GaussianSet) -> None:
@@ -56,12 +76,13 @@ def read_gaussian_set(path) -> GaussianSet:
         magic = f.read(8)
         if magic != GSB_MAGIC:
             raise ConfigError(f"{path}: not a GSB1 file")
-        p, c = struct.unpack("<II", f.read(8))
+        p, c = _unpack(f, path, "<II")
         width = 3 + 3 + 4 + 1 + c
+        _check_payload(f, path, p * (width + 3) * 4)
         rec = np.frombuffer(f.read(p * width * 4), dtype="<f4").reshape(p, width)
         prov = np.frombuffer(f.read(p * 3 * 4), dtype="<u4").reshape(p, 3)
     rec = rec.astype(np.float64)
-    return GaussianSet(
+    gs = GaussianSet(
         means=rec[:, 0:3],
         scales=rec[:, 3:6],
         rotations=rec[:, 6:10],
@@ -69,6 +90,11 @@ def read_gaussian_set(path) -> GaussianSet:
         semantics=rec[:, 11:],
         source_index=prov.astype(np.uint32),
     )
+    try:
+        gs.validate()
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    return gs
 
 
 def gaussian_set_to_json(gs: GaussianSet) -> str:
@@ -111,7 +137,8 @@ def read_depth_map(path) -> DepthMap:
     with open(path, "rb") as f:
         if f.read(4) != DPM_MAGIC:
             raise ConfigError(f"{path}: not a DPM1 file")
-        h, w = struct.unpack("<II", f.read(8))
+        h, w = _unpack(f, path, "<II")
+        _check_payload(f, path, 2 * h * w * 4)
         depth = np.frombuffer(f.read(h * w * 4), dtype="<f4").reshape(h, w)
         unc = np.frombuffer(f.read(h * w * 4), dtype="<f4").reshape(h, w)
     return DepthMap(depth=depth.astype(np.float64), uncertainty=unc.astype(np.float64))
@@ -138,20 +165,20 @@ def read_occupancy(path):
     with open(path, "rb") as f:
         if f.read(4) != OCC_MAGIC:
             raise ConfigError(f"{path}: not an OCC1 file")
-        x, y, z = struct.unpack("<III", f.read(12))
-        origin = np.frombuffer(f.read(12), dtype="<f4").astype(np.float64)
-        (voxel_size,) = struct.unpack("<f", f.read(4))
-        num_classes, empty_id, has_probs = struct.unpack("<IIB", f.read(9))
+        x, y, z, ox, oy, oz, voxel_size, num_classes, empty_id, has_probs = _unpack(
+            f, path, "<IIIffffIIB"
+        )
+        n = x * y * z * (num_classes + 1)
+        _check_payload(f, path, x * y * z + (n * 4 if has_probs else 0))
         labels = np.frombuffer(f.read(x * y * z), dtype=np.uint8).reshape(x, y, z)
         probs = None
         if has_probs:
-            n = x * y * z * (num_classes + 1)
             probs = np.frombuffer(f.read(n * 4), dtype="<f4").reshape(
                 x, y, z, num_classes + 1
             )
     grid = OccupancyGrid(
         dims=(x, y, z),
-        origin=origin,
+        origin=np.array([ox, oy, oz]),
         voxel_size=float(voxel_size),
         labels=labels.copy(),
         empty_id=empty_id,

@@ -1,13 +1,17 @@
-"""Evaluation metrics: voxel IoU / mIoU, ray-level IoU, and the
-initialization-quality pair (occupied percentage, mean distance to the
-nearest occupied voxel center).
+"""Evaluation metrics: voxel IoU / mIoU, ray-level IoU (RayIoU, as in
+SparseOcc), and the initialization-quality pair (occupied percentage, mean
+distance to the nearest occupied voxel center).
 
-Ray-level IoU marches camera rays through predicted and ground-truth grids
-with an exact amortized voxel traversal (incremental axis stepping) and
-compares first non-empty hits per ray: a per-class true positive requires
-matching classes and a hit-distance gap within the threshold. Voxels
-labeled `unknown_id` are excluded from voxel metrics and are transparent to
-the ray march.
+RayIoU casts a ray through every stride-th pixel center of every camera and
+marches all of them in lockstep through the predicted and ground-truth
+grids: one Amanatides-Woo voxel traversal advances every active ray as rows
+of (R, 3) arrays, and a ray leaves the active set once both grids have a
+hit or it leaves the box. Per ray, the first non-empty hits are compared: a
+per-class true positive requires matching classes and a hit-distance gap
+within the threshold. TP/FP/FN are counted per class with np.bincount, and
+the per-class IoUs are averaged in ascending class order. Voxels labeled
+`unknown_id` are excluded from voxel metrics and are transparent to the ray
+march.
 """
 
 from __future__ import annotations
@@ -61,66 +65,74 @@ def iou_miou(
     return iou, miou, per_class
 
 
-def _ray_grid_range(o, v, lo, hi):
-    """[t0, t1] parameter range where the ray is inside the box, or None."""
-    t0, t1 = 0.0, np.inf
-    for a in range(3):
-        if v[a] == 0.0:
-            if not (lo[a] <= o[a] < hi[a]):
-                return None
-        else:
-            ta = (lo[a] - o[a]) / v[a]
-            tb = (hi[a] - o[a]) / v[a]
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-    return (t0, t1) if t0 <= t1 else None
+def first_hits(label_grids, origin, voxel_size, o, v, transparent):
+    """First non-transparent voxel of every ray in each of several label grids.
 
-
-def march_first_hits(label_grids, origin, voxel_size, dims, o, v, empty_ids):
-    """Amortized grid traversal shared by several label volumes.
-
-    Walks the ray o + t*v voxel by voxel and records, for each grid, the
-    first voxel whose label is not in that grid's transparent set:
-    (entry distance t, label). Returns None where a grid has no hit along
-    the ray, or None overall when the ray misses the box entirely.
+    `label_grids` are G (X, Y, Z) label volumes sharing one geometry (min
+    corner `origin`, cubic voxels of `voxel_size`); `o` and `v` are (R, 3)
+    ray origins and directions; `transparent[g]` lists the labels the march
+    passes through in grid g. All rays take Amanatides-Woo steps together;
+    a ray leaves the active set once every grid has a hit or it leaves the
+    box. Returns (inside, t, label): inside is (R,) bool, true for rays that
+    meet the box; t (G, R) is the entry distance of the hit voxel (NaN for
+    no hit) and label (G, R) its label (-1 for no hit).
     """
     lo = np.asarray(origin, dtype=np.float64)
-    hi = lo + np.asarray(dims) * voxel_size
-    rng = _ray_grid_range(o, v, lo, hi)
-    if rng is None:
-        return None
-    t0, t1 = rng
-    p = o + t0 * v
-    idx = np.clip(((p - lo) / voxel_size).astype(np.int64), 0, np.asarray(dims) - 1)
-    step = np.sign(v).astype(np.int64)
-    t_max = np.full(3, np.inf)
-    t_delta = np.full(3, np.inf)
+    dims = np.asarray(label_grids[0].shape)
+    hi = lo + dims * voxel_size
+    o = np.asarray(o, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    moving = v != 0.0
+    v_safe = np.where(moving, v, 1.0)
+    # Slab test: [t0, t1] is the part of the ray inside the box. np.where
+    # rather than minimum/maximum keeps the earlier value on ties (signed
+    # zeros), so hit distances are bitwise stable.
+    t0 = np.zeros(len(v))
+    t1 = np.full(len(v), np.inf)
+    inside = np.ones(len(v), dtype=bool)
     for a in range(3):
-        if v[a] != 0.0:
-            boundary = lo[a] + (idx[a] + (1 if v[a] > 0 else 0)) * voxel_size
-            t_max[a] = (boundary - o[a]) / v[a]
-            t_delta[a] = voxel_size / abs(v[a])
-    hits = [None] * len(label_grids)
-    t_entry = t0
-    while True:
-        for gi, labels in enumerate(label_grids):
-            if hits[gi] is None:
-                lab = int(labels[idx[0], idx[1], idx[2]])
-                if lab not in empty_ids[gi]:
-                    hits[gi] = (t_entry, lab)
-        if all(h is not None for h in hits):
-            break
-        axis = int(np.argmin(t_max))
-        t_entry = t_max[axis]
-        if t_entry > t1:
-            break
-        idx[axis] += step[axis]
-        if not 0 <= idx[axis] < dims[axis]:
-            break
-        t_max[axis] += t_delta[axis]
-    return hits
+        ta = np.where(moving[:, a], (lo[a] - o[:, a]) / v_safe[:, a], -np.inf)
+        tb = np.where(moving[:, a], (hi[a] - o[:, a]) / v_safe[:, a], np.inf)
+        swap = ta > tb
+        ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
+        t0 = np.where(ta > t0, ta, t0)
+        t1 = np.where(tb < t1, tb, t1)
+        inside &= moving[:, a] | ((lo[a] <= o[:, a]) & (o[:, a] < hi[a]))
+    inside &= t0 <= t1
+
+    ray = np.flatnonzero(inside)
+    o, v, v_safe, moving, t1 = o[ray], v[ray], v_safe[ray], moving[ray], t1[ray]
+    t_entry = t0[ray]
+    p = o + t_entry[:, None] * v
+    idx = np.clip(((p - lo) / voxel_size).astype(np.int64), 0, dims - 1)
+    step = np.sign(v).astype(np.int64)
+    boundary = lo + (idx + (v > 0)) * voxel_size
+    t_max = np.where(moving, (boundary - o) / v_safe, np.inf)
+    t_delta = np.where(moving, voxel_size / np.abs(v_safe), np.inf)
+
+    t_hit = np.full((len(label_grids), inside.size), np.nan)
+    lab_hit = np.full(t_hit.shape, -1, dtype=np.int64)
+    while ray.size:
+        done = np.ones(ray.size, dtype=bool)
+        for g, labels in enumerate(label_grids):
+            pending = lab_hit[g, ray] < 0
+            lab = labels[idx[:, 0], idx[:, 1], idx[:, 2]]
+            new = pending & ~np.isin(lab, list(transparent[g]))
+            lab_hit[g, ray[new]] = lab[new]
+            t_hit[g, ray[new]] = t_entry[new]
+            done &= new | ~pending
+        rows = np.arange(ray.size)
+        axis = np.argmin(t_max, axis=1)
+        t_entry = t_max[rows, axis]
+        nxt = idx[rows, axis] + step[rows, axis]
+        # A finite entry excludes a zero direction, which would never move.
+        keep = ~done & (t_entry <= t1) & np.isfinite(t_entry) & (0 <= nxt) & (nxt < dims[axis])
+        idx[rows, axis] = nxt
+        t_max[rows, axis] += t_delta[rows, axis]
+        ray, idx, step, t_max, t_delta, t1, t_entry = (
+            x[keep] for x in (ray, idx, step, t_max, t_delta, t1, t_entry)
+        )
+    return inside, t_hit, lab_hit
 
 
 def ray_iou(
@@ -137,50 +149,34 @@ def ray_iou(
         np.asarray(pred.origin), np.asarray(gt.origin)
     ):
         raise ShapeError("pred and gt grids must share geometry")
-    transparent_pred = {pred.empty_id} | ({unknown_id} if unknown_id is not None else set())
-    transparent_gt = {gt.empty_id} | ({unknown_id} if unknown_id is not None else set())
-    ray_hits = []
-    any_ray = False
+    unknown = set() if unknown_id is None else {unknown_id}
+    origins, dirs = [np.empty((0, 3))], [np.empty((0, 3))]
     for cam in cams:
         rr, cc = np.meshgrid(
             np.arange(0, cam.height, stride), np.arange(0, cam.width, stride), indexing="ij"
         )
-        dirs = cam.ray_directions(rr.ravel(), cc.ravel())
-        o = cam.origin
-        for v in dirs:
-            hits = march_first_hits(
-                [pred.labels, gt.labels],
-                pred.origin,
-                pred.voxel_size,
-                pred.dims,
-                o,
-                v,
-                [transparent_pred, transparent_gt],
-            )
-            if hits is None:
-                continue
-            any_ray = True
-            ray_hits.append(hits)
-    if not any_ray:
+        dirs.append(cam.ray_directions(rr.ravel(), cc.ravel()))
+        origins.append(np.broadcast_to(cam.origin, dirs[-1].shape))
+    inside, t, lab = first_hits(
+        [pred.labels, gt.labels],
+        pred.origin,
+        pred.voxel_size,
+        np.concatenate(origins),
+        np.concatenate(dirs),
+        [{pred.empty_id} | unknown, {gt.empty_id} | unknown],
+    )
+    if not inside.any():
         raise UndefinedMetricError("no rays intersect the grid")
+    hit_p, hit_g = lab >= 0
+    n = int(lab.max()) + 1
     out = {}
     for tau in thresholds:
-        tp, fp, fn = {}, {}, {}
-        for hp, hg in ray_hits:
-            if hp is None and hg is None:
-                continue
-            if hp is not None and hg is not None and hp[1] == hg[1] and abs(hp[0] - hg[0]) <= tau:
-                tp[hg[1]] = tp.get(hg[1], 0) + 1
-                continue
-            if hg is not None:
-                fn[hg[1]] = fn.get(hg[1], 0) + 1
-            if hp is not None:
-                fp[hp[1]] = fp.get(hp[1], 0) + 1
-        classes = set(tp) | set(fp) | set(fn)
-        ious = [
-            tp.get(c, 0) / (tp.get(c, 0) + fp.get(c, 0) + fn.get(c, 0)) for c in sorted(classes)
-        ]
-        out[float(tau)] = float(np.mean(ious)) if ious else 1.0
+        tp = hit_g & (lab[0] == lab[1]) & (np.abs(t[0] - t[1]) <= tau)
+        tp_c = np.bincount(lab[1, tp], minlength=n)
+        total = tp_c + np.bincount(lab[1, hit_g & ~tp], minlength=n)
+        total += np.bincount(lab[0, hit_p & ~tp], minlength=n)
+        classes = np.flatnonzero(total)
+        out[float(tau)] = float(np.mean(tp_c[classes] / total[classes])) if classes.size else 1.0
     return out
 
 

@@ -85,6 +85,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown rig '{self.rig}'")
         if self.grid_size <= 0 or self.voxel_size <= 0:
             raise ConfigError("grid sizes must be positive")
+        self.sampling_spec()  # rejects a grid too fine for int64 voxel keys
         if self.downsample < 1:
             raise ConfigError("downsample ratio must be >= 1")
         if self.threads < 1:

@@ -11,6 +11,7 @@ drawn by a seeded splitmix64 mix so the result is a pure function of
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -72,6 +73,7 @@ def voxelize_key(mean: np.ndarray, spec: VoxelGridSpec):
 
 def _keys_parallel(means: np.ndarray, spec: VoxelGridSpec, n_workers: int) -> np.ndarray:
     n = means.shape[0]
+    n_workers = min(n_workers, os.cpu_count() or 1)  # the keys do not depend on it
     if n_workers <= 1 or n < 2 * n_workers:
         return voxel_keys(means, spec)
     out = np.empty(n, dtype=np.uint64)

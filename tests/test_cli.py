@@ -181,6 +181,7 @@ class TestErrors:
             ("gauss_scale", -0.3),
             ("threads", "2"),
             ("ray_thresholds", 2.0),
+            ("grid_size", 4e-6),
         ]
     ])
     def test_bad_config_value_exit_2(self, tmp_path, field, value):

@@ -13,7 +13,7 @@ from gsocc.core import (
     covariance_of,
     quaternion_to_matrix,
 )
-from gsocc.errors import InvalidRotationError, ShapeError
+from gsocc.errors import ConfigError, InvalidRotationError, ShapeError
 
 from conftest import random_unit_quaternions
 
@@ -143,6 +143,17 @@ class TestTypes:
         )
         assert spec.dims.tolist() == [200, 200, 16]
         assert spec.v_min.tolist() == [-100, -100, -10]
+
+    def test_voxel_grid_spec_rejects_int64_key_overflow(self):
+        edge = 2.0**21
+        spec = VoxelGridSpec(min_corner=np.zeros(3), max_corner=np.array([edge, edge, edge - 1]),
+                             grid_size=1.0)
+        assert spec.num_cells == 2**63 - 2**42
+        with pytest.raises(ConfigError):
+            VoxelGridSpec(min_corner=np.zeros(3), max_corner=np.full(3, edge), grid_size=1.0)
+        with pytest.raises(ConfigError):  # 1.28e20 cells on the default pipeline extents
+            VoxelGridSpec(min_corner=np.array([-16.0, -16.0, -4.0]),
+                          max_corner=np.array([16.0, 16.0, 4.0]), grid_size=4e-6)
 
     def test_voxel_grid_spec_rejects_inverted_extents(self):
         with pytest.raises(ValueError):

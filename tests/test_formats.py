@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -101,6 +102,41 @@ class TestOCC1:
         with pytest.raises(ConfigError):
             write_occupancy(tmp_path / "g.occ", grid, num_classes=3,
                             probs=np.zeros((5, 4, 3, 2)))
+
+
+def _occ_with_probs(path, rng):
+    labels = rng.integers(0, 3, size=(4, 4, 2)).astype(np.uint8)
+    grid = OccupancyGrid(dims=(4, 4, 2), origin=np.zeros(3), voxel_size=0.5, labels=labels)
+    write_occupancy(path, grid, num_classes=2, probs=rng.dirichlet(np.ones(3), size=(4, 4, 2)))
+
+
+WRITERS = {
+    "gsb": lambda path, rng: write_gaussian_set(path, random_gaussian_set(rng, 4)),
+    "dpm": lambda path, rng: write_depth_map(
+        path, DepthMap(depth=rng.uniform(1, 5, size=(3, 4)), uncertainty=np.ones((3, 4)))),
+    "occ": _occ_with_probs,
+}
+READERS = {"gsb": read_gaussian_set, "dpm": read_depth_map, "occ": read_occupancy}
+
+
+@pytest.mark.parametrize("fmt, damage", [
+    pytest.param(fmt, damage, id=f"{fmt}-{damage}")
+    for fmt in ("gsb", "dpm", "occ")
+    for damage in ("truncated-payload", "trailing-bytes", "truncated-header")
+] + [pytest.param("gsb", "opacity-3.0", id="gsb-opacity-3.0")])
+def test_malformed_file_rejected_naming_it(tmp_path, rng, fmt, damage):
+    path = tmp_path / f"bad.{fmt}"
+    if damage == "opacity-3.0":
+        gs = random_gaussian_set(rng, 4)
+        gs.opacities[1] = 3.0
+        write_gaussian_set(path, gs)
+    else:
+        WRITERS[fmt](path, rng)
+        raw = path.read_bytes()
+        path.write_bytes({"truncated-payload": raw[:-1], "trailing-bytes": raw + b"\0\0",
+                          "truncated-header": raw[:10]}[damage])
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        READERS[fmt](path)
 
 
 def test_basis_json_roundtrip(tmp_path):

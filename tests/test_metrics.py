@@ -3,7 +3,7 @@ import pytest
 
 from gsocc.core import CameraModel, OccupancyGrid
 from gsocc.errors import ShapeError, UndefinedMetricError
-from gsocc.metrics import init_quality, iou_miou, march_first_hits, ray_iou
+from gsocc.metrics import first_hits, init_quality, iou_miou, ray_iou
 from gsocc.synth import look_rotation
 
 from conftest import random_gaussian_set
@@ -33,10 +33,12 @@ def iou_set_oracle(pred, gt, unknown=None):
     return binary, miou, per_class
 
 
-def first_hit_enumeration_oracle(grid, o, v):
-    """Independent first-hit: slab-test every non-empty voxel, min entry t."""
+def first_hit_enumeration_oracle(grid, o, v, transparent=None):
+    """Independent first-hit: slab-test every voxel whose label is not
+    transparent (default: the empty label), min entry t."""
     best = None
-    occ = np.argwhere(grid.labels != grid.empty_id)
+    transparent = {grid.empty_id} if transparent is None else transparent
+    occ = np.argwhere(~np.isin(grid.labels, list(transparent)))
     for idx in occ:
         lo = np.asarray(grid.origin) + idx * grid.voxel_size
         hi = lo + grid.voxel_size
@@ -91,6 +93,39 @@ class TestIoU:
             iou_miou(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
 
 
+def ray_iou_oracle(pred, gt, cams, taus, stride, unknown_id=None):
+    """Ray IoU from enumeration-oracle first hits, tallied in per-class dicts."""
+    transparent = {0} if unknown_id is None else {0, unknown_id}
+    hits = []
+    for cam in cams:
+        rows, cols = np.meshgrid(np.arange(0, cam.height, stride),
+                                 np.arange(0, cam.width, stride), indexing="ij")
+        for r, c in zip(rows.ravel(), cols.ravel()):
+            v = cam.ray_directions(np.array([r]), np.array([c]))[0]
+            hits.append(
+                (first_hit_enumeration_oracle(pred, cam.origin, v, transparent),
+                 first_hit_enumeration_oracle(gt, cam.origin, v, transparent))
+            )
+    out = {}
+    for tau in taus:
+        tp, fp, fn = {}, {}, {}
+        for hp, hg in hits:
+            if hp is None and hg is None:
+                continue
+            if hp and hg and hp[1] == hg[1] and abs(hp[0] - hg[0]) <= tau:
+                tp[hg[1]] = tp.get(hg[1], 0) + 1
+                continue
+            if hg:
+                fn[hg[1]] = fn.get(hg[1], 0) + 1
+            if hp:
+                fp[hp[1]] = fp.get(hp[1], 0) + 1
+        classes = sorted(set(tp) | set(fp) | set(fn))
+        out[tau] = np.mean(
+            [tp.get(c, 0) / (tp.get(c, 0) + fp.get(c, 0) + fn.get(c, 0)) for c in classes]
+        )
+    return out
+
+
 def forward_camera(origin, yaw_deg=0.0, pitch_deg=0.0, size=(8, 8), focal=6.0):
     yaw = np.deg2rad(yaw_deg)
     pitch = np.deg2rad(pitch_deg)
@@ -133,33 +168,23 @@ class TestRayIoU:
         cam = self.cams()[0]
         stride, taus = 2, (0.5, 1.0, 2.0)
         got = ray_iou(pred, gt, [cam], thresholds=taus, stride=stride)
-
-        rows, cols = np.meshgrid(np.arange(0, 8, stride), np.arange(0, 8, stride),
-                                 indexing="ij")
-        hits = []
-        for r, c in zip(rows.ravel(), cols.ravel()):
-            v = cam.ray_directions(np.array([r]), np.array([c]))[0]
-            hits.append(
-                (first_hit_enumeration_oracle(pred, cam.origin, v),
-                 first_hit_enumeration_oracle(gt, cam.origin, v))
-            )
+        expect = ray_iou_oracle(pred, gt, [cam], taus, stride)
         for tau in taus:
-            tp, fp, fn = {}, {}, {}
-            for hp, hg in hits:
-                if hp is None and hg is None:
-                    continue
-                if hp and hg and hp[1] == hg[1] and abs(hp[0] - hg[0]) <= tau:
-                    tp[hg[1]] = tp.get(hg[1], 0) + 1
-                    continue
-                if hg:
-                    fn[hg[1]] = fn.get(hg[1], 0) + 1
-                if hp:
-                    fp[hp[1]] = fp.get(hp[1], 0) + 1
-            classes = set(tp) | set(fp) | set(fn)
-            expect = np.mean(
-                [tp.get(c, 0) / (tp.get(c, 0) + fp.get(c, 0) + fn.get(c, 0)) for c in classes]
-            )
-            assert got[tau] == pytest.approx(expect, abs=0)
+            assert got[tau] == pytest.approx(expect[tau], abs=0)
+
+    def test_two_cameras_match_enumeration_oracle(self):
+        gt = self.make_scene_grid()
+        pred_labels = gt.labels.copy()
+        pred_labels[6, 4, 4] = 2      # wrong class in the wall
+        pred_labels[2, 5:7, 2:5] = 3  # unknown-labelled block, transparent to both grids
+        pred_labels[4, 6, 5] = 0      # missed box
+        pred = grid_of(pred_labels)
+        cams = self.cams() + [forward_camera((7.63, 4.41, 3.87), yaw_deg=183.0, pitch_deg=4.0)]
+        stride, taus = 2, (0.5, 1.0, 2.0)
+        got = ray_iou(pred, gt, cams, thresholds=taus, stride=stride, unknown_id=3)
+        expect = ray_iou_oracle(pred, gt, cams, taus, stride, unknown_id=3)
+        assert got == {tau: pytest.approx(expect[tau], abs=0) for tau in taus}
+        assert got != ray_iou(pred, gt, cams[:1], thresholds=taus, stride=stride, unknown_id=3)
 
     def test_monotone_in_threshold(self):
         gt = self.make_scene_grid()
@@ -176,13 +201,51 @@ class TestRayIoU:
         with pytest.raises(UndefinedMetricError):
             ray_iou(gt, gt, [away], thresholds=(1.0,), stride=4)
 
-    def test_march_first_hits_axis_ray(self):
+    def test_first_hits_axis_ray(self):
         gt = self.make_scene_grid()
-        o = np.array([0.5, 3.5, 3.5])
-        v = np.array([1.0, 0.0, 0.0])
-        hits = march_first_hits([gt.labels], gt.origin, gt.voxel_size, gt.dims, o, v, [{0}])
+        o = np.array([[0.5, 3.5, 3.5]])
+        v = np.array([[1.0, 0.0, 0.0]])
+        inside, t, lab = first_hits([gt.labels], gt.origin, gt.voxel_size, o, v, [{0}])
         # first non-empty voxel along +x at row (3,3) is x-index 6, entered at t = 5.5
-        assert hits[0] == (5.5, 1)
+        assert inside[0] and (t[0, 0], lab[0, 0]) == (5.5, 1)
+
+    def test_first_hits_match_enumeration_oracle(self, rng):
+        """Random small grids and rays, origins inside and outside the box,
+        zero and axis-aligned direction components, two grids with different
+        transparent sets: per ray and grid the march agrees with the oracle."""
+        compared = hit = missed_box = started_inside = 0
+        for _ in range(40):
+            dims = tuple(int(d) for d in rng.integers(2, 9, size=3))
+            voxel_size = float(rng.choice([0.25, 0.3, 0.5, 1.0]))
+            origin = rng.uniform(-2.0, 2.0, size=3)
+            extent = np.asarray(dims) * voxel_size
+            grids = [
+                grid_of((rng.random(dims) < 0.12) * rng.integers(1, 4, size=dims), origin,
+                        voxel_size)
+                for _ in range(2)
+            ]
+            transparent = [{0}, {0, 2}]
+            o = origin + rng.uniform(-0.5, 1.5, size=(30, 3)) * extent
+            v = origin + rng.uniform(0.0, 1.0, size=(30, 3)) * extent - o
+            v[rng.random(30) < 0.2] = rng.normal(size=3)  # some rays aim anywhere
+            v[rng.random((30, 3)) < 0.2] = 0.0
+            v[:5] = np.eye(3)[rng.integers(0, 3, size=5)] * rng.choice([-1.0, 1.0], size=(5, 1))
+            v[~v.any(axis=1), 2] = -1.0
+            inside, t, lab = first_hits([g.labels for g in grids], origin, voxel_size, o, v,
+                                        transparent)
+            missed_box += int(np.count_nonzero(~inside))
+            started_inside += int(np.count_nonzero(((o > origin) & (o < origin + extent)).all(1)))
+            for r in range(len(o)):
+                for g, grid in enumerate(grids):
+                    want = first_hit_enumeration_oracle(grid, o[r], v[r], transparent[g])
+                    compared += 1
+                    if want is None:
+                        assert lab[g, r] == -1 and np.isnan(t[g, r])
+                    else:
+                        hit += 1
+                        assert inside[r] and lab[g, r] == want[1]
+                        assert abs(t[g, r] - want[0]) <= 1e-9
+        assert 0 < hit < compared and missed_box > 0 and started_inside > 0
 
 
 class TestInitQuality:

@@ -1,10 +1,12 @@
 import dataclasses
+import os
 from collections import defaultdict
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsocc import sampling
 from gsocc.core import VoxelGridSpec
 from gsocc.sampling import (
     OUT_OF_BOUNDS,
@@ -147,6 +149,29 @@ class TestSampleRepresentatives:
             np.testing.assert_array_equal(base.means, again.means)
             np.testing.assert_array_equal(base.rotations, again.rotations)
             np.testing.assert_array_equal(base.source_index, again.source_index)
+
+    def test_worker_pool_capped_at_cpu_count(self, rng, monkeypatch):
+        pool_sizes = []
+
+        class InlinePool:  # records the requested size and starts no thread
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", InlinePool)
+        gs = random_gaussian_set(rng, 1000)
+        base = sample_representatives(gs, SPEC, seed=3, n_workers=1)
+        wide = sample_representatives(gs, SPEC, seed=3, n_workers=os.cpu_count() + 5)
+        assert all(size <= os.cpu_count() for size in pool_sizes)
+        np.testing.assert_array_equal(base.source_index, wide.source_index)
 
     def test_attributes_unmutated(self, rng):
         gs = random_gaussian_set(rng, 200)
