@@ -1,0 +1,51 @@
+#!/usr/bin/env python3
+"""Print the SHA-256 of every `run_pipeline` artifact, one line per file.
+
+Runs the pipeline at seed 7 for the default config, for the default config
+with `dump_probs`, and for each benchmark workload of `pipebench/run.py`,
+each in its own temporary directory. Run it from the repository root of two
+checkouts and diff the outputs to check that a change keeps every artifact
+byte-identical:
+
+    python3 scripts/artifact_digests.py > digests.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
+
+
+def load_workloads() -> dict:
+    """The benchmark's workload configs, imported from pipebench/run.py."""
+    bench = ROOT / "pipebench"
+    sys.path.insert(0, str(bench))  # run.py imports its sibling spans.py
+    spec = importlib.util.spec_from_file_location("pipebench_run", bench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def main() -> int:
+    configs = {"default": {}, "dump-probs": {"dump_probs": True}, **load_workloads()}
+    sys.path.insert(0, str(ROOT / "src"))
+    from gsocc.pipeline import PipelineConfig, run_pipeline
+
+    for name, doc in configs.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            run_pipeline(PipelineConfig.from_dict({**doc, "seed": SEED, "out_dir": str(out)}))
+            for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{name} {path.relative_to(out).as_posix()} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,7 @@ from .core import (
     VoxelGridSpec,
     covariance_of,
     quaternion_to_matrix,
+    quaternion_to_matrices,
 )
 from .attention import AttentionWeights, TokenSet, alternating_block, scaled_dot_attention
 from .initialize import AttributeProvider, ConstantAttributes, init_gaussians, unproject_pixel
@@ -79,6 +80,7 @@ __all__ = [
     "lovasz_softmax_loss",
     "occupancy_alpha",
     "quaternion_to_matrix",
+    "quaternion_to_matrices",
     "rasterize_gt_grid",
     "ray_iou",
     "refine_positions",

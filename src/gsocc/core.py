@@ -36,17 +36,33 @@ def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (4,):
         raise ShapeError(f"quaternion must have shape (4,), got {q.shape}")
-    norm = float(np.linalg.norm(q))
-    if abs(norm - 1.0) > ROTATION_TOL:
-        raise InvalidRotationError(f"quaternion norm {norm} deviates from 1 beyond {ROTATION_TOL}")
-    w, x, y, z = q / norm
-    return np.array(
+    return quaternion_to_matrices(q[None])[0]
+
+
+def quaternion_to_matrices(q: np.ndarray) -> np.ndarray:
+    """(P, 3, 3) rotation matrices of P unit quaternions in (w, x, y, z) order.
+
+    Raises InvalidRotationError if any norm deviates from 1 by more than
+    ROTATION_TOL (a NaN norm included).
+    """
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != 4:
+        raise ShapeError(f"quaternions must have shape (P, 4), got {q.shape}")
+    norm = np.linalg.norm(q, axis=1)
+    bad = ~(np.abs(norm - 1.0) <= ROTATION_TOL)
+    if bad.any():
+        raise InvalidRotationError(
+            f"quaternion norm {norm[bad][0]} deviates from 1 beyond {ROTATION_TOL}"
+        )
+    w, x, y, z = (q / norm[:, None]).T
+    return np.stack(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        axis=-1,
+    ).reshape(-1, 3, 3)
 
 
 def clamp_scales(scale: np.ndarray) -> np.ndarray:
@@ -162,19 +178,22 @@ class GaussianSet:
         )
 
     def validate(self) -> None:
-        """Check primitive invariants; raises on violation."""
+        """Check primitive invariants; raises on violation, NaN and inf included."""
         if len(self) == 0:
             return
         norms = np.linalg.norm(self.rotations, axis=1)
-        bad = np.abs(norms - 1.0) > ROTATION_TOL
+        bad = ~(np.abs(norms - 1.0) <= ROTATION_TOL)
         if bad.any():
             raise InvalidRotationError(
                 f"{int(bad.sum())} rotation(s) deviate from unit norm beyond {ROTATION_TOL}"
             )
-        if (self.opacities < 0).any() or (self.opacities > 1).any():
+        for name, arr in (("means", self.means), ("semantic logits", self.semantics)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+        if not ((self.opacities >= 0) & (self.opacities <= 1)).all():
             raise ValueError("opacities must lie in [0, 1]")
-        if (self.scales < S_MIN).any():
-            raise ValueError(f"scale components must be >= s_min={S_MIN}")
+        if not ((self.scales >= S_MIN) & np.isfinite(self.scales)).all():
+            raise ValueError(f"scale components must be finite and >= s_min={S_MIN}")
 
 
 def concat_gaussian_sets(sets: list) -> GaussianSet:

@@ -11,10 +11,21 @@ weighted scale-awarely. The per-voxel output vector is
 
 Occupancy is evaluated at voxel centers, one sample per voxel. The product
 is accumulated in log space (sum of log1p(-a * phi)) for stability with many
-overlapping primitives. The grid renderer rasterizes each Gaussian only
-over the voxels its 3-sigma ellipsoid bound overlaps; because the axis
-bound is exact, this visits every voxel with phi > 0 and the result matches
-the all-pairs reference to rounding.
+overlapping primitives.
+
+The grid renderer evaluates each Gaussian only over its box: per axis, the
+voxel indices from floor to ceil of the exact 3-sigma axis bound
+mean +- 3 sqrt(Sigma_kk), clipped to the grid. The nearest voxel outside that
+range has its center half a voxel beyond the bound, so every voxel with
+m^2 <= 9 is visited and the result matches the all-pairs reference to
+rounding. There is no loop over Gaussians: they are walked in index order in
+contiguous chunks of at most _PAIR_BUDGET (Gaussian, voxel) box pairs, which
+bounds the working memory (a Gaussian whose box alone is larger forms a chunk
+of its own), and each chunk is evaluated one box shape at a time as dense
+arrays. The kept terms are added to the accumulators with np.add.at in
+ascending Gaussian order, so every voxel sums its terms in that order with
+the same float operations as a per-Gaussian loop, and the field is
+bit-identical whatever the chunking.
 """
 
 from __future__ import annotations
@@ -23,7 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianPrimitive, GaussianSet, OccupancyGrid, clamp_scales, quaternion_to_matrix
+from .core import (
+    GaussianPrimitive,
+    GaussianSet,
+    OccupancyGrid,
+    clamp_scales,
+    quaternion_to_matrices,
+    quaternion_to_matrix,
+)
 
 # Mahalanobis cutoff: contributions beyond 3 sigma are dropped exactly
 # (both here and in the brute-force reference).
@@ -31,9 +49,10 @@ CUTOFF = 3.0
 _CUTOFF_SQ = CUTOFF * CUTOFF
 _DENSITY_NORM = (2.0 * np.pi) ** 1.5
 
-
-def _rotations(gs: GaussianSet) -> np.ndarray:
-    return np.stack([quaternion_to_matrix(q) for q in gs.rotations])
+# Most (Gaussian, voxel) box pairs render_grid evaluates at once: about
+# 100 bytes of working memory each, 6.4 MiB in all. 1 << 18 made the render
+# of the fine-grid benchmark ~7% faster but its peak RSS ~4 MiB higher.
+_PAIR_BUDGET = 1 << 16
 
 
 def softmax_logits(logits: np.ndarray) -> np.ndarray:
@@ -58,7 +77,7 @@ def _phi_all(x: np.ndarray, gs: GaussianSet) -> np.ndarray:
     """(P,) kernel values of one point under every Gaussian, cutoff applied."""
     if len(gs) == 0:
         return np.zeros(0)
-    rots = _rotations(gs)
+    rots = quaternion_to_matrices(gs.rotations)
     d = np.asarray(x, dtype=np.float64) - gs.means
     y = np.einsum("pk,pka->pa", d, rots)
     m2 = ((y / gs.scales) ** 2).sum(axis=1)
@@ -153,42 +172,70 @@ def render_grid(
     sem_num = np.zeros(dims + (c,))
     sem_den = np.zeros(dims)
     if len(gs):
-        rots = _rotations(gs)
-        sem_soft = softmax_logits(gs.semantics)
-        axes = _axis_centers(origin, voxel_size, dims)
+        rots = quaternion_to_matrices(gs.rotations)
         # Per-axis half extent of the 3-sigma ellipsoid: 3 * sqrt(Sigma_kk).
         radii = CUTOFF * np.sqrt(np.einsum("pka,pa->pk", rots**2, gs.scales**2))
-        los = np.floor((gs.means - radii - origin) / voxel_size).astype(np.int64) - 1
-        his = np.ceil((gs.means + radii - origin) / voxel_size).astype(np.int64) + 1
+        los = np.floor((gs.means - radii - origin) / voxel_size).astype(np.int64)
+        his = np.ceil((gs.means + radii - origin) / voxel_size).astype(np.int64)
         np.clip(los, 0, dims, out=los)
         np.clip(his, 0, dims, out=his)
-        with np.errstate(divide="ignore"):
-            for i in range(len(gs)):
-                lo, hi = los[i], his[i]
-                if (lo >= hi).any():
-                    continue
-                box = tuple(slice(lo[a], hi[a]) for a in range(3))
-                d = np.stack(
-                    np.meshgrid(
-                        axes[0][box[0]] - gs.means[i, 0],
-                        axes[1][box[1]] - gs.means[i, 1],
-                        axes[2][box[2]] - gs.means[i, 2],
-                        indexing="ij",
-                    ),
-                    axis=-1,
-                )
-                y = d @ rots[i]
-                m2 = ((y / gs.scales[i]) ** 2).sum(axis=-1)
-                mask = m2 <= _CUTOFF_SQ
-                if not mask.any():
-                    continue
-                phi = np.exp(-0.5 * m2[mask])
-                a_phi = gs.opacities[i] * phi
-                w = a_phi * (1.0 / (_DENSITY_NORM * gs.scales[i].prod()))
-                log_keep[box][mask] += np.log1p(-a_phi)
-                sem_den[box][mask] += w
-                sem_num[box][mask] += w[:, None] * sem_soft[i]
+        ext = his - los
+        ends = np.cumsum(ext.prod(axis=1))
+        axes = _axis_centers(origin, voxel_size, dims)
+        sem_soft = softmax_logits(gs.semantics)
+        inv_norm = 1.0 / (_DENSITY_NORM * gs.scales.prod(axis=1))
+        start = 0
+        while start < len(gs):
+            done = ends[start - 1] if start else 0
+            stop = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), start + 1)
+            g, vox, m2 = _box_pairs(gs, rots, los, ext, np.arange(start, stop), axes, dims)
+            phi = np.exp(-0.5 * m2)
+            a_phi = gs.opacities[g] * phi
+            w = a_phi * inv_norm[g]
+            # The accumulators are contiguous, so each reshape is a view.
+            with np.errstate(divide="ignore"):
+                np.add.at(log_keep.reshape(-1), vox, np.log1p(-a_phi))
+            np.add.at(sem_den.reshape(-1), vox, w)
+            np.add.at(sem_num.reshape(-1, c), vox, w[:, None] * sem_soft[g])
+            start = stop
     return _finalize(log_keep, sem_num, sem_den, origin, voxel_size)
+
+
+def _box_pairs(gs, rots, los, ext, idx, axes, dims):
+    """(Gaussian, flat voxel index, m^2) of every pair within the cutoff
+    between the Gaussians `idx` and the voxel centers of their boxes,
+    ordered by Gaussian index."""
+    shapes, inverse = np.unique(ext[idx], axis=0, return_inverse=True)
+    inverse = inverse.ravel()  # numpy 2.0.x returns it with an extra axis
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    for s, shape in enumerate(shapes):
+        if not shape.all():
+            continue
+        g = idx[inverse == s]
+        dx, dy, dz = (
+            axes[a][los[g, a, None] + np.arange(n)] - gs.means[g, a, None]
+            for a, n in enumerate(shape)
+        )
+        d = np.stack(
+            np.broadcast_arrays(dx[:, :, None, None], dy[:, None, :, None], dz[:, None, None, :]),
+            axis=-1,
+        )
+        # d @ R, not an explicit sum of products: the BLAS kernel may fuse
+        # multiply-adds, and its per-row result is the same whatever the
+        # number of rows, as in a per-Gaussian evaluation.
+        y = d.reshape(len(g), -1, 3) @ rots[g]
+        y /= gs.scales[g, None, :]
+        y **= 2
+        # (y0 + y1) + y2, the order in which numpy sums a length-3 axis.
+        m2 = y[..., 0] + y[..., 1]
+        m2 += y[..., 2]
+        k, j = np.nonzero(m2 <= _CUTOFF_SQ)
+        offsets = np.ravel_multi_index(np.indices(shape).reshape(3, -1), dims)
+        base = np.ravel_multi_index(los[g].T, dims)
+        parts.append((g[k], base[k] + offsets[j], m2[k, j]))
+    g, vox, m2 = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(g, kind="stable")
+    return g[order], vox[order], m2[order]
 
 
 def render_grid_bruteforce(

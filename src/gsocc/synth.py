@@ -198,13 +198,18 @@ def rasterize_gt_grid(scene: SceneSpec, dims, origin, voxel_size: float) -> Occu
     k = int(np.floor((scene.ground_z - origin[2]) / voxel_size))
     if 0 <= k < dims[2]:
         labels[:, :, k] = scene.ground_class
-    idx = np.stack(
-        np.meshgrid(*(np.arange(d) for d in dims), indexing="ij"), axis=-1
-    ).reshape(-1, 3)
-    centers = origin + (idx + 0.5) * voxel_size
     for box in scene.boxes:
-        inside = box.contains(centers).reshape(dims)
-        labels[inside] = box.class_id
+        # Only voxels whose centers lie within the box's circumradius of its
+        # center can be inside it.
+        r = np.linalg.norm(box.half_extents)
+        lo = np.clip(np.floor((box.center - r - origin) / voxel_size).astype(np.int64), 0, dims)
+        hi = np.clip(np.ceil((box.center + r - origin) / voxel_size).astype(np.int64) + 1, 0, dims)
+        idx = np.stack(
+            np.meshgrid(*(np.arange(a, b) for a, b in zip(lo, hi)), indexing="ij"), axis=-1
+        )
+        inside = box.contains((origin + (idx + 0.5) * voxel_size).reshape(-1, 3))
+        box_labels = labels[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
+        box_labels[inside.reshape(box_labels.shape)] = box.class_id
     return OccupancyGrid(
         dims=dims, origin=origin, voxel_size=float(voxel_size), labels=labels, empty_id=0
     )

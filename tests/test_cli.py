@@ -208,6 +208,20 @@ class TestErrors:
                     "--gaussians", tmp_path / "g.gsb", "--output", tmp_path / "r.gsb"]) == 2
         assert not (tmp_path / "r.gsb").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("opacities", np.nan), ("scales", np.nan), ("means", np.nan), ("semantics", np.inf),
+    ])
+    def test_non_finite_gaussians_exit_2(self, tmp_path, config_file, rng, field, value):
+        from gsocc.formats import write_gaussian_set
+        from conftest import random_gaussian_set
+
+        gs = random_gaussian_set(rng, 4, num_classes=4)
+        getattr(gs, field)[1] = value
+        write_gaussian_set(tmp_path / "g.gsb", gs)
+        assert run(["render", "--config", config_file, "--gaussians", tmp_path / "g.gsb",
+                    "--output", tmp_path / "pred.occ"]) == 2
+        assert not (tmp_path / "pred.occ").exists()
+
     def test_missing_scene_file_exit_2(self, tmp_path, config_file):
         assert run(["render-depth", "--config", config_file,
                     "--scene", tmp_path / "nope.json", "--out", tmp_path]) == 2

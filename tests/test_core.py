@@ -11,6 +11,7 @@ from gsocc.core import (
     OccupancyGrid,
     VoxelGridSpec,
     covariance_of,
+    quaternion_to_matrices,
     quaternion_to_matrix,
 )
 from gsocc.errors import ConfigError, InvalidRotationError, ShapeError
@@ -169,3 +170,17 @@ def test_quaternion_matrix_is_orthonormal(rng):
         r = quaternion_to_matrix(q)
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_batched_rotations_match_scalar_bitwise(rng):
+    q = random_unit_quaternions(rng, 200)
+    batched = quaternion_to_matrices(q)
+    assert batched.shape == (200, 3, 3)
+    assert np.array_equal(batched, np.stack([quaternion_to_matrix(r) for r in q]))
+    np.testing.assert_allclose(batched, np.stack([rotation_matrix_oracle(r) for r in q]),
+                               atol=1e-12)
+    for bad in (1.01, np.nan):
+        q_bad = q.copy()
+        q_bad[57] *= bad
+        with pytest.raises(InvalidRotationError):
+            quaternion_to_matrices(q_bad)

@@ -119,16 +119,27 @@ WRITERS = {
 READERS = {"gsb": read_gaussian_set, "dpm": read_depth_map, "occ": read_occupancy}
 
 
+# Values a GSB record can hold that no Gaussian may have: (field, value).
+BAD_GAUSSIAN_VALUES = {
+    "opacity-3.0": ("opacities", 3.0),
+    "opacity-nan": ("opacities", np.nan),
+    "scale-nan": ("scales", np.nan),
+    "mean-nan": ("means", np.nan),
+    "logit-inf": ("semantics", np.inf),
+}
+
+
 @pytest.mark.parametrize("fmt, damage", [
     pytest.param(fmt, damage, id=f"{fmt}-{damage}")
     for fmt in ("gsb", "dpm", "occ")
     for damage in ("truncated-payload", "trailing-bytes", "truncated-header")
-] + [pytest.param("gsb", "opacity-3.0", id="gsb-opacity-3.0")])
+] + [pytest.param("gsb", damage, id=f"gsb-{damage}") for damage in BAD_GAUSSIAN_VALUES])
 def test_malformed_file_rejected_naming_it(tmp_path, rng, fmt, damage):
     path = tmp_path / f"bad.{fmt}"
-    if damage == "opacity-3.0":
+    if damage in BAD_GAUSSIAN_VALUES:
         gs = random_gaussian_set(rng, 4)
-        gs.opacities[1] = 3.0
+        field, value = BAD_GAUSSIAN_VALUES[damage]
+        getattr(gs, field)[1] = value
         write_gaussian_set(path, gs)
     else:
         WRITERS[fmt](path, rng)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gsocc import render
 from gsocc.core import GaussianPrimitive, GaussianSet
 from gsocc.render import (
     expected_semantics,
@@ -191,3 +192,46 @@ class TestRenderGrid:
         perm = rng.permutation(len(gs))
         field_p = render_grid(gs.take(perm), self.DIMS, self.ORIGIN, self.VOX)
         assert np.abs(field.probs - field_p.probs).max() <= 1e-6
+
+
+def _anisotropic(rng):
+    return random_gaussian_set(rng, 80, lo=(-2, -2, -1), hi=(2, 2, 1), scale_range=(0.02, 1.2))
+
+
+def _straddling_faces(rng):
+    gs = random_gaussian_set(rng, 80, lo=(-2, -2, -1), hi=(2, 2, 1))
+    axis = rng.integers(0, 3, size=80)
+    face = np.where((rng.random(80) < 0.5)[:, None], TestRenderGrid.ORIGIN, -TestRenderGrid.ORIGIN)
+    gs.means[np.arange(80), axis] = face[np.arange(80), axis] + rng.uniform(-0.3, 0.3, 80)
+    return gs
+
+
+def _outside_grid(rng):
+    gs = random_gaussian_set(rng, 80, lo=(-6, -6, -5), hi=(6, 6, 5))
+    gs.means[::2] += 20.0  # boxes entirely outside the grid
+    return gs
+
+
+def _oversized_box(rng):
+    gs = random_gaussian_set(rng, 40, lo=(-2, -2, -1), hi=(2, 2, 1))
+    gs.scales[17] = [3.0, 2.5, 2.0]  # its box is the whole grid, 256 pairs
+    return gs
+
+
+@pytest.mark.parametrize("make_set", [_anisotropic, _straddling_faces, _outside_grid,
+                                      _oversized_box], ids=lambda f: f.__name__[1:])
+def test_field_does_not_depend_on_pair_budget(rng, monkeypatch, make_set):
+    # A budget of 64 pairs splits the set into many chunks, each mixing box
+    # shapes, and leaves larger boxes in chunks of their own.
+    gs = make_set(rng)
+    grid = (TestRenderGrid.DIMS, TestRenderGrid.ORIGIN, TestRenderGrid.VOX)
+    whole = render_grid(gs, *grid)
+    monkeypatch.setattr(render, "_PAIR_BUDGET", 64)
+    chunked = render_grid(gs, *grid)
+    assert np.array_equal(chunked.probs, whole.probs)
+    assert whole.alpha.max() > 0.0
+    brute = render_grid_bruteforce(gs, *grid)
+    np.testing.assert_allclose(chunked.probs, brute.probs, rtol=0, atol=1e-12)
+    # The brute-force loop adds the same log1p(-a * phi) terms in the same
+    # order, so the empty channel matches it bit for bit.
+    assert np.array_equal(chunked.probs[..., 0], brute.probs[..., 0])

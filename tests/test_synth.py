@@ -122,6 +122,33 @@ class TestRasterize:
                     want = 2 if oriented_box_contains_oracle(box, center) else 0
                     assert grid.labels[i, j, k] == want
 
+    def test_bounded_raster_matches_full_grid_containment(self, rng):
+        # Rotated boxes that touch or cross the grid faces, some of them
+        # grid-aligned so voxel centers fall on their faces, some entirely
+        # outside the grid (not the scene); later boxes override earlier ones.
+        dims, origin, vox = (12, 10, 6), np.array([-3.0, -2.5, -1.5]), 0.5
+        lo, hi = origin, origin + np.array(dims) * vox
+        boxes = []
+        for i in range(40):
+            center = rng.uniform(lo - 1.5, hi + 1.5)
+            half = rng.uniform(0.2, 2.0, size=3)
+            yaw = rng.uniform(-np.pi, np.pi)
+            if i % 4 == 0:
+                center = np.round(center / vox) * vox
+                half = np.round(half / vox) * vox + 0.25
+                yaw = 0.0
+            boxes.append(Box(center=center, half_extents=half, yaw=yaw, class_id=1 + i % 3))
+        scene = SceneSpec(seed=0, boxes=tuple(boxes), ground_z=-1.2, ground_class=4,
+                          extents_min=lo - 4.0, extents_max=hi + 4.0)
+        idx = np.stack(np.meshgrid(*(np.arange(d) for d in dims), indexing="ij"), axis=-1)
+        centers = (origin + (idx + 0.5) * vox).reshape(-1, 3)
+        want = np.zeros(dims, dtype=np.uint8)
+        want[:, :, 0] = 4
+        for box in boxes:
+            want[box.contains(centers).reshape(dims)] = box.class_id
+        grid = rasterize_gt_grid(scene, dims, origin, vox)
+        np.testing.assert_array_equal(grid.labels, want)
+
     def test_ground_layer_and_overrides(self):
         box = Box(center=np.array([1.0, 1.0, 0.25]), half_extents=np.array([0.4, 0.4, 0.4]),
                   yaw=0.0, class_id=2)
