@@ -3,9 +3,11 @@
 
 Runs the pipeline at seed 7 for the default config, for the default config
 with `dump_probs`, and for each benchmark workload of `pipebench/run.py`,
-each in its own temporary directory. Run it from the repository root of two
-checkouts and diff the outputs to check that a change keeps every artifact
-byte-identical:
+each in its own temporary directory. It also runs the subcommand chain
+`gen-scene -> render-depth -> init` for the default config at the same seed
+and prints the digest of each file it writes (`cli-init` lines). Run it
+from the repository root of two checkouts and diff the outputs to check
+that a change keeps every artifact byte-identical:
 
     python3 scripts/artifact_digests.py > digests.txt
 """
@@ -32,6 +34,30 @@ def load_workloads() -> dict:
     return module.WORKLOADS
 
 
+def print_digests(name: str, out: Path) -> None:
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{name} {path.relative_to(out).as_posix()} {digest}")
+
+
+def run_cli_init(out: Path) -> None:
+    """`gsocc gen-scene`, `render-depth` and `init`, each reading the files
+    the step before wrote to `out`."""
+    from gsocc.cli import main as gsocc
+
+    scene = str(out / "scene.json")
+    seed = ["--seed", str(SEED)]
+
+    def step(*argv):
+        if gsocc([*argv, *seed]) != 0:
+            raise SystemExit(f"gsocc {argv[0]} failed")
+
+    step("gen-scene", "--scene", scene)
+    step("render-depth", "--scene", scene, "--out", str(out))
+    depths = sorted(str(p) for p in out.glob("depth_*.dpm"))
+    step("init", "--scene", scene, "--depths", *depths, "--output", str(out / "gaussians_init.gsb"))
+
+
 def main() -> int:
     configs = {"default": {}, "dump-probs": {"dump_probs": True}, **load_workloads()}
     sys.path.insert(0, str(ROOT / "src"))
@@ -41,9 +67,10 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             run_pipeline(PipelineConfig.from_dict({**doc, "seed": SEED, "out_dir": str(out)}))
-            for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{name} {path.relative_to(out).as_posix()} {digest}")
+            print_digests(name, out)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_cli_init(Path(tmp))
+        print_digests("cli-init", Path(tmp))
     return 0
 
 

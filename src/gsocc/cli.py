@@ -78,7 +78,8 @@ def cmd_render_depth(args) -> int:
 
 def cmd_init(args) -> int:
     cfg = _load_config(args)
-    pipeline.write_init(cfg, _read_scene(args.scene), _read_depths(args.depths), args.output)
+    classes = synth.pixel_hits(_read_scene(args.scene), cfg.cameras())[1]
+    pipeline.write_init(cfg, classes, _read_depths(args.depths), args.output)
     return 0
 
 

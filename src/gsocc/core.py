@@ -252,6 +252,12 @@ class CameraModel:
         d /= np.linalg.norm(d, axis=-1, keepdims=True)
         return d @ np.asarray(self.rotation, dtype=np.float64).T
 
+    def pixel_rays(self, stride: int = 1) -> np.ndarray:
+        """Unit world-space ray directions through every stride-th pixel
+        center of rows and columns, in row-major pixel order."""
+        rr, cc = np.mgrid[0 : self.height : stride, 0 : self.width : stride]
+        return self.ray_directions(rr.ravel(), cc.ravel())
+
     def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """World points -> continuous (row, col) pixel coordinates plus camera-frame z.
 

@@ -150,19 +150,14 @@ def ray_iou(
     ):
         raise ShapeError("pred and gt grids must share geometry")
     unknown = set() if unknown_id is None else {unknown_id}
-    origins, dirs = [np.empty((0, 3))], [np.empty((0, 3))]
-    for cam in cams:
-        rr, cc = np.meshgrid(
-            np.arange(0, cam.height, stride), np.arange(0, cam.width, stride), indexing="ij"
-        )
-        dirs.append(cam.ray_directions(rr.ravel(), cc.ravel()))
-        origins.append(np.broadcast_to(cam.origin, dirs[-1].shape))
+    dirs = [cam.pixel_rays(stride) for cam in cams]
+    origins = [np.broadcast_to(cam.origin, d.shape) for cam, d in zip(cams, dirs)]
     inside, t, lab = first_hits(
         [pred.labels, gt.labels],
         pred.origin,
         pred.voxel_size,
-        np.concatenate(origins),
-        np.concatenate(dirs),
+        np.concatenate([np.empty((0, 3)), *origins]),
+        np.concatenate([np.empty((0, 3)), *dirs]),
         [{pred.empty_id} | unknown, {gt.empty_id} | unknown],
     )
     if not inside.any():

@@ -86,6 +86,7 @@ class PipelineConfig:
         if self.grid_size <= 0 or self.voxel_size <= 0:
             raise ConfigError("grid sizes must be positive")
         self.sampling_spec()  # rejects a grid too fine for int64 voxel keys
+        self.grid_dims()  # rejects a voxel size that does not divide the extents
         if self.downsample < 1:
             raise ConfigError("downsample ratio must be >= 1")
         if self.threads < 1:
@@ -168,17 +169,14 @@ class PipelineConfig:
 
 class GroundTruthClassAttributes:
     """Attribute provider that labels each pixel's Gaussian with the class
-    of the surface its ray hits. Scale/rotation/opacity are constants."""
+    of the surface its ray hits, read from per-view (H, W) class maps (0 for
+    a miss, see synth.pixel_hits). Scale/rotation/opacity are constants."""
 
-    def __init__(self, scene, cams, scale: float, opacity: float, num_classes: int):
+    def __init__(self, class_maps: list, scale: float, opacity: float, num_classes: int):
         self.num_classes = num_classes
         self.scale = float(scale)
         self.opacity = float(opacity)
-        self.class_maps = []
-        for cam in cams:
-            rr, cc = np.meshgrid(np.arange(cam.height), np.arange(cam.width), indexing="ij")
-            _, cls = synth.ray_hit_classes(scene, cam.origin, cam.ray_directions(rr.ravel(), cc.ravel()))
-            self.class_maps.append(cls.reshape(cam.height, cam.width))
+        self.class_maps = class_maps
 
     def __call__(self, view: int, rows: np.ndarray, cols: np.ndarray):
         n = len(rows)
@@ -238,10 +236,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     scene = _run_stage("gen-scene", out, lambda st: write_scene(config, st.path("scene.json")))
     gt_grid = _run_stage("rasterize-gt", out, lambda st: write_gt(config, scene, st.path("gt.occ")))
-    depths = _run_stage("render-depth", out, lambda st: write_depths(config, scene, st.path))
-    _run_stage(
-        "init", out, lambda st: write_init(config, scene, depths, st.path("gaussians_init.gsb"))
+    depths, clean_depths, classes = _run_stage(
+        "render-depth", out, lambda st: write_depths(config, scene, st.path)
     )
+    _run_stage(
+        "init", out, lambda st: write_init(config, classes, depths, st.path("gaussians_init.gsb"))
+    )
+    del classes
     # Each stage below consumes the artifact it reloads, not the in-memory
     # float64 set, so standalone subcommands reproduce the same bytes. The
     # float64 set is already dropped when the reload runs, which bounds peak
@@ -274,7 +275,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             field.probs,
             gt_grid,
             depths,
-            depths if config.noise_std == 0 else synth.render_depth_maps(scene, config.cameras()),
+            synth.depth_maps(scene.seed, clean_depths),
             st.path("losses.json"),
         ),
     )
@@ -322,20 +323,23 @@ def write_gt(config: PipelineConfig, scene, path):
     return grid
 
 
-def write_depths(config: PipelineConfig, scene, path_for) -> list:
-    """Write view i's depth map to `path_for("depth_<iii>.dpm")`."""
-    depths = synth.render_depth_maps(scene, config.cameras(), noise_std=config.noise_std)
+def write_depths(config: PipelineConfig, scene, path_for) -> tuple:
+    """Cast every pixel ray once and write view i's depth map, with the
+    config's seeded noise, to `path_for("depth_<iii>.dpm")`. Returns the
+    written DepthMaps plus the noise-free depth and class maps."""
+    clean, classes = synth.pixel_hits(scene, config.cameras())
+    depths = synth.depth_maps(scene.seed, clean, config.noise_std)
     for i, dm in enumerate(depths):
         formats.write_depth_map(path_for(f"depth_{i:03d}.dpm"), dm)
-    return depths
+    return depths, clean, classes
 
 
-def write_init(config: PipelineConfig, scene, depths: list, path) -> GaussianSet:
-    cams = config.cameras()
+def write_init(config: PipelineConfig, class_maps: list, depths: list, path) -> GaussianSet:
+    """Pixel-aligned Gaussians from `depths`, labelled from `class_maps`."""
     attrs = GroundTruthClassAttributes(
-        scene, cams, config.gauss_scale, config.gauss_opacity, config.num_classes
+        class_maps, config.gauss_scale, config.gauss_opacity, config.num_classes
     )
-    gs = init_gaussians(cams, depths, attrs, n_workers=config.threads)
+    gs = init_gaussians(config.cameras(), depths, attrs, n_workers=config.threads)
     formats.write_gaussian_set(path, gs)
     return gs
 

@@ -148,10 +148,14 @@ def _axis_centers(origin, voxel_size, dims):
 def _finalize(log_keep, sem_num, sem_den, origin, voxel_size):
     alpha = -np.expm1(log_keep)
     c = sem_num.shape[-1]
-    e = np.full_like(sem_num, 1.0 / c)
-    covered = sem_den > 0
-    e[covered] = sem_num[covered] / sem_den[covered, None]
-    probs = np.concatenate([(1.0 - alpha)[..., None], alpha[..., None] * e], axis=-1)
+    # Filled in place, so probs is the only (X, Y, Z, C)-sized result: the
+    # empty channel, then alpha times the class split (uniform where no
+    # Gaussian covers the voxel).
+    probs = np.empty(alpha.shape + (c + 1,))
+    probs[..., 0] = 1.0 - alpha
+    probs[..., 1:] = 1.0 / c
+    np.divide(sem_num, sem_den[..., None], out=probs[..., 1:], where=(sem_den > 0)[..., None])
+    probs[..., 1:] *= alpha[..., None]
     labels = probs.argmax(axis=-1).astype(np.uint8)
     return SemanticOccupancyField(
         probs=probs,

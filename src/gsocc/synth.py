@@ -27,10 +27,14 @@ class Box:
     yaw: float
     class_id: int
 
-    def _to_local(self, points: np.ndarray) -> np.ndarray:
+    def _yaw_rotation(self) -> np.ndarray:
+        """Rz(yaw): box-local axes to world."""
         c, s = np.cos(self.yaw), np.sin(self.yaw)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return (np.atleast_2d(points) - self.center) @ rot  # rows: Rz(-yaw) @ d
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    def _to_local(self, points: np.ndarray) -> np.ndarray:
+        # rows: Rz(-yaw) @ d
+        return (np.atleast_2d(points) - self.center) @ self._yaw_rotation()
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         local = self._to_local(points)
@@ -51,14 +55,11 @@ class Box:
             zero = snapped[rows, axis] == 0.0
             snapped[rows[zero], axis[zero]] = self.half_extents[axis[zero]]
             q[inside] = snapped
-        c, s = np.cos(self.yaw), np.sin(self.yaw)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return q @ rot.T + self.center
+        return q @ self._yaw_rotation().T + self.center
 
     def ray_hits(self, o: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Along-ray hit distance per direction, +inf where the ray misses."""
-        c, s = np.cos(self.yaw), np.sin(self.yaw)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        rot = self._yaw_rotation()
         o_l = (o - self.center) @ rot
         d_l = dirs @ rot
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -237,15 +238,21 @@ def ray_hit_classes(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray):
     return best, cls
 
 
-def ray_depths(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Along-ray distance to the nearest scene surface, +inf on miss."""
-    return ray_hit_classes(scene, o, dirs)[0]
+def pixel_hits(scene: SceneSpec, cams: list) -> tuple[list, list]:
+    """Noise-free (depth maps, class maps), one (H, W) array per camera, of
+    the nearest scene surface behind every pixel center. Each camera's
+    pixel rays are cast once, in one ray_hit_classes call."""
+    depths, classes = [], []
+    for cam in cams:
+        depth, cls = ray_hit_classes(scene, cam.origin, cam.pixel_rays())
+        depths.append(depth.reshape(cam.height, cam.width))
+        classes.append(cls.reshape(cam.height, cam.width))
+    return depths, classes
 
 
-def render_depth_maps(
-    scene: SceneSpec, cams: list, noise_std: float = 0.0
-) -> list:
-    """Analytic depth per pixel with optional seeded Gaussian noise.
+def depth_maps(seed: int, depths: list, noise_std: float = 0.0) -> list:
+    """DepthMaps of noise-free per-view depths with optional seeded Gaussian
+    noise on the finite ones.
 
     Uncertainty is max(noise_std, 1e-3) everywhere. Noise seeding is
     per (scene seed, view), so results do not depend on execution order.
@@ -253,18 +260,20 @@ def render_depth_maps(
     if noise_std < 0:
         raise ConfigError("noise_std must be >= 0")
     maps = []
-    for view, cam in enumerate(cams):
-        rr, cc = np.meshgrid(np.arange(cam.height), np.arange(cam.width), indexing="ij")
-        dirs = cam.ray_directions(rr.ravel(), cc.ravel())
-        depth = ray_depths(scene, cam.origin, dirs).reshape(cam.height, cam.width)
+    for view, depth in enumerate(depths):
         if noise_std > 0:
-            rng = np.random.default_rng(np.random.SeedSequence(scene.seed, spawn_key=(view,)))
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(view,)))
             noise = noise_std * rng.standard_normal(depth.shape)
-            hit = np.isfinite(depth)
-            depth = np.where(hit, np.maximum(depth + noise, 0.0), depth)
+            depth = np.where(np.isfinite(depth), np.maximum(depth + noise, 0.0), depth)
         unc = np.full(depth.shape, max(noise_std, 1e-3))
         maps.append(DepthMap(depth=depth, uncertainty=unc))
     return maps
+
+
+def render_depth_maps(scene: SceneSpec, cams: list, noise_std: float = 0.0) -> list:
+    """Analytic depth per pixel with optional seeded Gaussian noise: the
+    depth maps of pixel_hits through depth_maps."""
+    return depth_maps(scene.seed, pixel_hits(scene, cams)[0], noise_std)
 
 
 def nearest_surface_points(scene: SceneSpec, points: np.ndarray) -> np.ndarray:

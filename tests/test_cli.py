@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gsocc import synth
 from gsocc.cli import main
 from gsocc.pipeline import PipelineConfig, _Stage, run_pipeline
 
@@ -182,12 +183,14 @@ class TestErrors:
             ("threads", "2"),
             ("ray_thresholds", 2.0),
             ("grid_size", 4e-6),
+            ("voxel_size", 0.3),
         ]
     ])
     def test_bad_config_value_exit_2(self, tmp_path, field, value):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**SMALL_CONFIG, field: value}))
         assert run(["pipeline", "--config", bad, "--out", tmp_path / "x"]) == 2
+        assert not (tmp_path / "x").exists()  # rejected at config load, before any stage
 
     def test_malformed_ray_thresholds_exit_2(self, tmp_path, config_file):
         run_dir = tmp_path / "run"
@@ -279,3 +282,20 @@ def test_downsample_ratio_scales_depth_grid(tmp_path):
     summary = run_pipeline(cfg)
     full = PipelineConfig(**{**SMALL_CONFIG, "out_dir": str(tmp_path / "full")})
     assert summary["initial_count"] < run_pipeline(full)["initial_count"]
+
+
+def test_pixel_rays_cast_once_per_camera(tmp_path, monkeypatch):
+    """Depth maps, init class maps and the noise-free loss depths share one
+    cast of every pixel ray."""
+    casts = []
+    cast = synth.ray_hit_classes
+
+    def counted(scene, o, dirs):
+        casts.append(len(dirs))
+        return cast(scene, o, dirs)
+
+    monkeypatch.setattr(synth, "ray_hit_classes", counted)
+    cfg = PipelineConfig(**{**SMALL_CONFIG, "noise_std": 0.05, "refine": "oracle-snap",
+                            "out_dir": str(tmp_path / "run")})
+    run_pipeline(cfg)
+    assert casts == [cam.height * cam.width for cam in cfg.cameras()]

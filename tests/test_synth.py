@@ -13,7 +13,7 @@ from gsocc.synth import (
     generate_scene,
     nearest_surface_points,
     rasterize_gt_grid,
-    ray_depths,
+    ray_hit_classes,
     render_depth_maps,
     surround_rig,
 )
@@ -181,7 +181,7 @@ class TestDepthMaps:
         v = cam.ray_directions(rr, cc)[0]
         expected = 5.0 / v[2]
         assert dm.depth[5, 7] == pytest.approx(expected, abs=1e-12)
-        center_depth = ray_depths(scene, np.zeros(3), np.array([[0.0, 0.0, 1.0]]))[0]
+        center_depth = ray_hit_classes(scene, np.zeros(3), np.array([[0.0, 0.0, 1.0]]))[0][0]
         assert center_depth == 5.0
 
     def test_sky_pixels_are_sentinel(self):
