@@ -10,26 +10,16 @@ from .core import (
     S_MIN,
     CameraModel,
     DepthMap,
-    GaussianPrimitive,
     GaussianSet,
     OccupancyGrid,
     VoxelGridSpec,
-    covariance_of,
-    quaternion_to_matrix,
     quaternion_to_matrices,
 )
 from .attention import AttentionWeights, TokenSet, alternating_block, scaled_dot_attention
-from .initialize import AttributeProvider, ConstantAttributes, init_gaussians, unproject_pixel
-from .sampling import VoxelKey, sample_representatives, splitmix64, voxel_keys, voxelize_key
+from .initialize import AttributeProvider, ConstantAttributes, init_gaussians
+from .sampling import sample_representatives, splitmix64, voxel_keys
 from .refine import OffsetBasis, default_basis, refine_positions
-from .render import (
-    SemanticOccupancyField,
-    expected_semantics,
-    kernel_phi,
-    occupancy_alpha,
-    render_grid,
-    render_grid_bruteforce,
-)
+from .render import SemanticOccupancyField, render_grid, render_grid_bruteforce
 from .losses import (
     LossReport,
     compute_loss_report,
@@ -51,7 +41,6 @@ __all__ = [
     "CameraModel",
     "ConstantAttributes",
     "DepthMap",
-    "GaussianPrimitive",
     "GaussianSet",
     "LossReport",
     "MetricReport",
@@ -63,23 +52,17 @@ __all__ = [
     "SemanticOccupancyField",
     "TokenSet",
     "VoxelGridSpec",
-    "VoxelKey",
     "alternating_block",
-    "covariance_of",
     "cross_entropy_loss",
     "compute_loss_report",
     "default_basis",
     "depth_uncertainty_loss",
     "evaluate",
-    "expected_semantics",
     "generate_scene",
     "init_gaussians",
     "init_quality",
     "iou_miou",
-    "kernel_phi",
     "lovasz_softmax_loss",
-    "occupancy_alpha",
-    "quaternion_to_matrix",
     "quaternion_to_matrices",
     "rasterize_gt_grid",
     "ray_iou",
@@ -91,7 +74,5 @@ __all__ = [
     "sample_representatives",
     "scaled_dot_attention",
     "splitmix64",
-    "unproject_pixel",
     "voxel_keys",
-    "voxelize_key",
 ]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .formats import read_weight_fixture, write_weight_fixture
 
 
 @dataclass(frozen=True)
@@ -77,31 +76,6 @@ class AttentionWeights:
         rng = np.random.default_rng(seed)
         mats = [rng.standard_normal((c_tok, d_k)) / np.sqrt(c_tok) for _ in range(6)]
         return AttentionWeights(*mats)
-
-    def save(self, path) -> None:
-        write_weight_fixture(
-            path,
-            {
-                "cross_frame.wk": self.cross_wk,
-                "cross_frame.wq": self.cross_wq,
-                "cross_frame.wv": self.cross_wv,
-                "in_frame.wk": self.in_wk,
-                "in_frame.wq": self.in_wq,
-                "in_frame.wv": self.in_wv,
-            },
-        )
-
-    @staticmethod
-    def load(path) -> "AttentionWeights":
-        arrays = read_weight_fixture(path)
-        return AttentionWeights(
-            in_wq=arrays["in_frame.wq"],
-            in_wk=arrays["in_frame.wk"],
-            in_wv=arrays["in_frame.wv"],
-            cross_wq=arrays["cross_frame.wq"],
-            cross_wk=arrays["cross_frame.wk"],
-            cross_wv=arrays["cross_frame.wv"],
-        )
 
 
 def attention_rows(q: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -9,16 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
 from . import formats, pipeline, synth
-from .core import GaussianSet
 from .errors import ConfigError, GsoccError, StageError, UndefinedMetricError
 from .pipeline import PipelineConfig, distinct_occupied_voxels, run_pipeline
-from .sampling import sample_representatives
 
 
 def _float_tuple(text: str) -> tuple:
@@ -139,36 +134,6 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = _load_config(args)
-    rng = np.random.default_rng(cfg.seed)
-    n = args.count
-    lo = np.asarray(cfg.extents_min)
-    hi = np.asarray(cfg.extents_max)
-    c = cfg.num_classes
-    gs = GaussianSet(
-        means=rng.uniform(lo, hi, size=(n, 3)),
-        scales=np.full((n, 3), 0.2),
-        rotations=np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (n, 1)),
-        opacities=np.full(n, 0.5),
-        semantics=np.zeros((n, c)),
-        source_index=np.zeros((n, 3), dtype=np.uint32),
-    )
-    spec = cfg.sampling_spec()
-    t0 = time.perf_counter()
-    sampled = sample_representatives(gs, spec, cfg.seed, n_workers=1)
-    elapsed = time.perf_counter() - t0
-    _emit(
-        {
-            "count": n,
-            "sampled": len(sampled),
-            "seconds": elapsed,
-            "gaussians_per_second": n / elapsed,
-        }
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gsocc",
@@ -236,11 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run all stages end to end")
     _add_common(p)
     p.set_defaults(fn=cmd_pipeline)
-
-    p = sub.add_parser("bench", help="time voxelize + sort + sample on random Gaussians")
-    p.add_argument("--count", type=int, default=1_000_000)
-    _add_common(p)
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

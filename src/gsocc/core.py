@@ -1,15 +1,14 @@
-"""Shared domain types and the covariance construction used by every stage.
+"""Shared domain types and the rotation construction used by every stage.
 
 Conventions fixed here and relied on everywhere else:
   * quaternions are stored (w, x, y, z) and must be unit-norm,
-  * scales are per-axis standard deviations in meters, floored at S_MIN,
+  * scales are per-axis standard deviations in meters, at least S_MIN,
   * semantic features are raw logits; softmax happens at render time only,
   * all types are immutable value data once constructed.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -17,26 +16,12 @@ import numpy as np
 
 from .errors import ConfigError, InvalidRotationError, ShapeError
 
-logger = logging.getLogger(__name__)
-
 # Scale floor in meters. Keeps every covariance invertible for the
 # renderer's Mahalanobis evaluation.
 S_MIN = 1e-3
 
 # Unit-norm tolerance for quaternions and rotation matrices.
 ROTATION_TOL = 1e-6
-
-
-def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion in (w, x, y, z) order.
-
-    Raises InvalidRotationError if the norm deviates from 1 by more than
-    ROTATION_TOL.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (4,):
-        raise ShapeError(f"quaternion must have shape (4,), got {q.shape}")
-    return quaternion_to_matrices(q[None])[0]
 
 
 def quaternion_to_matrices(q: np.ndarray) -> np.ndarray:
@@ -63,47 +48,6 @@ def quaternion_to_matrices(q: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     ).reshape(-1, 3, 3)
-
-
-def clamp_scales(scale: np.ndarray) -> np.ndarray:
-    """Clamp scale components to the S_MIN floor, logging when any clamp fires."""
-    scale = np.asarray(scale, dtype=np.float64)
-    n_low = int(np.count_nonzero(scale < S_MIN))
-    if n_low:
-        logger.warning("clamped %d scale component(s) below s_min=%g", n_low, S_MIN)
-        scale = np.maximum(scale, S_MIN)
-    return scale
-
-
-def covariance_of(scale: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """Covariance Sigma = R diag(s)^2 R^T of one Gaussian primitive.
-
-    `scale` holds per-axis standard deviations (clamped to S_MIN),
-    `rotation` a unit quaternion (w, x, y, z). The result is symmetric
-    positive definite with eigenvalues >= s_min^2 up to rounding.
-    """
-    scale = np.asarray(scale, dtype=np.float64)
-    if scale.shape != (3,):
-        raise ShapeError(f"scale must have shape (3,), got {scale.shape}")
-    scale = clamp_scales(scale)
-    rot = quaternion_to_matrix(rotation)
-    cov = (rot * scale**2) @ rot.T
-    # Exact symmetry; R s^2 R^T is symmetric up to rounding either way.
-    return 0.5 * (cov + cov.T)
-
-
-@dataclass(frozen=True)
-class GaussianPrimitive:
-    """One ellipsoidal primitive: position, shape, opacity and class logits."""
-
-    mean: np.ndarray       # (3,) meters
-    scale: np.ndarray      # (3,) per-axis std-dev, meters
-    rotation: np.ndarray   # (4,) unit quaternion (w, x, y, z)
-    opacity: float         # in [0, 1]
-    semantics: np.ndarray  # (C,) raw logits
-
-    def covariance(self) -> np.ndarray:
-        return covariance_of(self.scale, self.rotation)
 
 
 @dataclass(frozen=True)
@@ -155,15 +99,6 @@ class GaussianSet:
     @property
     def num_classes(self) -> int:
         return self.semantics.shape[1]
-
-    def __getitem__(self, i: int) -> GaussianPrimitive:
-        return GaussianPrimitive(
-            mean=self.means[i].copy(),
-            scale=self.scales[i].copy(),
-            rotation=self.rotations[i].copy(),
-            opacity=float(self.opacities[i]),
-            semantics=self.semantics[i].copy(),
-        )
 
     def take(self, indices: np.ndarray) -> "GaussianSet":
         """Subset in the given order; arrays are copied."""
@@ -333,17 +268,6 @@ class OccupancyGrid:
             )
         if self.voxel_size <= 0:
             raise ValueError("voxel_size must be positive")
-
-    def voxel_centers(self) -> np.ndarray:
-        """(X, Y, Z, 3) array of voxel center positions."""
-        x, y, z = self.dims
-        idx = np.stack(
-            np.meshgrid(np.arange(x), np.arange(y), np.arange(z), indexing="ij"), axis=-1
-        )
-        return np.asarray(self.origin) + (idx + 0.5) * self.voxel_size
-
-    def occupied_mask(self) -> np.ndarray:
-        return self.labels != self.empty_id
 
 
 @dataclass(frozen=True)

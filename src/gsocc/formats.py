@@ -1,4 +1,4 @@
-"""Binary and JSON file formats.
+"""Binary file formats.
 
 All binary formats are little-endian:
 
@@ -20,18 +20,12 @@ All binary formats are little-endian:
 Readers raise ConfigError naming the file when its length differs from
 what the header implies, and read_gaussian_set also when the set fails
 GaussianSet.validate().
-
-GSB1 additionally has a JSON mirror for debugging. Attention-weight
-fixtures are flat f32 files with a JSON sidecar giving shapes and stage
-labels; offset bases are plain JSON lists of 3-float rows.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -97,33 +91,6 @@ def read_gaussian_set(path) -> GaussianSet:
     return gs
 
 
-def gaussian_set_to_json(gs: GaussianSet) -> str:
-    doc = {
-        "count": len(gs),
-        "num_classes": gs.num_classes,
-        "means": gs.means.tolist(),
-        "scales": gs.scales.tolist(),
-        "rotations": gs.rotations.tolist(),
-        "opacities": gs.opacities.tolist(),
-        "semantics": gs.semantics.tolist(),
-        "source_index": gs.source_index.tolist(),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def gaussian_set_from_json(text: str) -> GaussianSet:
-    doc = json.loads(text)
-    c = doc["num_classes"]
-    return GaussianSet(
-        means=np.array(doc["means"], dtype=np.float64).reshape(-1, 3),
-        scales=np.array(doc["scales"], dtype=np.float64).reshape(-1, 3),
-        rotations=np.array(doc["rotations"], dtype=np.float64).reshape(-1, 4),
-        opacities=np.array(doc["opacities"], dtype=np.float64).reshape(-1),
-        semantics=np.array(doc["semantics"], dtype=np.float64).reshape(-1, c),
-        source_index=np.array(doc["source_index"], dtype=np.uint32).reshape(-1, 3),
-    )
-
-
 def write_depth_map(path, dm: DepthMap) -> None:
     h, w = dm.depth.shape
     with open(path, "wb") as f:
@@ -184,39 +151,3 @@ def read_occupancy(path):
         empty_id=empty_id,
     )
     return grid, num_classes, probs
-
-
-def write_weight_fixture(path, arrays: dict) -> None:
-    """Flat f32 file plus JSON sidecar mapping stage labels to shapes.
-
-    `arrays` maps names like "in_frame.wq" to 2-D float arrays; entries are
-    concatenated in sorted-name order.
-    """
-    names = sorted(arrays)
-    sidecar = {name: list(arrays[name].shape) for name in names}
-    path = Path(path)
-    with open(path, "wb") as f:
-        for name in names:
-            f.write(np.ascontiguousarray(arrays[name], dtype="<f4").tobytes())
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, sort_keys=True))
-
-
-def read_weight_fixture(path) -> dict:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    out = {}
-    with open(path, "rb") as f:
-        for name in sorted(sidecar):
-            shape = tuple(sidecar[name])
-            n = int(np.prod(shape))
-            out[name] = np.frombuffer(f.read(n * 4), dtype="<f4").reshape(shape).astype(np.float64)
-    return out
-
-
-def write_basis_json(path, rows: np.ndarray) -> None:
-    Path(path).write_text(json.dumps([list(map(float, r)) for r in rows]))
-
-
-def read_basis_json(path) -> np.ndarray:
-    rows = json.loads(Path(path).read_text())
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)

@@ -23,7 +23,7 @@ class AttributeProvider(Protocol):
 
     Called with a view id and parallel row/col index arrays; returns
     (scales (n, 3), rotations (n, 4), opacities (n,), logits (n, C)).
-    Outputs must satisfy the GaussianPrimitive invariants.
+    Outputs must satisfy the `GaussianSet.validate()` invariants.
     """
 
     num_classes: int
@@ -55,22 +55,12 @@ class ConstantAttributes:
         )
 
 
-def unproject_pixel(cam: CameraModel, row: int, col: int, d: float) -> np.ndarray:
-    """World position mu = o + d * v of the ray through pixel (row, col).
-
-    The pixel must be inside the image bounds; d >= 0 is along-ray distance
-    in meters. mu reprojects to the pixel center under the same camera.
-    """
-    if not (0 <= row < cam.height and 0 <= col < cam.width):
-        raise IndexError(f"pixel ({row}, {col}) outside {cam.height}x{cam.width} image")
-    v = cam.ray_directions(np.array([row]), np.array([col]))[0]
-    return cam.origin + d * v
-
-
 def unproject_pixels(
     cam: CameraModel, rows: np.ndarray, cols: np.ndarray, depths: np.ndarray
 ) -> np.ndarray:
-    """Vectorized unprojection of many pixels of one camera."""
+    """World positions mu = o + d * v of the rays through pixels (rows, cols)
+    of one camera, with d >= 0 the along-ray distance in meters. Each mu
+    reprojects to its pixel center under the same camera."""
     v = cam.ray_directions(rows, cols)
     return cam.origin + np.asarray(depths, dtype=np.float64)[:, None] * v
 

@@ -79,6 +79,11 @@ class PipelineConfig:
             raise ConfigError(f"config field of the wrong type: {e}") from e
 
     def _validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v}")
         if self.refine not in REFINE_MODES:
             raise ConfigError(f"refine mode must be one of {REFINE_MODES}")
         if self.rig not in synth.RIGS:
@@ -87,19 +92,23 @@ class PipelineConfig:
             raise ConfigError("grid sizes must be positive")
         self.sampling_spec()  # rejects a grid too fine for int64 voxel keys
         self.grid_dims()  # rejects a voxel size that does not divide the extents
+        if not all(r >= 1 for r in self.resolution):
+            raise ConfigError("resolution entries must be >= 1")
+        if self.focal <= 0:
+            raise ConfigError("focal must be positive")
+        if self.noise_std < 0:
+            raise ConfigError("noise_std must be >= 0")
         if self.downsample < 1:
             raise ConfigError("downsample ratio must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.ray_stride < 1:
             raise ConfigError("ray_stride must be >= 1")
-        if not self.ray_thresholds or not all(
-            math.isfinite(t) and t > 0 for t in self.ray_thresholds
-        ):
+        if not self.ray_thresholds or not all(t > 0 for t in self.ray_thresholds):
             raise ConfigError("ray_thresholds must be a non-empty list of finite positive meters")
         if not 0.0 <= self.gauss_opacity <= 1.0:
             raise ConfigError("gauss_opacity must lie in [0, 1]")
-        if not (math.isfinite(self.gauss_scale) and self.gauss_scale >= S_MIN):
+        if self.gauss_scale < S_MIN:
             raise ConfigError(f"gauss_scale must be finite and >= s_min={S_MIN}")
         if self.num_classes < 1 or self.ground_class > self.num_classes or any(
             c > self.num_classes or c < 1 for c in self.box_classes

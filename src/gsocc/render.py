@@ -34,14 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    GaussianPrimitive,
-    GaussianSet,
-    OccupancyGrid,
-    clamp_scales,
-    quaternion_to_matrices,
-    quaternion_to_matrix,
-)
+from .core import GaussianSet, OccupancyGrid, quaternion_to_matrices
 
 # Mahalanobis cutoff: contributions beyond 3 sigma are dropped exactly
 # (both here and in the brute-force reference).
@@ -59,59 +52,6 @@ def softmax_logits(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def kernel_phi(x: np.ndarray, g: GaussianPrimitive) -> float:
-    """Gaussian kernel exp(-m^2/2) with m the Mahalanobis distance of x,
-    zero beyond the 3-sigma cutoff."""
-    rot = quaternion_to_matrix(g.rotation)
-    scale = clamp_scales(g.scale)
-    y = (np.asarray(x, dtype=np.float64) - g.mean) @ rot
-    m2 = float(((y / scale) ** 2).sum())
-    if m2 > _CUTOFF_SQ:
-        return 0.0
-    return float(np.exp(-0.5 * m2))
-
-
-def _phi_all(x: np.ndarray, gs: GaussianSet) -> np.ndarray:
-    """(P,) kernel values of one point under every Gaussian, cutoff applied."""
-    if len(gs) == 0:
-        return np.zeros(0)
-    rots = quaternion_to_matrices(gs.rotations)
-    d = np.asarray(x, dtype=np.float64) - gs.means
-    y = np.einsum("pk,pka->pa", d, rots)
-    m2 = ((y / gs.scales) ** 2).sum(axis=1)
-    phi = np.exp(-0.5 * m2)
-    phi[m2 > _CUTOFF_SQ] = 0.0
-    return phi
-
-
-def occupancy_alpha(x: np.ndarray, gs: GaussianSet) -> float:
-    """alpha(x) = 1 - prod_i (1 - a_i * phi_i(x)), accumulated in log space."""
-    p = gs.opacities * _phi_all(x, gs)
-    p = p[p > 0]
-    if p.size == 0:
-        return 0.0
-    with np.errstate(divide="ignore"):
-        log_keep = np.log1p(-p).sum()
-    return float(1.0 - np.exp(log_keep))
-
-
-def expected_semantics(x: np.ndarray, gs: GaussianSet) -> np.ndarray:
-    """Posterior-weighted average of softmaxed semantic features at x.
-
-    Weights are p(x|G_i) * a_i with p the normalized Gaussian density.
-    When no Gaussian is in range the result falls back to the uniform
-    distribution; callers combine it with alpha = 0 so the fallback is
-    inert.
-    """
-    c = gs.num_classes
-    phi = _phi_all(x, gs)
-    w = phi * gs.opacities / (_DENSITY_NORM * gs.scales.prod(axis=1))
-    total = w.sum()
-    if total <= 0.0:
-        return np.full(c, 1.0 / c)
-    return (w / total) @ softmax_logits(gs.semantics)
 
 
 @dataclass(frozen=True)
@@ -256,10 +196,10 @@ def render_grid_bruteforce(
     sem_den = np.zeros(n_vox)
     axes = _axis_centers(origin, voxel_size, dims)
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    rots = quaternion_to_matrices(gs.rotations)
     with np.errstate(divide="ignore"):
         for i in range(len(gs)):
-            rot = quaternion_to_matrix(gs.rotations[i])
-            y = (centers - gs.means[i]) @ rot
+            y = (centers - gs.means[i]) @ rots[i]
             m2 = ((y / gs.scales[i]) ** 2).sum(axis=1)
             mask = m2 <= _CUTOFF_SQ
             if not mask.any():

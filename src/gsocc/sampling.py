@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +34,6 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-@dataclass(frozen=True)
-class VoxelKey:
-    """Integer voxel coordinate plus its unique 1-D key."""
-
-    v: np.ndarray  # (3,) int64
-    key: int       # uint64 linear index
-
-
 def voxel_coords(means: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
     """floor(mean / grid_size) per component; floor is toward -inf."""
     return np.floor(np.asarray(means, dtype=np.float64) / spec.grid_size).astype(np.int64)
@@ -61,14 +52,6 @@ def voxel_keys(means: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
     keys = lin.astype(np.uint64)
     keys[~in_bounds] = OUT_OF_BOUNDS
     return keys
-
-
-def voxelize_key(mean: np.ndarray, spec: VoxelGridSpec):
-    """VoxelKey of one mean, or None when the mean is outside the extents."""
-    key = voxel_keys(np.asarray(mean, dtype=np.float64)[None, :], spec)[0]
-    if key == OUT_OF_BOUNDS:
-        return None
-    return VoxelKey(v=voxel_coords(np.asarray(mean), spec), key=int(key))
 
 
 def _keys_parallel(means: np.ndarray, spec: VoxelGridSpec, n_workers: int) -> np.ndarray:

@@ -125,14 +125,3 @@ class TestAlternatingBlock:
         perturbed[1] += 1.0
         out2 = cross_frame_pass(perturbed, w)
         assert not np.array_equal(out[0], out2[0])
-
-
-def test_weight_fixture_roundtrip(tmp_path, rng):
-    w = AttentionWeights.random(3, 5, d_k=5)
-    path = tmp_path / "weights.f32"
-    w.save(path)
-    loaded = AttentionWeights.load(path)
-    for name in ("in_wq", "in_wk", "in_wv", "cross_wq", "cross_wk", "cross_wv"):
-        np.testing.assert_allclose(
-            getattr(loaded, name), getattr(w, name), atol=1e-6
-        )

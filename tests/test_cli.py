@@ -153,11 +153,6 @@ class TestStageCommands:
         pipeline_metrics = json.loads((out / "metrics.json").read_text())
         assert doc == pipeline_metrics
 
-    def test_bench_reports_throughput(self, capsys):
-        assert run(["bench", "--count", 20000]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["count"] == 20000 and doc["gaussians_per_second"] > 0
-
 
 class TestErrors:
     def test_unknown_config_field_exit_2(self, tmp_path):
@@ -184,6 +179,16 @@ class TestErrors:
             ("ray_thresholds", 2.0),
             ("grid_size", 4e-6),
             ("voxel_size", 0.3),
+            ("noise_std", float("inf")),
+            ("noise_std", float("nan")),
+            ("noise_std", -1.0),
+            ("lambda_occ", float("nan")),
+            ("alpha_unc", float("nan")),
+            ("ground_z", float("nan")),
+            ("focal", float("nan")),
+            ("focal", -1.0),
+            ("cam_height", float("nan")),
+            ("resolution", [0, 16]),
         ]
     ])
     def test_bad_config_value_exit_2(self, tmp_path, field, value):

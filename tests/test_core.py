@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import gsocc
 from gsocc.core import (
-    S_MIN,
     CameraModel,
     DepthMap,
     GaussianSet,
     OccupancyGrid,
     VoxelGridSpec,
-    covariance_of,
     quaternion_to_matrices,
-    quaternion_to_matrix,
 )
 from gsocc.errors import ConfigError, InvalidRotationError, ShapeError
 
@@ -45,58 +41,6 @@ def quat_rotate_oracle(q, v):
 
 def rotation_matrix_oracle(q):
     return np.stack([quat_rotate_oracle(q, e) for e in np.eye(3)], axis=1)
-
-
-class TestCovariance:
-    def test_identity_case(self):
-        cov = covariance_of(np.ones(3), np.array([1.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(cov, np.eye(3))
-
-    def test_axis_aligned_scaling(self):
-        cov = covariance_of(np.array([2.0, 1.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(cov, np.diag([4.0, 1.0, 1.0]))
-
-    def test_matches_matrix_oracle(self, rng):
-        scale = np.array([1.0, 2.0, 3.0])
-        for q in random_unit_quaternions(rng, 20):
-            r = rotation_matrix_oracle(q)
-            expected = r @ np.diag(scale) @ np.diag(scale).T @ r.T
-            np.testing.assert_allclose(covariance_of(scale, q), expected, atol=1e-9)
-
-    def test_non_unit_quaternion_rejected(self):
-        with pytest.raises(InvalidRotationError):
-            covariance_of(np.ones(3), np.array([1.0, 0.1, 0.0, 0.0]))
-
-    def test_scale_below_floor_clamped(self):
-        cov = covariance_of(np.array([1e-9, 1.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0]))
-        assert cov[0, 0] == pytest.approx(S_MIN**2)
-
-    def test_symmetric_psd_property(self, rng):
-        for _ in range(200):
-            scale = rng.uniform(S_MIN, 2.0, size=3)
-            q = random_unit_quaternions(rng, 1)[0]
-            cov = covariance_of(scale, q)
-            np.testing.assert_allclose(cov, cov.T, atol=1e-9)
-            eig = np.linalg.eigvalsh(cov)
-            assert (eig >= S_MIN**2 * (1 - 1e-6)).all()
-
-    def test_quaternion_double_cover(self, rng):
-        for q in random_unit_quaternions(rng, 50):
-            s = rng.uniform(S_MIN, 2.0, size=3)
-            np.testing.assert_array_equal(covariance_of(s, q), covariance_of(s, -q))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.floats(0.01, 5.0), min_size=3, max_size=3),
-        st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
-            lambda q: np.linalg.norm(q) > 1e-3
-        ),
-    )
-    def test_determinant_identity(self, scale, quat):
-        scale = np.asarray(scale)
-        quat = np.asarray(quat) / np.linalg.norm(quat)
-        det = np.linalg.det(covariance_of(scale, quat))
-        np.testing.assert_allclose(det, np.prod(scale) ** 2, rtol=1e-6)
 
 
 class TestTypes:
@@ -166,17 +110,22 @@ class TestTypes:
 
 
 def test_quaternion_matrix_is_orthonormal(rng):
-    for q in random_unit_quaternions(rng, 25):
-        r = quaternion_to_matrix(q)
+    for r in quaternion_to_matrices(random_unit_quaternions(rng, 25)):
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_quaternion_double_cover(rng):
+    q = random_unit_quaternions(rng, 50)
+    np.testing.assert_array_equal(quaternion_to_matrices(q), quaternion_to_matrices(-q))
 
 
 def test_batched_rotations_match_scalar_bitwise(rng):
     q = random_unit_quaternions(rng, 200)
     batched = quaternion_to_matrices(q)
     assert batched.shape == (200, 3, 3)
-    assert np.array_equal(batched, np.stack([quaternion_to_matrix(r) for r in q]))
+    # Each row depends on its own quaternion only, bit for bit.
+    assert np.array_equal(batched, np.concatenate([quaternion_to_matrices(r[None]) for r in q]))
     np.testing.assert_allclose(batched, np.stack([rotation_matrix_oracle(r) for r in q]),
                                atol=1e-12)
     for bad in (1.01, np.nan):
@@ -184,3 +133,8 @@ def test_batched_rotations_match_scalar_bitwise(rng):
         q_bad[57] *= bad
         with pytest.raises(InvalidRotationError):
             quaternion_to_matrices(q_bad)
+
+
+def test_public_names_resolve_once():
+    assert len(gsocc.__all__) == len(set(gsocc.__all__))
+    assert [name for name in gsocc.__all__ if not hasattr(gsocc, name)] == []

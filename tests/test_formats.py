@@ -8,13 +8,9 @@ from gsocc.core import DepthMap, OccupancyGrid
 from gsocc.errors import ConfigError
 from gsocc.formats import (
     GSB_MAGIC,
-    gaussian_set_from_json,
-    gaussian_set_to_json,
-    read_basis_json,
     read_depth_map,
     read_gaussian_set,
     read_occupancy,
-    write_basis_json,
     write_depth_map,
     write_gaussian_set,
     write_occupancy,
@@ -50,13 +46,6 @@ class TestGSB1:
         path.write_bytes(b"NOPE0000" + b"\x00" * 16)
         with pytest.raises(ConfigError):
             read_gaussian_set(path)
-
-    def test_json_mirror_roundtrip(self, rng):
-        gs = random_gaussian_set(rng, 11, num_classes=3)
-        again = gaussian_set_from_json(gaussian_set_to_json(gs))
-        np.testing.assert_array_equal(again.means, gs.means)
-        np.testing.assert_array_equal(again.opacities, gs.opacities)
-        np.testing.assert_array_equal(again.source_index, gs.source_index)
 
 
 class TestDPM1:
@@ -148,10 +137,3 @@ def test_malformed_file_rejected_naming_it(tmp_path, rng, fmt, damage):
                           "truncated-header": raw[:10]}[damage])
     with pytest.raises(ConfigError, match=re.escape(str(path))):
         READERS[fmt](path)
-
-
-def test_basis_json_roundtrip(tmp_path):
-    rows = np.array([[0.25, 0.0, 0.0], [-0.25, 0.0, 0.0]])
-    path = tmp_path / "basis.json"
-    write_basis_json(path, rows)
-    np.testing.assert_array_equal(read_basis_json(path), rows)

@@ -3,7 +3,7 @@ import pytest
 
 from gsocc.core import CameraModel, DepthMap
 from gsocc.errors import ShapeError
-from gsocc.initialize import ConstantAttributes, init_gaussians, unproject_pixel, unproject_pixels
+from gsocc.initialize import ConstantAttributes, init_gaussians, unproject_pixels
 from gsocc.synth import look_rotation
 
 
@@ -31,16 +31,20 @@ ATTRS = ConstantAttributes(
 )
 
 
+def unproject_one(cam, row, col, d):
+    return unproject_pixels(cam, np.array([row]), np.array([col]), np.array([d]))[0]
+
+
 class TestUnproject:
     def test_zero_depth_gives_camera_origin(self, rng):
         cam = make_camera(rng)
-        mu = unproject_pixel(cam, 3, 7, 0.0)
+        mu = unproject_one(cam, 3, 7, 0.0)
         np.testing.assert_array_equal(mu, cam.origin)
 
     def test_principal_point_along_optical_axis(self):
         cam = CameraModel(fx=20.0, fy=20.0, cx=4.5, cy=2.5, height=8, width=10,
                           rotation=np.eye(3), translation=np.zeros(3))
-        mu = unproject_pixel(cam, 2, 4, 5.0)  # pixel center (2.5, 4.5) == (cy, cx)
+        mu = unproject_one(cam, 2, 4, 5.0)  # pixel center (2.5, 4.5) == (cy, cx)
         np.testing.assert_allclose(mu, [0.0, 0.0, 5.0], atol=1e-12)
 
     def test_projection_roundtrip(self, rng):
@@ -48,15 +52,10 @@ class TestUnproject:
             cam = make_camera(rng)
             row = int(rng.integers(0, cam.height))
             col = int(rng.integers(0, cam.width))
-            mu = unproject_pixel(cam, row, col, 7.3)
+            mu = unproject_one(cam, row, col, 7.3)
             r, c, z = cam.project(mu)
             assert z[0] > 0
             np.testing.assert_allclose([r[0], c[0]], [row + 0.5, col + 0.5], atol=1e-4)
-
-    def test_out_of_bounds_pixel_raises(self, rng):
-        cam = make_camera(rng)
-        with pytest.raises(IndexError):
-            unproject_pixel(cam, cam.height, 0, 1.0)
 
     def test_mean_lies_on_pixel_ray(self, rng):
         for _ in range(20):

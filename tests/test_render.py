@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from gsocc import render
-from gsocc.core import GaussianPrimitive, GaussianSet
-from gsocc.render import (
-    expected_semantics,
-    kernel_phi,
-    occupancy_alpha,
-    render_grid,
-    render_grid_bruteforce,
-)
+from gsocc.core import GaussianSet
+from gsocc.render import render_grid, render_grid_bruteforce
 
 from conftest import random_gaussian_set
 from test_core import rotation_matrix_oracle
@@ -33,21 +27,36 @@ def make_set(means, scales, rotations, opacities, semantics):
 IDENT_Q = [1.0, 0.0, 0.0, 0.0]
 
 
+def probs_at(x, gs):
+    """(C+1,) probability vector rendered at x: the single voxel of a 1x1x1
+    grid of voxel size 1 whose center is x."""
+    origin = np.asarray(x, dtype=np.float64) - 0.5
+    return render_grid(gs, (1, 1, 1), origin, 1.0).probs[0, 0, 0]
+
+
+def phi_at(x, mean, scale, q, opacity=0.5):
+    """Kernel value of one Gaussian at x, read from the rendered occupancy
+    alpha = opacity * phi."""
+    gs = make_set(mean, scale, q, [opacity], [[0.0, 0.0]])
+    return (1.0 - probs_at(x, gs)[0]) / opacity
+
+
 class TestKernel:
     def test_value_one_at_mean(self):
-        g = GaussianPrimitive(np.array([1.0, 2.0, 3.0]), np.array([0.3, 0.2, 0.1]),
-                              np.array(IDENT_Q), 0.5, np.zeros(2))
-        assert kernel_phi(g.mean, g) == 1.0
+        # Opacity 1: alpha is exactly 1 only if phi is exactly 1.
+        mean = [1.0, 2.0, 3.0]
+        assert phi_at(mean, mean, [0.3, 0.2, 0.1], IDENT_Q, opacity=1.0) == 1.0
 
     def test_unit_scale_closed_form(self):
-        g = GaussianPrimitive(np.zeros(3), np.ones(3), np.array(IDENT_Q), 0.5, np.zeros(2))
-        assert kernel_phi(np.array([1.0, 0.0, 0.0]), g) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        phi = phi_at([1.0, 0.0, 0.0], np.zeros(3), np.ones(3), IDENT_Q)
+        assert phi == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_cutoff_at_three_sigma(self):
-        g = GaussianPrimitive(np.zeros(3), np.ones(3), np.array(IDENT_Q), 0.5, np.zeros(2))
-        assert kernel_phi(np.array([3.0001, 0.0, 0.0]), g) == 0.0
-        assert kernel_phi(np.array([2.9999, 0.0, 0.0]), g) > 0.0
-        assert kernel_phi(np.array([3.0, 0.0, 0.0]), g) == pytest.approx(math.exp(-4.5))
+        args = (np.zeros(3), np.ones(3), IDENT_Q)
+        assert phi_at([3.0001, 0.0, 0.0], *args) == 0.0
+        assert phi_at([2.9999, 0.0, 0.0], *args) > 0.0
+        # origin 2.5, voxel size 1: the voxel center is exactly 3.0, m = 3
+        assert phi_at([3.0, 0.0, 0.0], *args) == pytest.approx(math.exp(-4.5))
 
     def test_matches_explicit_inverse_oracle(self, rng):
         for _ in range(30):
@@ -55,7 +64,6 @@ class TestKernel:
             q /= np.linalg.norm(q)
             scale = rng.uniform(0.1, 1.5, size=3)
             mean = rng.uniform(-2, 2, size=3)
-            g = GaussianPrimitive(mean, scale, q, 0.7, np.zeros(2))
             r = rotation_matrix_oracle(q)
             cov = r @ np.diag(scale**2) @ r.T
             inv = np.linalg.inv(cov)
@@ -63,40 +71,51 @@ class TestKernel:
             d = x - mean
             m2 = d @ inv @ d
             expected = math.exp(-0.5 * m2) if m2 <= 9.0 else 0.0
-            assert kernel_phi(x, g) == pytest.approx(expected, abs=1e-7)
+            assert phi_at(x, mean, scale, q, opacity=0.7) == pytest.approx(expected, abs=1e-7)
+
+
+def alpha_at(x, gs):
+    return 1.0 - probs_at(x, gs)[0]
 
 
 class TestAlpha:
     def test_empty_set(self):
         gs = make_set(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)),
                       np.zeros(0), np.zeros((0, 2)))
-        assert occupancy_alpha(np.zeros(3), gs) == 0.0
+        assert alpha_at(np.zeros(3), gs) == 0.0
 
     def test_single_gaussian_at_mean(self):
         gs = make_set([0, 0, 0], [1, 1, 1], IDENT_Q, [0.6], [[0.0, 0.0]])
-        assert occupancy_alpha(np.zeros(3), gs) == pytest.approx(0.6, abs=1e-12)
+        assert alpha_at(np.zeros(3), gs) == pytest.approx(0.6, abs=1e-12)
 
     def test_two_independent_contributions(self):
         gs = make_set([[0, 0, 0], [0, 0, 0]], [[1, 1, 1]] * 2, [IDENT_Q] * 2,
                       [0.5, 0.5], [[0.0, 0.0]] * 2)
-        assert occupancy_alpha(np.zeros(3), gs) == pytest.approx(0.75, abs=1e-12)
+        assert alpha_at(np.zeros(3), gs) == pytest.approx(0.75, abs=1e-12)
 
     def test_out_of_range_contributions_skipped(self):
         gs = make_set([[100, 0, 0]], [[1, 1, 1]], [IDENT_Q], [0.9], [[0.0, 0.0]])
-        assert occupancy_alpha(np.zeros(3), gs) == 0.0
+        assert alpha_at(np.zeros(3), gs) == 0.0
 
     def test_full_opacity_at_mean_saturates(self):
         gs = make_set([0, 0, 0], [1, 1, 1], IDENT_Q, [1.0], [[0.0, 0.0]])
-        assert occupancy_alpha(np.zeros(3), gs) == 1.0
+        assert alpha_at(np.zeros(3), gs) == 1.0
+
+
+def semantics_at(x, gs):
+    """Posterior-weighted class distribution at x: the class channels
+    divided by the occupancy alpha."""
+    probs = probs_at(x, gs)
+    return probs[1:] / (1.0 - probs[0])
 
 
 class TestExpectedSemantics:
     def test_single_gaussian_returns_its_softmax(self, rng):
         logits = np.array([0.3, -1.2, 2.0])
         gs = make_set([0.2, 0.1, 0.0], [0.5, 0.5, 0.5], IDENT_Q, [0.42], [logits])
-        e = expected_semantics(np.zeros(3), gs)
+        e = semantics_at(np.zeros(3), gs)
         z = np.exp(logits - logits.max())
-        np.testing.assert_array_equal(e, z / z.sum())
+        np.testing.assert_allclose(e, z / z.sum(), rtol=1e-15, atol=0)
 
     def test_symmetric_pair_averages_half_half(self):
         big = 40.0
@@ -107,20 +126,20 @@ class TestExpectedSemantics:
             [0.7, 0.7],
             [[big, 0.0], [0.0, big]],
         )
-        e = expected_semantics(np.zeros(3), gs)
+        e = semantics_at(np.zeros(3), gs)
         np.testing.assert_allclose(e, [0.5, 0.5], atol=1e-9)
 
     def test_zero_denominator_returns_uniform(self):
+        # No Gaussian in range: the voxel is empty with certainty.
         gs = make_set([[50, 0, 0]], [[1, 1, 1]], [IDENT_Q], [0.9], [[1.0, 2.0, 3.0]])
-        e = expected_semantics(np.zeros(3), gs)
-        np.testing.assert_array_equal(e, [1 / 3, 1 / 3, 1 / 3])
+        np.testing.assert_array_equal(probs_at(np.zeros(3), gs), [1, 0, 0, 0])
 
     def test_matches_scalar_loop_oracle(self, rng):
         for _ in range(20):
             gs = random_gaussian_set(rng, 3, num_classes=4, lo=(-1.5, -1.5, -1.5),
                                      hi=(1.5, 1.5, 1.5), scale_range=(0.5, 1.5))
             x = rng.uniform(-1, 1, size=3)
-            got = expected_semantics(x, gs)
+            got = semantics_at(x, gs)
             num = [0.0] * 4
             den = 0.0
             for i in range(3):

@@ -12,8 +12,8 @@ from gsocc.sampling import (
     OUT_OF_BOUNDS,
     sample_representatives,
     splitmix64,
+    voxel_coords,
     voxel_keys,
-    voxelize_key,
 )
 
 from conftest import random_gaussian_set
@@ -46,17 +46,16 @@ def dict_grouping_oracle(means, spec):
 
 class TestVoxelize:
     def test_floor_arithmetic(self):
-        vk = voxelize_key(np.array([1.2, -0.7, 0.3]), SPEC)
-        assert vk.v.tolist() == [2, -2, 0]
+        assert voxel_coords(np.array([[1.2, -0.7, 0.3]]), SPEC).tolist() == [[2, -2, 0]]
 
     def test_boundary_is_half_open(self):
-        vk = voxelize_key(np.array([1.0, 0.0, 0.0]), SPEC)
-        assert vk.v[0] == 2
+        assert voxel_coords(np.array([[1.0, 0.0, 0.0]]), SPEC)[0, 0] == 2
 
     def test_out_of_extent_yields_marker(self):
-        assert voxelize_key(np.array([9.0, 0.0, 0.0]), SPEC) is None
-        assert voxelize_key(np.array([8.0, 0.0, 0.0]), SPEC) is None  # max is exclusive
-        assert voxelize_key(np.array([-8.0, 0.0, 0.0]), SPEC) is not None
+        keys = voxel_keys(np.array([[9.0, 0.0, 0.0], [8.0, 0.0, 0.0], [-8.0, 0.0, 0.0]]), SPEC)
+        assert keys[0] == OUT_OF_BOUNDS
+        assert keys[1] == OUT_OF_BOUNDS  # max is exclusive
+        assert keys[2] != OUT_OF_BOUNDS
 
     def test_keys_match_dictionary_oracle(self, rng):
         means = rng.uniform(-10, 10, size=(10_000, 3))
@@ -79,14 +78,14 @@ class TestVoxelize:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-7.99, 7.99), min_size=3, max_size=3))
     def test_key_roundtrip_property(self, point):
-        point = np.array([point[0], point[1], np.clip(point[2], -3.99, 3.99)])
-        vk = voxelize_key(point, SPEC)
-        assert vk is not None
+        point = np.array([[point[0], point[1], np.clip(point[2], -3.99, 3.99)]])
+        key = voxel_keys(point, SPEC)[0]
+        assert key != OUT_OF_BOUNDS
         # invert the linear index and compare with the voxel coordinate
         dy, dz = int(SPEC.dims[1]), int(SPEC.dims[2])
-        k = vk.key
+        k = int(key)
         v = np.array([k // (dy * dz), (k // dz) % dy, k % dz]) + SPEC.v_min
-        np.testing.assert_array_equal(v, vk.v)
+        np.testing.assert_array_equal(v, voxel_coords(point, SPEC)[0])
 
 
 class TestSplitmix:
