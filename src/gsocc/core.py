@@ -240,10 +240,9 @@ class DepthMap:
             raise ShapeError(f"depth must be 2-D, got {self.depth.shape}")
         if self.uncertainty.shape != self.depth.shape:
             raise ShapeError("uncertainty shape must match depth")
-        if not (self.uncertainty > 0).all():
-            raise ValueError("uncertainty must be positive everywhere")
-        finite = np.isfinite(self.depth)
-        if (self.depth[finite] < 0).any():
+        if not (np.isfinite(self.uncertainty) & (self.uncertainty > 0)).all():
+            raise ValueError("uncertainty must be finite and positive everywhere")
+        if not ((self.depth >= 0) | (self.depth == NO_RETURN)).all():
             raise ValueError("depth must be >= 0 or the no-return sentinel")
 
     @property
@@ -266,8 +265,10 @@ class OccupancyGrid:
             raise ShapeError(
                 f"labels shape {self.labels.shape} does not match dims {self.dims}"
             )
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
+        if not (np.isfinite(self.voxel_size) and self.voxel_size > 0):
+            raise ValueError("voxel_size must be finite and positive")
+        if not np.isfinite(self.origin).all():
+            raise ValueError("origin must be finite")
 
 
 @dataclass(frozen=True)

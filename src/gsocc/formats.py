@@ -18,14 +18,18 @@ All binary formats are little-endian:
     of shape (X, Y, Z, C+1) when has_probs is 1.
 
 Readers raise ConfigError naming the file when its length differs from
-what the header implies, and read_gaussian_set also when the set fails
-GaussianSet.validate().
+what the header implies, its class count C lies outside [1, 255] (class
+ids are u8 labels), or its content breaks the invariants of the type it
+is read into: GaussianSet.validate(), the DepthMap and OccupancyGrid
+checks, and for OCC1 also has_probs in {0, 1}, every label and the empty
+id in [0, C], and probabilities finite in [0, 1]. No reader returns NaN.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,6 +40,9 @@ GSB_MAGIC = b"GSB1\x00\x00\x00\x00"
 DPM_MAGIC = b"DPM1"
 OCC_MAGIC = b"OCC1"
 
+# Class ids 1..C are stored as u8 OCC1 labels.
+MAX_CLASSES = 255
+
 
 def _unpack(f, path, fmt: str) -> tuple:
     """Read and unpack one struct `fmt` from `f`, or raise ConfigError."""
@@ -45,11 +52,27 @@ def _unpack(f, path, fmt: str) -> tuple:
     return struct.unpack(fmt, buf)
 
 
+def _check_classes(path, c: int) -> None:
+    """Raise ConfigError unless the class count `c` lies in [1, MAX_CLASSES]."""
+    if not 1 <= c <= MAX_CLASSES:
+        raise ConfigError(f"{path}: class count {c} outside [1, {MAX_CLASSES}]")
+
+
 def _check_payload(f, path, expected: int) -> None:
     """Raise ConfigError unless exactly `expected` bytes follow the header."""
     found = os.fstat(f.fileno()).st_size - f.tell()
     if found != expected:
         raise ConfigError(f"{path}: header implies {expected} payload bytes, found {found}")
+
+
+@contextmanager
+def _invalid_content(path):
+    """Re-raise a ValueError from building or checking a read object as a
+    ConfigError naming `path`."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def write_gaussian_set(path, gs: GaussianSet) -> None:
@@ -71,11 +94,13 @@ def read_gaussian_set(path) -> GaussianSet:
         if magic != GSB_MAGIC:
             raise ConfigError(f"{path}: not a GSB1 file")
         p, c = _unpack(f, path, "<II")
+        _check_classes(path, c)
         width = 3 + 3 + 4 + 1 + c
         _check_payload(f, path, p * (width + 3) * 4)
         rec = np.frombuffer(f.read(p * width * 4), dtype="<f4").reshape(p, width)
         prov = np.frombuffer(f.read(p * 3 * 4), dtype="<u4").reshape(p, 3)
-    rec = rec.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN; validate() rejects it
+        rec = rec.astype(np.float64)
     gs = GaussianSet(
         means=rec[:, 0:3],
         scales=rec[:, 3:6],
@@ -84,10 +109,8 @@ def read_gaussian_set(path) -> GaussianSet:
         semantics=rec[:, 11:],
         source_index=prov.astype(np.uint32),
     )
-    try:
+    with _invalid_content(path):
         gs.validate()
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
     return gs
 
 
@@ -108,7 +131,8 @@ def read_depth_map(path) -> DepthMap:
         _check_payload(f, path, 2 * h * w * 4)
         depth = np.frombuffer(f.read(h * w * 4), dtype="<f4").reshape(h, w)
         unc = np.frombuffer(f.read(h * w * 4), dtype="<f4").reshape(h, w)
-    return DepthMap(depth=depth.astype(np.float64), uncertainty=unc.astype(np.float64))
+    with _invalid_content(path), np.errstate(invalid="ignore"):  # NaNs fail DepthMap's checks
+        return DepthMap(depth=depth.astype(np.float64), uncertainty=unc.astype(np.float64))
 
 
 def write_occupancy(path, grid: OccupancyGrid, num_classes: int, probs=None) -> None:
@@ -135,6 +159,9 @@ def read_occupancy(path):
         x, y, z, ox, oy, oz, voxel_size, num_classes, empty_id, has_probs = _unpack(
             f, path, "<IIIffffIIB"
         )
+        _check_classes(path, num_classes)
+        if has_probs > 1:
+            raise ConfigError(f"{path}: has_probs flag {has_probs} is neither 0 nor 1")
         n = x * y * z * (num_classes + 1)
         _check_payload(f, path, x * y * z + (n * 4 if has_probs else 0))
         labels = np.frombuffer(f.read(x * y * z), dtype=np.uint8).reshape(x, y, z)
@@ -143,11 +170,16 @@ def read_occupancy(path):
             probs = np.frombuffer(f.read(n * 4), dtype="<f4").reshape(
                 x, y, z, num_classes + 1
             )
-    grid = OccupancyGrid(
-        dims=(x, y, z),
-        origin=np.array([ox, oy, oz]),
-        voxel_size=float(voxel_size),
-        labels=labels.copy(),
-        empty_id=empty_id,
-    )
+    if empty_id > num_classes or (labels > num_classes).any():
+        raise ConfigError(f"{path}: a label or the empty id exceeds the class count {num_classes}")
+    if probs is not None and not ((probs >= 0) & (probs <= 1)).all():
+        raise ConfigError(f"{path}: probabilities must be finite and lie in [0, 1]")
+    with _invalid_content(path):
+        grid = OccupancyGrid(
+            dims=(x, y, z),
+            origin=np.array([ox, oy, oz]),
+            voxel_size=float(voxel_size),
+            labels=labels.copy(),
+            empty_id=empty_id,
+        )
     return grid, num_classes, probs

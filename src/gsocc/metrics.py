@@ -17,6 +17,7 @@ march.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -183,13 +184,16 @@ def occupied_voxel_centers(gt: OccupancyGrid, unknown_id: int | None = None) -> 
     return np.asarray(gt.origin) + (idx + 0.5) * gt.voxel_size
 
 
-def init_quality(gs: GaussianSet, gt: OccupancyGrid, unknown_id: int | None = None):
+def init_quality(
+    gs: GaussianSet, gt: OccupancyGrid, unknown_id: int | None = None, workers: int = 1
+):
     """(perc, dist) initialization quality against a ground-truth grid.
 
     perc: percentage of Gaussians whose containing gt voxel is non-empty
     (out-of-grid means count as unoccupied). dist: mean Euclidean distance
     from each mean to the nearest occupied voxel center (exact nearest-
-    neighbor query over the occupied centers).
+    neighbor query over the occupied centers, on at most `workers` threads;
+    the result does not depend on it).
     """
     centers = occupied_voxel_centers(gt, unknown_id)
     if centers.shape[0] == 0:
@@ -207,7 +211,8 @@ def init_quality(gs: GaussianSet, gt: OccupancyGrid, unknown_id: int | None = No
         occ_mask = occ_mask & (gt.labels != unknown_id)
     occupied[inside] = occ_mask[ii[:, 0], ii[:, 1], ii[:, 2]]
     perc = 100.0 * float(np.count_nonzero(occupied)) / len(gs)
-    dist = float(cKDTree(centers).query(gs.means)[0].mean())
+    workers = min(workers, os.cpu_count() or 1)
+    dist = float(cKDTree(centers).query(gs.means, workers=workers)[0].mean())
     return perc, dist
 
 
@@ -239,8 +244,10 @@ def evaluate(
     thresholds=(1.0, 2.0, 4.0),
     stride: int = 4,
     unknown_id: int | None = None,
+    workers: int = 1,
 ) -> MetricReport:
-    """Bundle every metric the grids/cameras/Gaussians allow into one report."""
+    """Bundle every metric the grids/cameras/Gaussians allow into one report.
+    `workers` threads run the Perc./Dist. nearest-neighbour query."""
     iou, miou, per_class = iou_miou(pred.labels, gt.labels, gt.empty_id, unknown_id)
     rayiou = ray_per = None
     if cams:
@@ -248,7 +255,7 @@ def evaluate(
         rayiou = float(np.mean(list(ray_per.values())))
     perc = dist = None
     if gaussians is not None:
-        perc, dist = init_quality(gaussians, gt, unknown_id)
+        perc, dist = init_quality(gaussians, gt, unknown_id, workers)
     return MetricReport(
         iou=iou,
         miou=miou,

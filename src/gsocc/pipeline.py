@@ -92,14 +92,19 @@ class PipelineConfig:
             raise ConfigError("grid sizes must be positive")
         self.sampling_spec()  # rejects a grid too fine for int64 voxel keys
         self.grid_dims()  # rejects a voxel size that does not divide the extents
-        if not all(r >= 1 for r in self.resolution):
-            raise ConfigError("resolution entries must be >= 1")
+        if len(self.resolution) != 2 or not all(r >= 1 for r in self.resolution):
+            raise ConfigError("resolution must be two entries >= 1: [height, width]")
         if self.focal <= 0:
             raise ConfigError("focal must be positive")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
         if self.downsample < 1:
             raise ConfigError("downsample ratio must be >= 1")
+        if any(cam.height < 1 or cam.width < 1 for cam in self.cameras()):
+            raise ConfigError(
+                f"resolution {list(self.resolution)} / downsample {self.downsample}"
+                " leaves a camera without pixels"
+            )
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.ray_stride < 1:
@@ -397,6 +402,7 @@ def write_metrics(config: PipelineConfig, pred, gt, gaussians, path) -> metrics.
         gaussians=gaussians,
         thresholds=config.ray_thresholds,
         stride=config.ray_stride,
+        workers=config.threads,
     )
     _write_text(path, report.to_json())
     return report

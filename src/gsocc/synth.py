@@ -216,10 +216,23 @@ def rasterize_gt_grid(scene: SceneSpec, dims, origin, voxel_size: float) -> Occu
     )
 
 
+# Slack on the cosine of a box's bounding cone, relative to |w| |d|: keeps
+# rays whose angle to the cone axis rounds onto the far side of its edge.
+_CONE_MARGIN = 1e-9
+
+
 def ray_hit_classes(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray):
     """(depths, class ids) of the nearest scene surface per ray.
 
-    Misses get depth +inf and class 0.
+    Misses get depth +inf and class 0. Each box is slab-tested only against
+    the rays that can reach it: when the origin lies outside the box's
+    bounding sphere, those are the rays inside the cone the sphere subtends
+    from the origin, kept by one dot product per ray with a small
+    conservative margin; when it lies inside, every ray. A culled ray would
+    have missed the box, and the kept rays go through the same float
+    operations as a full cast, so depths and classes are those of testing
+    every ray against every box. Directions need not be unit length; a
+    zero direction is always kept.
     """
     dirs = np.atleast_2d(dirs)
     best = np.full(dirs.shape[0], np.inf)
@@ -230,11 +243,20 @@ def ray_hit_classes(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray):
     plane_hit = (dz != 0) & (t_plane > 0)
     best[plane_hit] = t_plane[plane_hit]
     cls[plane_hit] = scene.ground_class
+    norms = np.linalg.norm(dirs, axis=1)
     for box in scene.boxes:
-        t = box.ray_hits(o, dirs)
-        closer = t < best
-        best[closer] = t[closer]
-        cls[closer] = box.class_id
+        w = box.center - o
+        dist = np.linalg.norm(w)
+        r = np.linalg.norm(box.half_extents)
+        if dist > r:
+            cos_cone = np.sqrt(1.0 - (r / dist) ** 2)
+            idx = np.flatnonzero(dirs @ w >= (cos_cone - _CONE_MARGIN) * dist * norms)
+        else:
+            idx = np.arange(dirs.shape[0])
+        t = box.ray_hits(o, dirs[idx])
+        closer = t < best[idx]
+        best[idx[closer]] = t[closer]
+        cls[idx[closer]] = box.class_id
     return best, cls
 
 

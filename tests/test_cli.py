@@ -189,6 +189,9 @@ class TestErrors:
             ("focal", -1.0),
             ("cam_height", float("nan")),
             ("resolution", [0, 16]),
+            ("resolution", [16]),
+            ("downsample", 48),  # 24 / 48 rounds to a 0-row camera grid
+            ("downsample", 100),
         ]
     ])
     def test_bad_config_value_exit_2(self, tmp_path, field, value):

@@ -1,8 +1,12 @@
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsocc.core import DepthMap, OccupancyGrid
 from gsocc.errors import ConfigError
@@ -137,3 +141,114 @@ def test_malformed_file_rejected_naming_it(tmp_path, rng, fmt, damage):
                           "truncated-header": raw[:10]}[damage])
     with pytest.raises(ConfigError, match=re.escape(str(path))):
         READERS[fmt](path)
+
+
+# Byte patches that keep a file's length but put a value its type forbids
+# into it: (format, byte offset, bytes). The OCC1 header is 41 bytes.
+OUT_OF_RANGE_PATCHES = {
+    "gsb-mean-signaling-nan": ("gsb", 16, struct.pack("<I", 0x7F800001)),
+    "dpm-depth-nan": ("dpm", 12, struct.pack("<f", np.nan)),
+    "dpm-depth-signaling-nan": ("dpm", 12, struct.pack("<I", 0x7F800001)),
+    "dpm-depth-minus-inf": ("dpm", 12, struct.pack("<f", -np.inf)),
+    "dpm-uncertainty-inf": ("dpm", 12 + 12 * 4, struct.pack("<f", np.inf)),
+    "dpm-uncertainty-nan": ("dpm", 12 + 12 * 4, struct.pack("<f", np.nan)),
+    "occ-origin-nan": ("occ", 16, struct.pack("<f", np.nan)),
+    "occ-voxel-size-nan": ("occ", 28, struct.pack("<f", np.nan)),
+    "occ-voxel-size-inf": ("occ", 28, struct.pack("<f", np.inf)),
+    "occ-empty-id-above-classes": ("occ", 36, struct.pack("<I", 3)),
+    "occ-has-probs-2": ("occ", 40, b"\x02"),
+    "occ-label-above-classes": ("occ", 41, b"\x03"),
+    "occ-prob-nan": ("occ", 41 + 32, struct.pack("<f", np.nan)),
+    "occ-prob-above-1": ("occ", 41 + 32, struct.pack("<f", 2.0)),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(OUT_OF_RANGE_PATCHES))
+def test_out_of_range_value_rejected_naming_it(tmp_path, rng, damage):
+    fmt, offset, patch = OUT_OF_RANGE_PATCHES[damage]
+    path = tmp_path / f"bad.{fmt}"
+    WRITERS[fmt](path, rng)
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(patch)] = patch
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        READERS[fmt](path)
+
+
+@pytest.mark.parametrize("fmt, c", [("gsb", 2**31), ("gsb", 0), ("occ", 2**31), ("occ", 256)])
+def test_class_count_outside_u8_labels_rejected(tmp_path, fmt, c):
+    # An empty set or a label-only grid would otherwise declare any u32
+    # class count, and rendering it allocates one field channel per class.
+    path = tmp_path / f"wide.{fmt}"
+    path.write_bytes(GSB_MAGIC + struct.pack("<II", 0, c) if fmt == "gsb" else
+                     b"OCC1" + struct.pack("<IIIffffIIB", 1, 1, 1, 0, 0, 0, 0.5, c, 0, 0) + b"\0")
+    with pytest.raises(ConfigError, match="class count"):
+        READERS[fmt](path)
+
+
+def _valid_file(fmt: str, seed: int, path) -> None:
+    """A small valid file of format `fmt`, its content drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    if fmt == "gsb":
+        write_gaussian_set(path, random_gaussian_set(rng, int(rng.integers(1, 5)),
+                                                     num_classes=int(rng.integers(1, 4))))
+    elif fmt == "dpm":
+        depth = rng.uniform(0.0, 9.0, size=tuple(rng.integers(1, 5, size=2)))
+        depth[rng.random(depth.shape) < 0.3] = np.inf
+        write_depth_map(path, DepthMap(depth=depth, uncertainty=np.full(depth.shape, 0.05)))
+    else:
+        dims, c = tuple(int(d) for d in rng.integers(1, 4, size=3)), int(rng.integers(1, 4))
+        grid = OccupancyGrid(dims=dims, origin=rng.uniform(-9, 9, size=3), voxel_size=0.5,
+                             labels=rng.integers(0, c + 1, size=dims).astype(np.uint8))
+        probs = rng.dirichlet(np.ones(c + 1), size=dims) if fmt == "occ-probs" else None
+        write_occupancy(path, grid, num_classes=c, probs=probs)
+
+
+def _assert_valid_read(fmt: str, result) -> None:
+    """What a reader returns must hold its type's invariants, with no NaN."""
+    if fmt == "gsb":
+        result.validate()
+        assert 1 <= result.num_classes <= 255
+    elif fmt == "dpm":
+        assert ((result.depth >= 0) | (result.depth == np.inf)).all()
+        assert (np.isfinite(result.uncertainty) & (result.uncertainty > 0)).all()
+    else:
+        grid, c, probs = result
+        assert 1 <= c <= 255
+        assert np.isfinite(grid.origin).all()
+        assert np.isfinite(grid.voxel_size) and grid.voxel_size > 0
+        assert grid.empty_id <= c and (grid.labels <= c).all()
+        if probs is not None:
+            assert probs.shape == (*grid.dims, c + 1)
+            assert ((probs >= 0) & (probs <= 1)).all()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    fmt=st.sampled_from(["gsb", "dpm", "occ", "occ-probs"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_damaged_file_reads_valid_or_raises_config_error(fmt, seed, data):
+    """Truncated, extended and bit-flipped files: a reader either returns a
+    valid object or raises ConfigError, never another exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.bin"
+        _valid_file(fmt, seed, path)
+        _assert_valid_read(fmt, READERS[fmt[:3]](path))
+        raw = bytearray(path.read_bytes())
+        for _ in range(data.draw(st.integers(1, 3), label="damages")):
+            damage = data.draw(st.sampled_from(["truncate", "extend", "flip"]), label="damage")
+            if damage == "truncate":
+                del raw[data.draw(st.integers(0, max(len(raw) - 1, 0)), label="keep"):]
+            elif damage == "extend":
+                raw += data.draw(st.binary(min_size=1, max_size=16), label="tail")
+            elif raw:
+                bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+                raw[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+        try:
+            result = READERS[fmt[:3]](path)
+        except ConfigError:
+            return
+        _assert_valid_read(fmt, result)

@@ -294,6 +294,14 @@ class TestInitQuality:
         occ[inside] = labels[idx[inside, 0], idx[inside, 1], idx[inside, 2]] != 0
         assert perc == 100.0 * occ.sum() / len(gs)
 
+    def test_worker_count_does_not_change_result(self, rng):
+        labels = (rng.random((32, 32, 16)) < 0.05).astype(np.uint8) * 2
+        grid = grid_of(labels, origin=(-8.0, -8.0, -4.0), voxel_size=0.5)
+        gs = random_gaussian_set(rng, 20000, lo=(-9, -9, -5), hi=(9, 9, 5))
+        one = init_quality(gs, grid, workers=1)
+        assert init_quality(gs, grid, workers=2) == one
+        assert init_quality(gs, grid, workers=8) == one  # capped at the core count
+
     def test_fully_empty_gt_raises(self, rng):
         grid = grid_of(np.zeros((4, 4, 4), dtype=np.uint8))
         with pytest.raises(UndefinedMetricError):

@@ -268,3 +268,190 @@ def test_nearest_surface_points_on_plane_and_box(rng):
     # interior points project to the closest face
     p = np.array([[3.9, 0.0, 0.0]])
     np.testing.assert_allclose(nearest_surface_points(scene, p), [[4.0, 0.0, 0.0]])
+
+
+def full_cast_reference(scene, o, dirs):
+    """Every ray slab-tested against every box: the cast without any cull."""
+    dirs = np.atleast_2d(dirs)
+    best = np.full(len(dirs), np.inf)
+    cls = np.zeros(len(dirs), dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_plane = (scene.ground_z - o[2]) / dirs[:, 2]
+    plane_hit = (dirs[:, 2] != 0) & (t_plane > 0)
+    best[plane_hit] = t_plane[plane_hit]
+    cls[plane_hit] = scene.ground_class
+    for box in scene.boxes:
+        t = box.ray_hits(o, dirs)
+        closer = t < best
+        best[closer] = t[closer]
+        cls[closer] = box.class_id
+    return best, cls
+
+
+def scene_of(*boxes, ground_z=-50.0):
+    return SceneSpec(seed=0, boxes=tuple(boxes), ground_z=ground_z, ground_class=1,
+                     extents_min=np.full(3, -100.0), extents_max=np.full(3, 100.0))
+
+
+def random_dirs(rng, n):
+    d = rng.standard_normal((n, 3))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+class TestConeCull:
+    """ray_hit_classes culls rays per box; its hits must equal the full cast
+    bit for bit."""
+
+    def assert_same_as_full_cast(self, scene, o, dirs):
+        o = np.asarray(o, dtype=np.float64)
+        depth, cls = ray_hit_classes(scene, o, dirs)
+        want_depth, want_cls = full_cast_reference(scene, o, dirs)
+        np.testing.assert_array_equal(depth, want_depth)
+        np.testing.assert_array_equal(cls, want_cls)
+        return want_depth, want_cls
+
+    def test_seeded_random_scenes_and_origins(self, rng):
+        hits = 0
+        for seed in range(12):
+            scene = generate_scene(seed)
+            dirs = random_dirs(rng, 3000)
+            origins = [rng.uniform([-3, -3, -1], [3, 3, 1.5]) for _ in range(3)]
+            origins.append(scene.boxes[0].center)  # inside a box
+            for o in origins:
+                depth, cls = self.assert_same_as_full_cast(scene, o, dirs)
+                hits += int((cls > 1).sum())
+        assert hits > 1000  # the rays do reach boxes
+
+    def test_camera_pixel_rays(self):
+        for seed in (3, 7, 11):
+            scene = generate_scene(seed)
+            for cam in surround_rig(resolution=(48, 64), focal=32.0):
+                self.assert_same_as_full_cast(scene, cam.origin, cam.pixel_rays())
+
+    def test_boxes_behind_straddling_and_around_the_origin(self, rng):
+        # Rays fan out over the +x half space from the origin.
+        dirs = random_dirs(rng, 4000)
+        dirs[:, 0] = np.abs(dirs[:, 0])
+        behind = Box(center=np.array([-6.0, 1.0, 0.5]), half_extents=np.array([1.0, 2.0, 0.7]),
+                     yaw=0.4, class_id=2)
+        straddling = Box(center=np.array([0.3, 4.0, -0.5]),
+                         half_extents=np.array([1.5, 1.0, 1.2]), yaw=-0.9, class_id=3)
+        around = Box(center=np.array([0.4, -0.2, 0.1]), half_extents=np.array([0.8, 0.6, 0.5]),
+                     yaw=1.1, class_id=4)
+        front = Box(center=np.array([7.0, -1.0, 0.0]), half_extents=np.array([1.0, 1.0, 1.0]),
+                    yaw=0.2, class_id=2)
+        seen = set()
+        for boxes in [(behind,), (straddling,), (around,), (behind, straddling, front),
+                      (front, around, behind)]:
+            _, cls = self.assert_same_as_full_cast(scene_of(*boxes, ground_z=-3.0),
+                                                   np.zeros(3), dirs)
+            seen |= set(np.unique(cls).tolist())
+        assert seen == {0, 1, 2, 3, 4}
+
+    def test_box_behind_the_origin_tests_no_ray(self, rng, monkeypatch):
+        tested = []
+        full = Box.ray_hits
+
+        def counted(box, o, dirs):
+            tested.append((box.class_id, len(dirs)))
+            return full(box, o, dirs)
+
+        monkeypatch.setattr(Box, "ray_hits", counted)
+        dirs = random_dirs(rng, 2000)
+        dirs[:, 0] = np.abs(dirs[:, 0])
+        behind = Box(center=np.array([-6.0, 1.0, 0.5]), half_extents=np.array([1.0, 2.0, 0.7]),
+                     yaw=0.4, class_id=2)
+        front = Box(center=np.array([7.0, -1.0, 0.0]), half_extents=np.array([1.0, 1.0, 1.0]),
+                    yaw=0.2, class_id=3)
+        ray_hit_classes(scene_of(behind, front), np.zeros(3), dirs)
+        counts = dict(tested)
+        assert counts[2] == 0
+        assert 0 < counts[3] < len(dirs) // 4
+
+    def test_origin_on_a_bounding_sphere(self, rng):
+        # half extents (1, 2, 2) give a bounding radius of exactly 3.
+        he = np.array([1.0, 2.0, 2.0])
+        dirs = random_dirs(rng, 4000)
+        for center in ([3.0, 0.0, 0.0], [1.0, 2.0, 2.0], [0.0, -3.0, 0.0],
+                       [np.nextafter(3.0, 4.0), 0.0, 0.0], [1.0, 2.0, np.nextafter(2.0, 3.0)]):
+            box = Box(center=np.array(center), half_extents=he, yaw=0.0, class_id=2)
+            self.assert_same_as_full_cast(scene_of(box), np.zeros(3), dirs)
+            rotated = Box(center=np.array(center), half_extents=he, yaw=0.7, class_id=3)
+            self.assert_same_as_full_cast(scene_of(rotated), np.zeros(3), dirs)
+        # At the corner of [1, 2, 2]: every ray into the box hits at t = 0.
+        corner = Box(center=np.array([1.0, 2.0, 2.0]), half_extents=he, yaw=0.0, class_id=2)
+        depth, _ = self.assert_same_as_full_cast(scene_of(corner), np.zeros(3), dirs)
+        assert (depth[(dirs > 0).all(axis=1)] == 0.0).all()
+
+    def test_rays_grazing_box_edges_and_corners(self):
+        boxes = [
+            Box(center=np.array([5.0, 0.0, 0.0]), half_extents=np.array([1.0, 1.0, 1.0]),
+                yaw=0.0, class_id=2),
+            Box(center=np.array([4.0, 3.0, -1.0]), half_extents=np.array([0.5, 1.5, 0.25]),
+                yaw=0.6, class_id=3),
+        ]
+        o = np.array([0.0, 0.0, 0.0])
+        signs = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1).T
+        for box in boxes:
+            rot = box._yaw_rotation()
+            corners = box.center + (signs * box.half_extents) @ rot.T
+            # Points on each edge: midpoints of corner pairs differing in one axis.
+            edges = [(corners[i] + corners[j]) / 2 for i in range(8) for j in range(i + 1, 8)
+                     if np.count_nonzero(signs[i] != signs[j]) == 1]
+            targets = np.vstack([corners, edges])
+            dirs = targets - o
+            nudged = [np.where(dirs == 0, 0.0, np.nextafter(dirs, dirs + s)) for s in (-1, 1)]
+            all_dirs = np.vstack([dirs, *nudged])
+            self.assert_same_as_full_cast(scene_of(box), o, all_dirs)
+            self.assert_same_as_full_cast(scene_of(box), o, all_dirs / np.linalg.norm(
+                all_dirs, axis=1, keepdims=True))
+
+    def test_rays_tangent_to_the_bounding_sphere_at_a_corner(self, rng):
+        # The ray from o through corner q runs along the sphere's tangent
+        # plane at q: the edge of the bounding cone. The slab test may or
+        # may not count the graze as a hit; the cull must keep the ray.
+        found_hits = 0
+        for _ in range(300):
+            he = rng.uniform(0.3, 2.0, size=3)
+            box = Box(center=rng.uniform(-2, 2, size=3), half_extents=he,
+                      yaw=rng.uniform(-np.pi, np.pi), class_id=2)
+            sign = rng.choice([-1.0, 1.0], size=3)
+            q = box.center + (sign * he) @ box._yaw_rotation().T
+            radial = q - box.center
+            u = np.cross(radial, rng.standard_normal(3))
+            o = q + rng.uniform(2.0, 20.0) * u / np.linalg.norm(u)
+            dirs = (q - o)[None, :] * np.array([[1.0], [0.5], [3.0]])
+            depth, _ = self.assert_same_as_full_cast(scene_of(box), o, dirs)
+            found_hits += int(np.isfinite(depth).sum())
+        assert found_hits > 0
+
+    def test_axis_parallel_rays(self):
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        aligned = Box(center=np.array([4.0, 0.0, 0.0]), half_extents=np.array([1.0, 1.0, 1.0]),
+                      yaw=0.0, class_id=2)
+        rotated = Box(center=np.array([0.0, -5.0, 0.5]), half_extents=np.array([2.0, 1.0, 1.0]),
+                      yaw=np.pi / 2, class_id=3)
+        above = Box(center=np.array([0.5, 0.0, 6.0]), half_extents=np.array([0.5, 2.0, 1.0]),
+                    yaw=0.0, class_id=4)
+        scene = scene_of(aligned, rotated, above, ground_z=-2.0)
+        # Origins inside slabs, on slab faces and outside them.
+        for o in ([0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.5], [3.0, 0.0, 0.0],
+                  [0.0, -5.0, 0.5], [1.0, -4.0, 6.0]):
+            self.assert_same_as_full_cast(scene, o, axes)
+            self.assert_same_as_full_cast(scene, o, 7.5 * axes)
+        depth, cls = ray_hit_classes(scene, np.zeros(3), axes)
+        assert depth[0] == 3.0 and cls[0] == 2
+        assert depth[5] == 2.0 and cls[5] == 1
+
+    def test_non_unit_and_zero_directions(self, rng):
+        scene = generate_scene(5)
+        dirs = random_dirs(rng, 3000) * 10.0 ** rng.uniform(-3, 3, size=(3000, 1))
+        dirs[::97] = 0.0
+        for o in (np.array([0.0, 0.0, 0.5]), scene.boxes[1].center):
+            depth, _ = self.assert_same_as_full_cast(scene, o, dirs)
+        # A zero direction from inside a box hits it at t = 0.
+        assert (depth[::97] == 0.0).all()
+        # Scaling a direction scales its along-ray depth.
+        unit, _ = ray_hit_classes(scene, np.zeros(3), dirs[1:2] / np.linalg.norm(dirs[1]))
+        scaled, _ = ray_hit_classes(scene, np.zeros(3), dirs[1:2])
+        assert scaled[0] * np.linalg.norm(dirs[1]) == pytest.approx(unit[0], rel=1e-12)
