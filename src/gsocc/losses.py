@@ -39,21 +39,22 @@ def cross_entropy_loss(pred: np.ndarray, gt: np.ndarray, ignore: int | None = No
     return float(-np.log(np.clip(picked, PROB_CLAMP, 1.0)).mean())
 
 
-def lovasz_gradient(gt_sorted: np.ndarray) -> np.ndarray:
-    """Gradient of the Lovasz extension of the Jaccard loss w.r.t. sorted errors."""
-    gts = gt_sorted.sum()
-    intersection = gts - gt_sorted.cumsum()
-    union = gts + (1.0 - gt_sorted).cumsum()
-    jaccard = 1.0 - intersection / union
-    jaccard[1:] = jaccard[1:] - jaccard[:-1]
-    return jaccard
-
-
 def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     """Lovasz-Softmax over classes present in gt.
 
     Per class: errors |1{gt=c} - pred_c| sorted descending, dotted with the
     Jaccard-extension gradient; the per-class terms are averaged.
+
+    Only the k non-zero errors are sorted. A stable descending sort of all
+    n errors puts the zero ones last, in index order, and leaves the first k
+    as the stable sort of the non-zero ones. The gradient of that prefix
+    depends only on the prefix cumsums and on the foreground total, which
+    does not depend on the order. The dot still runs over all n entries, with
+    the tail of both vectors zero. In the full sort each tail product is a
+    zero error times a finite gradient, an exact 0, as it is here, and adding
+    0 leaves a partial sum unchanged. Keeping the length keeps the BLAS
+    kernel's grouping of the non-zero products, so the loss is the full
+    sort's bit for bit.
     """
     pred = np.asarray(pred, dtype=np.float64).reshape(-1, np.asarray(pred).shape[-1])
     gt = np.asarray(gt).reshape(-1)
@@ -65,8 +66,18 @@ def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     for c in np.unique(gt):
         fg = (gt == c).astype(np.float64)
         errors = np.abs(fg - pred[:, int(c)])
-        order = np.argsort(-errors, kind="stable")
-        losses.append(float(errors[order] @ lovasz_gradient(fg[order])))
+        nz = np.flatnonzero(errors)
+        order = nz[np.argsort(-errors[nz], kind="stable")]
+        head = fg[order]
+        gts = fg.sum()
+        jaccard = 1.0 - (gts - head.cumsum()) / (gts + (1.0 - head).cumsum())
+        k = len(order)
+        sorted_errors = np.zeros_like(errors)
+        grad = np.zeros_like(errors)
+        sorted_errors[:k] = errors[order]
+        grad[:k] = jaccard
+        grad[1:k] -= jaccard[:-1]
+        losses.append(float(sorted_errors @ grad))
     return float(np.mean(losses))
 
 

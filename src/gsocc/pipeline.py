@@ -34,6 +34,11 @@ LOGIT_STRENGTH = 12.0
 
 REFINE_MODES = ("off", "zero", "oracle-snap")
 
+# Largest rendered field accepted at config load: the (X, Y, Z, C+1) float64
+# probabilities render_grid returns (fine-grid's is 20 MiB). Rendering holds
+# about twice that at its peak.
+MAX_FIELD_BYTES = 1 << 30
+
 
 @dataclass
 class PipelineConfig:
@@ -91,7 +96,7 @@ class PipelineConfig:
         if self.grid_size <= 0 or self.voxel_size <= 0:
             raise ConfigError("grid sizes must be positive")
         self.sampling_spec()  # rejects a grid too fine for int64 voxel keys
-        self.grid_dims()  # rejects a voxel size that does not divide the extents
+        dims = self.grid_dims()  # rejects a voxel size that does not divide the extents
         if len(self.resolution) != 2 or not all(r >= 1 for r in self.resolution):
             raise ConfigError("resolution must be two entries >= 1: [height, width]")
         if self.focal <= 0:
@@ -119,6 +124,13 @@ class PipelineConfig:
             c > self.num_classes or c < 1 for c in self.box_classes
         ):
             raise ConfigError("class ids must lie in [1, num_classes]")
+        field_bytes = math.prod(dims) * (self.num_classes + 1) * 8
+        if field_bytes > MAX_FIELD_BYTES:
+            raise ConfigError(
+                f"a {'x'.join(map(str, dims))} grid of {self.num_classes + 1} channels renders"
+                f" {field_bytes / 2**30:.2f} GiB of probabilities; the limit is"
+                f" {MAX_FIELD_BYTES / 2**30:g} GiB"
+            )
 
     @staticmethod
     def from_file(path) -> "PipelineConfig":

@@ -18,14 +18,17 @@ voxel indices from floor to ceil of the exact 3-sigma axis bound
 mean +- 3 sqrt(Sigma_kk), clipped to the grid. The nearest voxel outside that
 range has its center half a voxel beyond the bound, so every voxel with
 m^2 <= 9 is visited and the result matches the all-pairs reference to
-rounding. There is no loop over Gaussians: they are walked in index order in
-contiguous chunks of at most _PAIR_BUDGET (Gaussian, voxel) box pairs, which
-bounds the working memory (a Gaussian whose box alone is larger forms a chunk
-of its own), and each chunk is evaluated one box shape at a time as dense
-arrays. The kept terms are added to the accumulators with np.add.at in
-ascending Gaussian order, so every voxel sums its terms in that order with
-the same float operations as a per-Gaussian loop, and the field is
-bit-identical whatever the chunking.
+rounding. There is no loop over Gaussians. Those whose box holds a voxel are
+walked in index order in contiguous chunks, and each chunk is one dense array
+over its largest box shape (the per-axis maximum extent), with the voxels
+outside a Gaussian's own box masked out. A chunk holds at most _PAIR_BUDGET
+such padded (Gaussian, voxel) pairs, which bounds the working memory; a
+Gaussian whose box alone is larger forms a chunk of its own. The kept pairs
+come out in ascending Gaussian order and are added with np.add.at: one call
+each for the log-occupancy and the density sum, and one per class into the
+class-major (C, X, Y, Z) numerator. Every voxel thus sums its terms in
+Gaussian order with the same float operations as a per-Gaussian loop, and the
+field is bit-identical whatever the chunking.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ CUTOFF = 3.0
 _CUTOFF_SQ = CUTOFF * CUTOFF
 _DENSITY_NORM = (2.0 * np.pi) ** 1.5
 
-# Most (Gaussian, voxel) box pairs render_grid evaluates at once: about
-# 100 bytes of working memory each, 6.4 MiB in all. 1 << 18 made the render
-# of the fine-grid benchmark ~7% faster but its peak RSS ~4 MiB higher.
+# Most padded (Gaussian, voxel) pairs render_grid evaluates at once: about
+# 72 bytes of working memory each, 4.5 MiB in all. On the fine-grid benchmark
+# render, 1 << 14 and 1 << 18 were both slower.
 _PAIR_BUDGET = 1 << 16
 
 
@@ -113,7 +116,7 @@ def render_grid(
     origin = np.asarray(origin, dtype=np.float64)
     c = gs.num_classes
     log_keep = np.zeros(dims)
-    sem_num = np.zeros(dims + (c,))
+    sem_num = np.zeros((c,) + dims)
     sem_den = np.zeros(dims)
     if len(gs):
         rots = quaternion_to_matrices(gs.rotations)
@@ -124,15 +127,19 @@ def render_grid(
         np.clip(los, 0, dims, out=los)
         np.clip(his, 0, dims, out=his)
         ext = his - los
-        ends = np.cumsum(ext.prod(axis=1))
+        live = np.flatnonzero(ext.all(axis=1))
         axes = _axis_centers(origin, voxel_size, dims)
         sem_soft = softmax_logits(gs.semantics)
         inv_norm = 1.0 / (_DENSITY_NORM * gs.scales.prod(axis=1))
         start = 0
-        while start < len(gs):
-            done = ends[start - 1] if start else 0
-            stop = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), start + 1)
-            g, vox, m2 = _box_pairs(gs, rots, los, ext, np.arange(start, stop), axes, dims)
+        while start < len(live):
+            # Padded pair count of each candidate chunk starting here. One within
+            # budget holds at most _PAIR_BUDGET // (first box size) Gaussians,
+            # so one candidate more than that finds where the chunk ends.
+            window = ext[live[start : start + _PAIR_BUDGET // ext[live[start]].prod() + 1]]
+            padded = np.arange(1, len(window) + 1) * np.maximum.accumulate(window).prod(axis=1)
+            stop = start + max(int(np.searchsorted(padded, _PAIR_BUDGET, side="right")), 1)
+            g, vox, m2 = _box_pairs(gs, rots, los, ext, live[start:stop], axes, dims)
             phi = np.exp(-0.5 * m2)
             a_phi = gs.opacities[g] * phi
             w = a_phi * inv_norm[g]
@@ -140,46 +147,44 @@ def render_grid(
             with np.errstate(divide="ignore"):
                 np.add.at(log_keep.reshape(-1), vox, np.log1p(-a_phi))
             np.add.at(sem_den.reshape(-1), vox, w)
-            np.add.at(sem_num.reshape(-1, c), vox, w[:, None] * sem_soft[g])
+            for k in range(c):
+                np.add.at(sem_num[k].reshape(-1), vox, w * sem_soft[g, k])
             start = stop
-    return _finalize(log_keep, sem_num, sem_den, origin, voxel_size)
+    return _finalize(log_keep, np.moveaxis(sem_num, 0, -1), sem_den, origin, voxel_size)
 
 
 def _box_pairs(gs, rots, los, ext, idx, axes, dims):
     """(Gaussian, flat voxel index, m^2) of every pair within the cutoff
     between the Gaussians `idx` and the voxel centers of their boxes,
-    ordered by Gaussian index."""
-    shapes, inverse = np.unique(ext[idx], axis=0, return_inverse=True)
-    inverse = inverse.ravel()  # numpy 2.0.x returns it with an extra axis
-    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    for s, shape in enumerate(shapes):
-        if not shape.all():
-            continue
-        g = idx[inverse == s]
-        dx, dy, dz = (
-            axes[a][los[g, a, None] + np.arange(n)] - gs.means[g, a, None]
-            for a, n in enumerate(shape)
-        )
-        d = np.stack(
-            np.broadcast_arrays(dx[:, :, None, None], dy[:, None, :, None], dz[:, None, None, :]),
-            axis=-1,
-        )
-        # d @ R, not an explicit sum of products: the BLAS kernel may fuse
-        # multiply-adds, and its per-row result is the same whatever the
-        # number of rows, as in a per-Gaussian evaluation.
-        y = d.reshape(len(g), -1, 3) @ rots[g]
-        y /= gs.scales[g, None, :]
-        y **= 2
-        # (y0 + y1) + y2, the order in which numpy sums a length-3 axis.
-        m2 = y[..., 0] + y[..., 1]
-        m2 += y[..., 2]
-        k, j = np.nonzero(m2 <= _CUTOFF_SQ)
-        offsets = np.ravel_multi_index(np.indices(shape).reshape(3, -1), dims)
-        base = np.ravel_multi_index(los[g].T, dims)
-        parts.append((g[k], base[k] + offsets[j], m2[k, j]))
-    g, vox, m2 = (np.concatenate(p) for p in zip(*parts))
-    order = np.argsort(g, kind="stable")
-    return g[order], vox[order], m2[order]
+    ordered by Gaussian index. The chunk is one dense array over its largest
+    box shape; voxels outside a Gaussian's own box are masked out."""
+    shape = ext[idx].max(axis=0)
+    steps = [np.arange(n) for n in shape]
+    # Padding may run past the grid: it reads the last center, then is masked.
+    dx, dy, dz = (
+        axes[a].take(los[idx, a, None] + steps[a], mode="clip") - gs.means[idx, a, None]
+        for a in range(3)
+    )
+    d = np.stack(
+        np.broadcast_arrays(dx[:, :, None, None], dy[:, None, :, None], dz[:, None, None, :]),
+        axis=-1,
+    )
+    # d @ R, not an explicit sum of products: the BLAS kernel may fuse
+    # multiply-adds, and its per-row result is the same whatever the
+    # number of rows, as in a per-Gaussian evaluation.
+    y = d.reshape(len(idx), -1, 3) @ rots[idx]
+    y /= gs.scales[idx, None, :]
+    y **= 2
+    # (y0 + y1) + y2, the order in which numpy sums a length-3 axis.
+    m2 = y[..., 0] + y[..., 1]
+    m2 += y[..., 2]
+    ix, iy, iz = (steps[a] < ext[idx, a, None] for a in range(3))
+    inside = ix[:, :, None, None] & iy[:, None, :, None] & iz[:, None, None, :]
+    # Row-major, so the pairs come out in ascending Gaussian order.
+    k, j = np.nonzero((m2 <= _CUTOFF_SQ) & inside.reshape(len(idx), -1))
+    offsets = np.ravel_multi_index(np.indices(shape).reshape(3, -1), dims)
+    base = np.ravel_multi_index(los[idx].T, dims)
+    return idx[k], base[k] + offsets[j], m2[k, j]
 
 
 def render_grid_bruteforce(

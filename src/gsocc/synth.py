@@ -62,7 +62,7 @@ class Box:
         rot = self._yaw_rotation()
         o_l = (o - self.center) @ rot
         d_l = dirs @ rot
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t1 = (-self.half_extents - o_l) / d_l
             t2 = (self.half_extents - o_l) / d_l
         t_lo = np.minimum(t1, t2)
@@ -238,9 +238,10 @@ def ray_hit_classes(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray):
     best = np.full(dirs.shape[0], np.inf)
     cls = np.zeros(dirs.shape[0], dtype=np.int64)
     dz = dirs[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_plane = (scene.ground_z - o[2]) / dz
-    plane_hit = (dz != 0) & (t_plane > 0)
+    # A subnormal dz overflows t_plane to inf: a miss, as for dz = 0.
+    plane_hit = np.isfinite(t_plane) & (t_plane > 0)
     best[plane_hit] = t_plane[plane_hit]
     cls[plane_hit] = scene.ground_class
     norms = np.linalg.norm(dirs, axis=1)

@@ -5,7 +5,8 @@ import pytest
 
 from gsocc import synth
 from gsocc.cli import main
-from gsocc.pipeline import PipelineConfig, _Stage, run_pipeline
+from gsocc.errors import ConfigError
+from gsocc.pipeline import MAX_FIELD_BYTES, PipelineConfig, _Stage, run_pipeline
 
 SMALL_CONFIG = {
     "seed": 7,
@@ -279,6 +280,22 @@ def test_config_roundtrip(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()))
     again = PipelineConfig.from_file(path)
     assert again == cfg
+
+
+@pytest.mark.parametrize("doc", [
+    {"voxel_size": 0.03125},  # 1024 x 1024 x 256 voxels, 5 channels: 10 GiB
+    {"voxel_size": 0.0625},  # 1.25 GiB
+    {"voxel_size": 0.125, "num_classes": 32},  # 33 channels: one past the limit
+])
+def test_oversized_field_rejected_at_load(doc):
+    # Config load only: nothing is rendered, so nothing that size is allocated.
+    with pytest.raises(ConfigError, match="GiB"):
+        PipelineConfig.from_dict(doc)
+
+
+def test_field_at_the_limit_accepted():
+    cfg = PipelineConfig.from_dict({"voxel_size": 0.125, "num_classes": 31})
+    assert np.prod(cfg.grid_dims()) * (cfg.num_classes + 1) * 8 == MAX_FIELD_BYTES
 
 
 def test_downsample_ratio_scales_depth_grid(tmp_path):

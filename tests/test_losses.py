@@ -37,6 +37,47 @@ def lovasz_oracle(pred, gt):
     return sum(class_losses) / len(class_losses)
 
 
+def lovasz_full_sort(pred, gt):
+    """Every error sorted, dotted with the Jaccard gradient of the whole
+    order: the formula lovasz_softmax_loss must reproduce bit for bit.
+    Also returns the number of non-zero errors per class."""
+
+    def lovasz_gradient(gt_sorted):
+        gts = gt_sorted.sum()
+        intersection = gts - gt_sorted.cumsum()
+        union = gts + (1.0 - gt_sorted).cumsum()
+        jaccard = 1.0 - intersection / union
+        jaccard[1:] = jaccard[1:] - jaccard[:-1]
+        return jaccard
+
+    losses, nonzero = [], []
+    for c in np.unique(gt):
+        fg = (gt == c).astype(np.float64)
+        errors = np.abs(fg - pred[:, int(c)])
+        order = np.argsort(-errors, kind="stable")
+        losses.append(float(errors[order] @ lovasz_gradient(fg[order])))
+        nonzero.append(int(np.count_nonzero(errors)))
+    return float(np.mean(losses)), nonzero
+
+
+def tied_zero_error_case(rng, n, c=4):
+    """(pred, gt) with exact zero errors (one-hot rows), tied errors
+    (probabilities rounded to 1-3 decimals), a class no voxel gets wrong
+    (class 1: no non-zero error) and a class wrong everywhere (class 2: no
+    zero error)."""
+    gt = rng.integers(1, c, size=n)
+    gt[rng.random(n) < 0.3] = 0
+    pred = np.round(rng.dirichlet(np.ones(c), size=n), int(rng.integers(1, 4)))
+    one_hot = rng.random(n) < 0.4
+    pred[one_hot] = np.eye(c)[gt[one_hot]]
+    pred[:, 1] = gt == 1
+    pred[:, 2] = np.where(gt == 2, rng.uniform(0.05, 0.95, n).round(2), 0.5)
+    gt[0], gt[-1] = 1, 2  # both classes present
+    pred[[0, -1], 1] = [1.0, 0.0]
+    pred[-1, 2] = 0.5
+    return pred, gt
+
+
 class TestCrossEntropy:
     def test_perfect_one_hot(self):
         gt = np.array([0, 1, 2, 1])
@@ -93,6 +134,23 @@ class TestLovasz:
             got = lovasz_softmax_loss(pred, gt)
             want = lovasz_oracle(pred, gt.tolist())
             assert got == pytest.approx(want, abs=1e-6), pattern
+
+    def test_bitwise_equal_to_the_full_sort(self, rng):
+        # Only the non-zero errors are sorted; the loss must not move a bit.
+        for n in (2, 3, 7, 31, 32, 33, 100, 1000, 4099):
+            for _ in range(4):
+                pred, gt = tied_zero_error_case(rng, n)
+                want, nonzero = lovasz_full_sort(pred, gt)
+                assert lovasz_softmax_loss(pred, gt) == want
+                classes = np.unique(gt).tolist()
+                assert nonzero[classes.index(1)] == 0
+                assert nonzero[classes.index(2)] == n
+        for seed in range(20):  # untied, unrounded errors with exact zeros
+            r = np.random.default_rng(seed)
+            pred = r.dirichlet(np.ones(3), size=500)
+            gt = r.integers(0, 3, size=500)
+            pred[::3] = np.eye(3)[gt[::3]]
+            assert lovasz_softmax_loss(pred, gt) == lovasz_full_sort(pred, gt)[0]
 
     def test_per_class_term_bounded(self, rng):
         for _ in range(25):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gsocc import render
-from gsocc.core import GaussianSet
+from gsocc.core import S_MIN, GaussianSet
 from gsocc.render import render_grid, render_grid_bruteforce
 
 from conftest import random_gaussian_set
@@ -254,3 +257,59 @@ def test_field_does_not_depend_on_pair_budget(rng, monkeypatch, make_set):
     # The brute-force loop adds the same log1p(-a * phi) terms in the same
     # order, so the empty channel matches it bit for bit.
     assert np.array_equal(chunked.probs[..., 0], brute.probs[..., 0])
+
+
+@pytest.mark.parametrize("budget", [64, render._PAIR_BUDGET])
+@pytest.mark.parametrize("make_set", [_outside_grid, _oversized_box],
+                         ids=lambda f: f.__name__[1:])
+def test_chunks_bound_the_padded_pair_count(rng, monkeypatch, make_set, budget):
+    # Each chunk is evaluated over its largest box shape, so the budget bounds
+    # len(chunk) * prod(max extent), not the sum of the box sizes.
+    chunks = []
+
+    def recording_box_pairs(gs, rots, los, ext, idx, axes, dims):
+        chunks.append((ext, idx.copy()))
+        return box_pairs(gs, rots, los, ext, idx, axes, dims)
+
+    box_pairs = render._box_pairs
+    monkeypatch.setattr(render, "_box_pairs", recording_box_pairs)
+    monkeypatch.setattr(render, "_PAIR_BUDGET", budget)
+    render_grid(make_set(rng), TestRenderGrid.DIMS, TestRenderGrid.ORIGIN, TestRenderGrid.VOX)
+    for ext, idx in chunks:
+        assert len(idx) == 1 or len(idx) * ext[idx].max(axis=0).prod() <= budget
+    # The chunks cover exactly the Gaussians whose box holds a voxel, in order.
+    ext = chunks[0][0]
+    assert np.array_equal(np.concatenate([idx for _, idx in chunks]),
+                          np.flatnonzero(ext.all(axis=1)))
+
+
+@st.composite
+def valid_gaussian_sets(draw, num_classes=3):
+    n = draw(st.integers(1, 24))
+    quats = draw(arrays(np.float64, (n, 4), elements=st.floats(-1.0, 1.0)).filter(
+        lambda q: (np.linalg.norm(q, axis=1) > 0.1).all()))
+    gs = GaussianSet(
+        # The grid spans [-2, 2] x [-2, 2] x [-1, 1]: some means lie outside.
+        means=draw(arrays(np.float64, (n, 3), elements=st.floats(-4.0, 4.0))),
+        scales=draw(arrays(np.float64, (n, 3), elements=st.floats(S_MIN, 2.0))),
+        rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
+        opacities=draw(arrays(np.float64, n,
+                              elements=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))),
+        semantics=draw(arrays(np.float64, (n, num_classes), elements=st.floats(-20.0, 20.0))),
+        source_index=np.zeros((n, 3), dtype=np.uint32),
+    )
+    gs.validate()
+    return gs
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_gaussian_sets())
+def test_random_valid_sets_render_normalized_and_chunking_free(gs):
+    grid = (TestRenderGrid.DIMS, TestRenderGrid.ORIGIN, TestRenderGrid.VOX)
+    field = render_grid(gs, *grid)
+    assert np.isfinite(field.probs).all()
+    np.testing.assert_allclose(field.probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(render, "_PAIR_BUDGET", 64)
+        chunked = render_grid(gs, *grid)
+    assert np.array_equal(chunked.probs, field.probs)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -455,3 +456,24 @@ class TestConeCull:
         unit, _ = ray_hit_classes(scene, np.zeros(3), dirs[1:2] / np.linalg.norm(dirs[1]))
         scaled, _ = ray_hit_classes(scene, np.zeros(3), dirs[1:2])
         assert scaled[0] * np.linalg.norm(dirs[1]) == pytest.approx(unit[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_subnormal_direction_component_casts_like_zero(axis):
+    # 1 / 5e-324 overflows to inf: the cast must neither warn nor differ from
+    # the ray whose component is exactly 0.
+    tiny = np.array([[1.0, 0.5, -0.25], [0.3, -1.0, 0.1], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    tiny[:, axis] = 5e-324
+    zeroed = tiny.copy()
+    zeroed[:, axis] = 0.0
+    box = Box(center=np.array([0.0, 0.0, 0.0]), half_extents=np.array([1.0, 2.0, 0.75]),
+              yaw=0.0, class_id=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for o in ([0.2, -0.3, 0.1], [5.0, 0.5, 0.2], [0.5, 6.0, -3.0], [0.0, 0.0, 0.5]):
+            o = np.asarray(o)
+            np.testing.assert_array_equal(box.ray_hits(o, tiny), box.ray_hits(o, zeroed))
+            for scene in (generate_scene(7), scene_of(box, ground_z=-1.0)):
+                for got, want in zip(ray_hit_classes(scene, o, tiny),
+                                     ray_hit_classes(scene, o, zeroed)):
+                    np.testing.assert_array_equal(got, want)
