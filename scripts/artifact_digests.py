@@ -10,10 +10,19 @@ from the repository root of two checkouts and diff the outputs to check
 that a change keeps every artifact byte-identical:
 
     python3 scripts/artifact_digests.py > digests.txt
+
+or compare this checkout's digests with a saved list in one command:
+
+    python3 scripts/artifact_digests.py --against digests.txt
+
+With `--against FILE` it prints, instead of the list, every file whose
+digest differs from FILE or that only one side lists, then a count, and
+exits 1 if there is any.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import sys
@@ -34,10 +43,26 @@ def load_workloads() -> dict:
     return module.WORKLOADS
 
 
-def print_digests(name: str, out: Path) -> None:
+def digests(name: str, out: Path) -> list:
+    """One "<name> <file> <sha256>" line per file under `out`, sorted."""
+    lines = []
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{name} {path.relative_to(out).as_posix()} {digest}")
+        lines.append(f"{name} {path.relative_to(out).as_posix()} {digest}")
+    return lines
+
+
+def compare(lines: list, saved: list) -> int:
+    """Print each file whose digest in `lines` differs from `saved` or that
+    only one of them lists ("-" for the other), then a count; returns it."""
+    want = dict(line.rsplit(" ", 1) for line in saved if line.strip())
+    got = dict(line.rsplit(" ", 1) for line in lines)
+    keys = [*want, *(k for k in got if k not in want)]
+    bad = [k for k in keys if want.get(k) != got.get(k)]
+    for k in bad:
+        print(f"{k} saved {want.get(k, '-')} run {got.get(k, '-')}")
+    print(f"{len(bad)} of {len(keys)} digests differ")
+    return len(bad)
 
 
 def run_cli_init(out: Path) -> None:
@@ -58,20 +83,28 @@ def run_cli_init(out: Path) -> None:
     step("init", "--scene", scene, "--depths", *depths, "--output", str(out / "gaussians_init.gsb"))
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, help="saved digest list to compare with")
+    args = parser.parse_args(argv)
+    saved = args.against.read_text().splitlines() if args.against else None
     configs = {"default": {}, "dump-probs": {"dump_probs": True}, **load_workloads()}
     sys.path.insert(0, str(ROOT / "src"))
     from gsocc.pipeline import PipelineConfig, run_pipeline
 
+    lines = []
     for name, doc in configs.items():
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             run_pipeline(PipelineConfig.from_dict({**doc, "seed": SEED, "out_dir": str(out)}))
-            print_digests(name, out)
+            lines += digests(name, out)
     with tempfile.TemporaryDirectory() as tmp:
         run_cli_init(Path(tmp))
-        print_digests("cli-init", Path(tmp))
-    return 0
+        lines += digests("cli-init", Path(tmp))
+    if saved is None:
+        print("\n".join(lines))
+        return 0
+    return 1 if compare(lines, saved) else 0
 
 
 if __name__ == "__main__":

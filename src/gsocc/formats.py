@@ -17,6 +17,10 @@ All binary formats are little-endian:
     u8 labels in (X, Y, Z) C-order, then optionally f32 probabilities
     of shape (X, Y, Z, C+1) when has_probs is 1.
 
+The GSB1 reader returns each field of the set as its own C-contiguous
+float64 array, converted straight from the f32 records, so later passes
+over means or semantics do not stride across whole records.
+
 Readers raise ConfigError naming the file when its length differs from
 what the header implies, its class count C lies outside [1, 255] (class
 ids are u8 labels), or its content breaks the invariants of the type it
@@ -77,15 +81,19 @@ def _invalid_content(path):
 
 def write_gaussian_set(path, gs: GaussianSet) -> None:
     p, c = len(gs), gs.num_classes
-    rec = np.concatenate(
-        [gs.means, gs.scales, gs.rotations, gs.opacities[:, None], gs.semantics], axis=1
-    ).astype("<f4")
-    prov = gs.source_index.astype("<u4")
+    # Slice assignment rounds float64 to f32 as astype does; the arrays go
+    # to the file through the buffer protocol, without a bytes copy.
+    rec = np.empty((p, 11 + c), dtype="<f4")
+    rec[:, 0:3] = gs.means
+    rec[:, 3:6] = gs.scales
+    rec[:, 6:10] = gs.rotations
+    rec[:, 10] = gs.opacities
+    rec[:, 11:] = gs.semantics
     with open(path, "wb") as f:
         f.write(GSB_MAGIC)
         f.write(struct.pack("<II", p, c))
-        f.write(rec.tobytes())
-        f.write(prov.tobytes())
+        f.write(rec)
+        f.write(np.ascontiguousarray(gs.source_index, dtype="<u4"))
 
 
 def read_gaussian_set(path) -> GaussianSet:
@@ -100,15 +108,17 @@ def read_gaussian_set(path) -> GaussianSet:
         rec = np.frombuffer(f.read(p * width * 4), dtype="<f4").reshape(p, width)
         prov = np.frombuffer(f.read(p * 3 * 4), dtype="<u4").reshape(p, 3)
     with np.errstate(invalid="ignore"):  # a signaling NaN; validate() rejects it
-        rec = rec.astype(np.float64)
-    gs = GaussianSet(
-        means=rec[:, 0:3],
-        scales=rec[:, 3:6],
-        rotations=rec[:, 6:10],
-        opacities=rec[:, 10],
-        semantics=rec[:, 11:],
-        source_index=prov.astype(np.uint32),
-    )
+        fields = {
+            name: np.ascontiguousarray(rec[:, cols], dtype=np.float64)
+            for name, cols in (
+                ("means", slice(0, 3)),
+                ("scales", slice(3, 6)),
+                ("rotations", slice(6, 10)),
+                ("opacities", 10),
+                ("semantics", slice(11, None)),
+            )
+        }
+    gs = GaussianSet(**fields, source_index=prov.astype(np.uint32))
     with _invalid_content(path):
         gs.validate()
     return gs

@@ -12,6 +12,15 @@ within the threshold. TP/FP/FN are counted per class with np.bincount, and
 the per-class IoUs are averaged in ascending class order. Voxels labeled
 `unknown_id` are excluded from voxel metrics and are transparent to the ray
 march.
+
+Perc./Dist. find each mean's gt voxel by floor. The voxels are the Voronoi
+cells of their center lattice, so a mean in an occupied voxel has its
+nearest occupied center within the 2x2x2 block of that voxel and its
+neighbours on the mean's side: every other center is farther than the own
+one by at least voxel_size^2 in squared distance. Such means take the
+minimum over those <= 8 centers, computed with the KD-tree's center values
+and distance formula, so the result is bitwise the tree's; the KD-tree
+answers every other mean. `unknown_id` voxels count as empty.
 """
 
 from __future__ import annotations
@@ -176,12 +185,67 @@ def ray_iou(
     return out
 
 
-def occupied_voxel_centers(gt: OccupancyGrid, unknown_id: int | None = None) -> np.ndarray:
-    occ = gt.labels != gt.empty_id
-    if unknown_id is not None:
-        occ &= gt.labels != unknown_id
-    idx = np.argwhere(occ)
-    return np.asarray(gt.origin) + (idx + 0.5) * gt.voxel_size
+# Means per pass of the own-voxel route; keeps its temporaries in cache.
+_CHUNK = 1 << 14
+
+
+def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray, workers: int):
+    """(occupied, dist) of (P, 3) `means` against the voxels of `gt` that the
+    (X, Y, Z) bool mask `occ` marks occupied.
+
+    occupied (P,) tells whether a mean's containing voxel (by floor) is
+    occupied; dist (P,) is its distance to the nearest occupied voxel
+    center, bitwise what `cKDTree(centers).query(means)[0]` returns. A mean
+    in an occupied voxel takes the own-voxel route (see `init_quality`);
+    every other mean is queried in the KD-tree on `workers` threads.
+    """
+    origin = np.asarray(gt.origin, dtype=np.float64)
+    vs = gt.voxel_size
+    dims = np.asarray(gt.dims)
+    # Occupancy and center coordinates with two empty voxels around the
+    # grid. An out-of-grid or NaN mean is clipped onto the inner ring, which
+    # reads as empty, and its neighbour indices stay in the padded arrays;
+    # the tree query answers it (and rejects a non-finite one).
+    flat = np.pad(occ, 2).ravel()
+    strides = np.array([(dims[1] + 4) * (dims[2] + 4), dims[2] + 4, 1])
+    centers = [origin[a] + (np.arange(-2, dims[a] + 2) + 0.5) * vs for a in range(3)]
+    occupied = np.empty(len(means), dtype=bool)
+    dist = np.empty(len(means))
+    for lo in range(0, len(means), _CHUNK):
+        p = np.ascontiguousarray(means[lo : lo + _CHUNK].T)
+        k = np.floor((p - origin[:, None]) / vs)
+        k = (np.fmin(np.fmax(k, -1), dims[:, None]) + 2).astype(np.intp)
+        base = (k[0] * strides[0] + k[1] * strides[1]) + k[2]
+        occupied[lo : lo + _CHUNK] = flat[base]
+        # Per axis: squared offsets to the own center and to the neighbour
+        # center on the mean's side, and the flat step to that neighbour.
+        sq, step = [], []
+        for a in range(3):
+            d = p[a] - centers[a][k[a]]
+            side = np.where(d >= 0, 1, -1)
+            e = p[a] - centers[a][k[a] + side]
+            sq.append((d * d, e * e))
+            step.append(side * strides[a])
+        # cKDTree's sum (dx*dx + dy*dy) + dz*dz over the 8 block centers,
+        # the own one first; a neighbour counts only if it is occupied.
+        best = None
+        for bx in (0, 1):
+            ix = base + step[0] if bx else base
+            for by in (0, 1):
+                ixy = ix + step[1] if by else ix
+                sxy = sq[0][bx] + sq[1][by]
+                for bz in (0, 1):
+                    cand = sxy + sq[2][bz]
+                    if best is None:
+                        best = cand
+                    else:
+                        np.minimum(best, cand, out=best, where=flat[ixy + step[2] if bz else ixy])
+        np.sqrt(best, out=dist[lo : lo + _CHUNK])
+    rest = ~occupied
+    if rest.any():
+        tree = cKDTree(origin + (np.argwhere(occ) + 0.5) * vs)
+        dist[rest] = tree.query(means[rest], workers=min(workers, os.cpu_count() or 1))[0]
+    return occupied, dist
 
 
 def init_quality(
@@ -191,29 +255,33 @@ def init_quality(
 
     perc: percentage of Gaussians whose containing gt voxel is non-empty
     (out-of-grid means count as unoccupied). dist: mean Euclidean distance
-    from each mean to the nearest occupied voxel center (exact nearest-
-    neighbor query over the occupied centers, on at most `workers` threads;
-    the result does not depend on it).
+    from each mean to the nearest occupied voxel center, exact.
+
+    The voxels are the Voronoi cells of their center lattice. For a mean p
+    in voxel q with offset d = p - c_q (|d_a| <= s/2 up to the rounding of
+    the floor, far below s^2; s the voxel size),
+    any center outside the 2x2x2 block of q and its neighbours on the side
+    of d (per axis the sign of d_a, + at 0) is farther from p than c_q by
+    at least s^2 in squared distance. So when q is occupied the nearest
+    occupied center lies in that block, and the minimum over its occupied,
+    in-grid centers is the answer. Those distances use the tree's centers
+    origin + (idx + 0.5) * voxel_size and cKDTree's own formula
+    sqrt((dx*dx + dy*dy) + dz*dz), so they equal the tree query bit for
+    bit. Every other mean goes to the KD-tree on at most `workers`
+    threads. Both routes fill one (P,) array in input order, so the mean
+    sums the same values in the same order as one full tree query, and
+    neither perc nor dist depends on `workers`.
     """
-    centers = occupied_voxel_centers(gt, unknown_id)
-    if centers.shape[0] == 0:
+    occ = gt.labels != gt.empty_id
+    if unknown_id is not None:
+        occ &= gt.labels != unknown_id
+    if not occ.any():
         raise UndefinedMetricError("ground truth grid has no occupied voxel")
     if len(gs) == 0:
         raise UndefinedMetricError("no Gaussians to score")
-    origin = np.asarray(gt.origin, dtype=np.float64)
-    idx = np.floor((gs.means - origin) / gt.voxel_size).astype(np.int64)
-    dims = np.asarray(gt.dims)
-    inside = ((idx >= 0) & (idx < dims)).all(axis=1)
-    occupied = np.zeros(len(gs), dtype=bool)
-    ii = idx[inside]
-    occ_mask = gt.labels != gt.empty_id
-    if unknown_id is not None:
-        occ_mask = occ_mask & (gt.labels != unknown_id)
-    occupied[inside] = occ_mask[ii[:, 0], ii[:, 1], ii[:, 2]]
+    occupied, dist = _nearest_occupied(gs.means, gt, occ, workers)
     perc = 100.0 * float(np.count_nonzero(occupied)) / len(gs)
-    workers = min(workers, os.cpu_count() or 1)
-    dist = float(cKDTree(centers).query(gs.means, workers=workers)[0].mean())
-    return perc, dist
+    return perc, float(dist.mean())
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,12 @@ REFINE_MODES = ("off", "zero", "oracle-snap")
 # about twice that at its peak.
 MAX_FIELD_BYTES = 1 << 30
 
+# Most pixels over all cameras of the rig accepted at config load. Every
+# pixel casts a ray and may become a Gaussian: the float64 init set holds
+# about 132 bytes per Gaussian with four classes, about 1 GiB at this
+# limit (7x dense-rig).
+MAX_RIG_PIXELS = 1 << 23
+
 
 @dataclass
 class PipelineConfig:
@@ -105,10 +111,17 @@ class PipelineConfig:
             raise ConfigError("noise_std must be >= 0")
         if self.downsample < 1:
             raise ConfigError("downsample ratio must be >= 1")
-        if any(cam.height < 1 or cam.width < 1 for cam in self.cameras()):
+        cams = self.cameras()
+        if any(cam.height < 1 or cam.width < 1 for cam in cams):
             raise ConfigError(
                 f"resolution {list(self.resolution)} / downsample {self.downsample}"
                 " leaves a camera without pixels"
+            )
+        pixels = sum(cam.height * cam.width for cam in cams)
+        if pixels > MAX_RIG_PIXELS:
+            raise ConfigError(
+                f"{len(cams)} cameras of {cams[0].height}x{cams[0].width} pixels cast"
+                f" {pixels} rays; the limit is {MAX_RIG_PIXELS} pixels over the rig"
             )
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")

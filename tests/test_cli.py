@@ -6,7 +6,7 @@ import pytest
 from gsocc import synth
 from gsocc.cli import main
 from gsocc.errors import ConfigError
-from gsocc.pipeline import MAX_FIELD_BYTES, PipelineConfig, _Stage, run_pipeline
+from gsocc.pipeline import MAX_FIELD_BYTES, MAX_RIG_PIXELS, PipelineConfig, _Stage, run_pipeline
 
 SMALL_CONFIG = {
     "seed": 7,
@@ -296,6 +296,23 @@ def test_oversized_field_rejected_at_load(doc):
 def test_field_at_the_limit_accepted():
     cfg = PipelineConfig.from_dict({"voxel_size": 0.125, "num_classes": 31})
     assert np.prod(cfg.grid_dims()) * (cfg.num_classes + 1) * 8 == MAX_FIELD_BYTES
+
+
+@pytest.mark.parametrize("doc", [
+    {"resolution": [1024, 1366]},  # 6 cameras: 8 392 704 pixels, 4096 past the limit
+    {"resolution": [1 << 20, 1 << 20]},
+    {"resolution": [4096, 5464], "downsample": 2},
+])
+def test_oversized_rig_rejected_at_load(doc):
+    # Config load only: no pixel ray or depth map is built.
+    with pytest.raises(ConfigError, match=f"limit is {MAX_RIG_PIXELS} pixels"):
+        PipelineConfig.from_dict(doc)
+
+
+def test_rig_at_the_limit_accepted():
+    for doc in ({"resolution": [1024, 1365]}, {"resolution": [4096, 5460], "downsample": 4}):
+        pixels = sum(cam.height * cam.width for cam in PipelineConfig.from_dict(doc).cameras())
+        assert MAX_RIG_PIXELS - 6 * 1024 < pixels <= MAX_RIG_PIXELS
 
 
 def test_downsample_ratio_scales_depth_grid(tmp_path):

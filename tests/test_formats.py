@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsocc.core import DepthMap, OccupancyGrid
+from gsocc.core import DepthMap, GaussianSet, OccupancyGrid
 from gsocc.errors import ConfigError
 from gsocc.formats import (
     GSB_MAGIC,
@@ -19,6 +19,7 @@ from gsocc.formats import (
     write_gaussian_set,
     write_occupancy,
 )
+from gsocc.pipeline import PipelineConfig, write_depths, write_init, write_scene
 
 from conftest import random_gaussian_set
 
@@ -44,6 +45,52 @@ class TestGSB1:
         assert (p, c) == (3, 2)
         record_floats = 3 + 3 + 4 + 1 + 2
         assert len(raw) == 16 + p * record_floats * 4 + p * 12
+
+    def test_reader_returns_contiguous_unshared_fields(self, tmp_path, rng):
+        path = tmp_path / "set.gsb"
+        write_gaussian_set(path, random_gaussian_set(rng, 50, num_classes=4))
+        gs = read_gaussian_set(path)
+        fields = [gs.means, gs.scales, gs.rotations, gs.opacities, gs.semantics, gs.source_index]
+        for f in fields:
+            assert f.flags.c_contiguous and f.flags.owndata
+        assert all(f.dtype == np.float64 for f in fields[:5])
+        for i, a in enumerate(fields):
+            for b in fields[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("layout", ["views", "fortran", "empty"])
+    def test_writer_bytes_equal_concatenated_records(self, tmp_path, rng, layout):
+        p, c = (0, 3) if layout == "empty" else (41, 3)
+        # Values that round in f32 (ties to even included), and signed zeros.
+        big = rng.standard_normal((2 * p, 16)) * 10.0 ** rng.integers(-8, 8, (2 * p, 16))
+        big[::5, ::3] = -0.0
+        big[1::7, 1::4] = 1.0 + 2.0**-24
+        prov = rng.integers(0, 2**32, size=(2 * p, 6), dtype=np.uint64).astype(np.uint32)
+        if layout == "fortran":
+            cols = [np.asfortranarray(big[:p, a:b]) for a, b in ((0, 3), (3, 6), (6, 10))]
+            opac = big[:p, 10].copy()
+            sem, src = np.asfortranarray(big[:p, 11:14]), np.asfortranarray(prov[:p, :3])
+        else:
+            cols = [big[::2, a:b] for a, b in ((0, 3), (3, 6), (6, 10))]
+            opac, sem, src = big[::2, 10], big[::2, 11:14], prov[::2, ::2]
+        gs = GaussianSet(*cols, opacities=opac, semantics=sem, source_index=src)
+        path = tmp_path / "set.gsb"
+        write_gaussian_set(path, gs)
+        old = (
+            GSB_MAGIC
+            + struct.pack("<II", p, c)
+            + np.concatenate([*cols, opac[:, None], sem], axis=1).astype("<f4").tobytes()
+            + src.astype("<u4").tobytes()
+        )
+        assert path.read_bytes() == old
+
+    def test_pipeline_init_set_rewrites_identically(self, tmp_path):
+        config = PipelineConfig.from_dict({"seed": 7, "resolution": [24, 32], "focal": 16.0})
+        scene = write_scene(config, tmp_path / "scene.json")
+        depths, _, classes = write_depths(config, scene, lambda name: tmp_path / name)
+        assert len(write_init(config, classes, depths, tmp_path / "init.gsb")) > 1000
+        write_gaussian_set(tmp_path / "again.gsb", read_gaussian_set(tmp_path / "init.gsb"))
+        assert (tmp_path / "again.gsb").read_bytes() == (tmp_path / "init.gsb").read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.gsb"

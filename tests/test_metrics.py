@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from gsocc.core import CameraModel, OccupancyGrid
 from gsocc.errors import ShapeError, UndefinedMetricError
-from gsocc.metrics import first_hits, init_quality, iou_miou, ray_iou
+from gsocc.metrics import _CHUNK, _nearest_occupied, first_hits, init_quality, iou_miou, ray_iou
 from gsocc.synth import look_rotation
 
 from conftest import random_gaussian_set
@@ -306,3 +309,102 @@ class TestInitQuality:
         grid = grid_of(np.zeros((4, 4, 4), dtype=np.uint8))
         with pytest.raises(UndefinedMetricError):
             init_quality(random_gaussian_set(rng, 5), grid)
+
+
+def lattice_means(rng, grid, n, f32=False):
+    """n means over the grid and one voxel around it. Each component is
+    random, on a voxel face plane, or one ulp above or below that plane, so
+    means lie on faces, edges and corners and just off them."""
+    vs = grid.voxel_size
+    lo = grid.origin - vs
+    hi = grid.origin + (np.asarray(grid.dims) + 1) * vs
+    m = rng.uniform(lo, hi, size=(n, 3))
+    face = grid.origin + np.round((m - grid.origin) / vs) * vs
+    pick = rng.integers(0, 4, size=(n, 3))
+    m = np.where(pick == 1, face, m)
+    m = np.where(pick == 2, np.nextafter(face, np.inf), m)
+    m = np.where(pick == 3, np.nextafter(face, -np.inf), m)
+    return m.astype(np.float32).astype(np.float64) if f32 else m
+
+
+def assert_matches_tree(means, grid, unknown_id=None):
+    """The own-voxel route and the tree agree bit for bit, per mean and in
+    the mean; returns how many means took the own-voxel route."""
+    occ = grid.labels != grid.empty_id
+    if unknown_id is not None:
+        occ &= grid.labels != unknown_id
+    centers = grid.origin + (np.argwhere(occ) + 0.5) * grid.voxel_size
+    want = cKDTree(centers).query(means)[0]  # the full tree query
+    occupied, got = _nearest_occupied(means, grid, occ, workers=1)
+    np.testing.assert_array_equal(got, want)
+    gs = dataclasses.replace(random_gaussian_set(np.random.default_rng(0), len(means)), means=means)
+    perc, dist = init_quality(gs, grid, unknown_id)
+    assert dist == want.mean()
+    assert perc == 100.0 * np.count_nonzero(occupied) / len(means)
+    return int(np.count_nonzero(occupied))
+
+
+class TestOwnVoxelRoute:
+    """The own-voxel route of Dist. returns the KD-tree's distances exactly."""
+
+    @pytest.mark.parametrize("voxel_size", [0.3, 1 / 3, 0.5, 0.1])
+    @pytest.mark.parametrize(
+        "origin", [(0.0, 0.0, 0.0), (-16.3, -16.3, -4.1), (1000.1, -2000.7, 50.3)]
+    )
+    @pytest.mark.parametrize("f32", [False, True])
+    def test_lattice_means_match_tree(self, rng, voxel_size, origin, f32):
+        for density in (0.05, 0.3, 0.8):
+            labels = (rng.random((7, 6, 5)) < density).astype(np.uint8) * 2
+            labels[3, 3, 2] = 2
+            grid = grid_of(labels, origin=origin, voxel_size=voxel_size)
+            own = assert_matches_tree(lattice_means(rng, grid, 3000, f32), grid)
+            assert 0 < own < 3000
+
+    def test_unknown_voxels_next_to_occupied_count_as_empty(self, rng):
+        labels = rng.integers(0, 4, size=(8, 8, 4)).astype(np.uint8)
+        grid = grid_of(labels, origin=(-2.3, 0.7, -1.0), voxel_size=0.3)
+        means = lattice_means(rng, grid, 4000)
+        assert assert_matches_tree(means, grid, unknown_id=3) > 0
+        assert assert_matches_tree(means, grid, unknown_id=1) > 0
+
+    def test_boundary_voxels_whose_near_neighbour_is_outside(self, rng):
+        labels = np.zeros((5, 5, 5), dtype=np.uint8)
+        labels[[0, -1], :, :] = labels[:, [0, -1], :] = labels[:, :, [0, -1]] = 1
+        grid = grid_of(labels, origin=(-16.3, 3.1, 1000.1), voxel_size=1 / 3)
+        # Offsets toward the outside of the grid from each boundary center.
+        q = np.argwhere(labels == 1)[rng.integers(0, np.count_nonzero(labels), 3000)]
+        outward = np.where(q == 0, -1.0, np.where(q == 4, 1.0, 0.0))
+        sign = np.where(outward == 0, rng.choice([-1, 1], q.shape), outward)
+        off = rng.uniform(0.0, 0.5, size=q.shape) * sign
+        means = grid.origin + (q + 0.5 + off) * grid.voxel_size
+        assert assert_matches_tree(means, grid) > 2000
+
+    def test_single_occupied_voxel(self, rng):
+        labels = np.zeros((4, 5, 3), dtype=np.uint8)
+        labels[1, 4, 0] = 2
+        grid = grid_of(labels, origin=(7.7, -3.3, 0.1), voxel_size=0.3)
+        assert assert_matches_tree(lattice_means(rng, grid, 3000, f32=True), grid) > 0
+
+    def test_fully_occupied_grid(self, rng):
+        labels = np.ones((6, 4, 3), dtype=np.uint8)
+        grid = grid_of(labels, origin=(-1.9, 2.2, -0.4), voxel_size=1 / 3)
+        means = lattice_means(rng, grid, 3000)
+        occupied, _ = _nearest_occupied(means, grid, grid.labels == 1, workers=1)
+        idx = np.floor((means - grid.origin) / grid.voxel_size)
+        assert np.array_equal(occupied, ((idx >= 0) & (idx < grid.dims)).all(axis=1))
+        assert assert_matches_tree(means, grid) == np.count_nonzero(occupied) > 500
+
+    def test_more_means_than_one_pass(self, rng):
+        labels = (rng.random((16, 16, 8)) < 0.9).astype(np.uint8) * 3
+        grid = grid_of(labels, origin=(-8.1, -8.1, -4.1), voxel_size=0.3)
+        means = lattice_means(rng, grid, 3 * _CHUNK + 123, f32=True)
+        assert assert_matches_tree(means, grid) > _CHUNK
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_goes_to_the_tree(self, rng, bad):
+        grid = grid_of(np.ones((4, 4, 4), dtype=np.uint8))
+        gs = random_gaussian_set(rng, 3)
+        means = np.array([[0.5, 0.5, 0.5], [bad, 1.0, 1.0], [2.5, 1.5, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            init_quality(dataclasses.replace(gs, means=means), grid)
+
