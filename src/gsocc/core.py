@@ -131,19 +131,6 @@ class GaussianSet:
             raise ValueError(f"scale components must be finite and >= s_min={S_MIN}")
 
 
-def concat_gaussian_sets(sets: list) -> GaussianSet:
-    if not sets:
-        raise ValueError("need at least one GaussianSet")
-    return GaussianSet(
-        means=np.concatenate([s.means for s in sets]),
-        scales=np.concatenate([s.scales for s in sets]),
-        rotations=np.concatenate([s.rotations for s in sets]),
-        opacities=np.concatenate([s.opacities for s in sets]),
-        semantics=np.concatenate([s.semantics for s in sets]),
-        source_index=np.concatenate([s.source_index for s in sets]),
-    )
-
-
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole camera: intrinsics in pixels plus a camera-to-world pose.

@@ -14,7 +14,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import CameraModel, GaussianSet, concat_gaussian_sets
+from .core import CameraModel, GaussianSet
 from .errors import ShapeError
 
 
@@ -65,23 +65,22 @@ def unproject_pixels(
     return cam.origin + np.asarray(depths, dtype=np.float64)[:, None] * v
 
 
-def _init_one_view(view, cam, depth_map, attrs):
-    valid = depth_map.valid
+def _init_one_view(view, cam, depth_map, valid, attrs, out, start):
+    """Writes the Gaussians of one view's `valid` pixels into rows
+    start, start + 1, ... of the preallocated set `out`."""
     rows, cols = np.nonzero(valid)  # row-major raster order
-    means = unproject_pixels(cam, rows, cols, depth_map.depth[valid])
-    scales, rotations, opacities, logits = attrs(view, rows, cols)
-    prov = np.stack(
-        [np.full(len(rows), view, dtype=np.uint32), rows.astype(np.uint32), cols.astype(np.uint32)],
-        axis=1,
-    )
-    return GaussianSet(
-        means=means,
-        scales=np.asarray(scales, dtype=np.float64),
-        rotations=np.asarray(rotations, dtype=np.float64),
-        opacities=np.asarray(opacities, dtype=np.float64),
-        semantics=np.asarray(logits, dtype=np.float64),
-        source_index=prov,
-    )
+    block = slice(start, start + len(rows))
+    out.means[block] = unproject_pixels(cam, rows, cols, depth_map.depth[valid])
+    fields = ("scales", "rotations", "opacities", "semantics")
+    for name, value in zip(fields, attrs(view, rows, cols)):
+        dst = getattr(out, name)[block]
+        if np.shape(value) != dst.shape:
+            raise ShapeError(
+                f"view {view}: attribute provider returned {name} of shape "
+                f"{np.shape(value)}, expected {dst.shape}"
+            )
+        dst[...] = value
+    out.source_index[block] = np.stack([np.full(len(rows), view), rows, cols], axis=1)
 
 
 def init_gaussians(
@@ -95,7 +94,8 @@ def init_gaussians(
     Emits primitives in (view, row, col) raster order with provenance
     recorded; pixels whose depth is the no-return sentinel are skipped.
     Per-view work may run on `n_workers` threads; each view writes its own
-    block, so the result is identical for any worker count.
+    block of one preallocated set, so the result is identical for any
+    worker count.
     """
     if len(cams) != len(depths):
         raise ShapeError(f"{len(cams)} cameras but {len(depths)} depth maps")
@@ -105,12 +105,23 @@ def init_gaussians(
                 f"view {i}: depth map {dm.depth.shape} does not match "
                 f"camera grid {(cam.height, cam.width)}"
             )
-    if not cams:
-        return GaussianSet.empty(attrs.num_classes)
-    jobs = list(enumerate(zip(cams, depths)))
+    valid = [dm.valid for dm in depths]
+    starts = np.cumsum([0] + [int(np.count_nonzero(v)) for v in valid])
+    p, c = int(starts[-1]), attrs.num_classes
+    out = GaussianSet(
+        means=np.empty((p, 3)),
+        scales=np.empty((p, 3)),
+        rotations=np.empty((p, 4)),
+        opacities=np.empty(p),
+        semantics=np.empty((p, c)),
+        source_index=np.empty((p, 3), dtype=np.uint32),
+    )
+    jobs = [(i, cam, dm, v, attrs, out, int(start))
+            for i, (cam, dm, v, start) in enumerate(zip(cams, depths, valid, starts))]
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(lambda j: _init_one_view(j[0], *j[1], attrs), jobs))
+            list(pool.map(lambda job: _init_one_view(*job), jobs))
     else:
-        parts = [_init_one_view(i, cam, dm, attrs) for i, (cam, dm) in jobs]
-    return concat_gaussian_sets(parts)
+        for job in jobs:
+            _init_one_view(*job)
+    return out

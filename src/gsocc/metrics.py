@@ -75,6 +75,15 @@ def iou_miou(
     return iou, miou, per_class
 
 
+def _opaque_table(labels, clear):
+    """(lo, opaque): the bool table opaque[label - lo] is False for the labels
+    in `clear` and True for every other label of the grid `labels`."""
+    lo = int(labels.min(initial=0))
+    opaque = np.ones(int(labels.max(initial=0)) - lo + 1, dtype=bool)
+    opaque[[c - lo for c in clear if 0 <= c - lo < len(opaque)]] = False
+    return lo, opaque
+
+
 def first_hits(label_grids, origin, voxel_size, o, v, transparent):
     """First non-transparent voxel of every ray in each of several label grids.
 
@@ -120,14 +129,15 @@ def first_hits(label_grids, origin, voxel_size, o, v, transparent):
     t_max = np.where(moving, (boundary - o) / v_safe, np.inf)
     t_delta = np.where(moving, voxel_size / np.abs(v_safe), np.inf)
 
+    tables = [_opaque_table(labels, clear) for labels, clear in zip(label_grids, transparent)]
     t_hit = np.full((len(label_grids), inside.size), np.nan)
     lab_hit = np.full(t_hit.shape, -1, dtype=np.int64)
     while ray.size:
         done = np.ones(ray.size, dtype=bool)
-        for g, labels in enumerate(label_grids):
+        for g, (labels, (lo, opaque)) in enumerate(zip(label_grids, tables)):
             pending = lab_hit[g, ray] < 0
             lab = labels[idx[:, 0], idx[:, 1], idx[:, 2]]
-            new = pending & ~np.isin(lab, list(transparent[g]))
+            new = pending & opaque[lab.astype(np.int64) - lo if lo else lab]
             lab_hit[g, ray[new]] = lab[new]
             t_hit[g, ray[new]] = t_entry[new]
             done &= new | ~pending

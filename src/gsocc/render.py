@@ -13,6 +13,15 @@ Occupancy is evaluated at voxel centers, one sample per voxel. The product
 is accumulated in log space (sum of log1p(-a * phi)) for stability with many
 overlapping primitives.
 
+The Mahalanobis term is m^2 = y0^2 + y1^2 + y2^2 with y = R^T (x - mean) / s,
+and is built from per-axis vectors rather than a matrix product: for the
+voxel-center offsets d_a along axis a, the terms p_a,k = (d_a * R_ak) / s_k
+are small vectors, and y_k = (p_0,k[x] + p_1,k[y]) + p_2,k[z] is one
+broadcast add, summed as m^2 = (y0^2 + y1^2) + y2^2. Only elementwise IEEE
+operations are used, so the field does not depend on the BLAS kernel. Where
+R has only 0 and +-1 entries (the identity, 180-degree turns), each y_k is
+exactly +-d_a / s_k.
+
 The grid renderer evaluates each Gaussian only over its box: per axis, the
 voxel indices from floor to ceil of the exact 3-sigma axis bound
 mean +- 3 sqrt(Sigma_kk), clipped to the grid. The nearest voxel outside that
@@ -20,15 +29,17 @@ range has its center half a voxel beyond the bound, so every voxel with
 m^2 <= 9 is visited and the result matches the all-pairs reference to
 rounding. There is no loop over Gaussians. Those whose box holds a voxel are
 walked in index order in contiguous chunks, and each chunk is one dense array
-over its largest box shape (the per-axis maximum extent), with the voxels
-outside a Gaussian's own box masked out. A chunk holds at most _PAIR_BUDGET
-such padded (Gaussian, voxel) pairs, which bounds the working memory; a
-Gaussian whose box alone is larger forms a chunk of its own. The kept pairs
-come out in ascending Gaussian order and are added with np.add.at: one call
-each for the log-occupancy and the density sum, and one per class into the
-class-major (C, X, Y, Z) numerator. Every voxel thus sums its terms in
-Gaussian order with the same float operations as a per-Gaussian loop, and the
-field is bit-identical whatever the chunking.
+over its largest box shape (the per-axis maximum extent). Per-axis terms past
+a Gaussian's own box are +inf, so m^2 there is +inf and the cutoff test
+drops them. A chunk holds at most _PAIR_BUDGET such padded (Gaussian, voxel)
+pairs, which bounds the working memory; a Gaussian whose box alone is larger
+forms a chunk of its own. The kept pairs come out in ascending Gaussian order
+and are added with np.add.at: one call each for the log-occupancy and the
+density sum, and one per class into the class-major (C, X, Y, Z) numerator.
+Every voxel thus sums its terms in Gaussian order with the same float
+operations as a per-Gaussian loop, and the field is bit-identical whatever
+the chunking. The all-pairs reference, render_grid_bruteforce, uses the same
+m^2 formula over the whole grid, one Gaussian at a time.
 """
 
 from __future__ import annotations
@@ -46,8 +57,9 @@ _CUTOFF_SQ = CUTOFF * CUTOFF
 _DENSITY_NORM = (2.0 * np.pi) ** 1.5
 
 # Most padded (Gaussian, voxel) pairs render_grid evaluates at once: about
-# 72 bytes of working memory each, 4.5 MiB in all. On the fine-grid benchmark
-# render, 1 << 14 and 1 << 18 were both slower.
+# 24 bytes of working memory each (tracemalloc peak of one chunk), 1.5 MiB in
+# all. On the fine-grid benchmark render, 1 << 14 and 1 << 18 were both
+# slower.
 _PAIR_BUDGET = 1 << 16
 
 
@@ -89,16 +101,23 @@ def _axis_centers(origin, voxel_size, dims):
 
 
 def _finalize(log_keep, sem_num, sem_den, origin, voxel_size):
+    """The field from the accumulators; the class-major (C, X, Y, Z)
+    numerator `sem_num` is overwritten with the class channels."""
     alpha = -np.expm1(log_keep)
-    c = sem_num.shape[-1]
-    # Filled in place, so probs is the only (X, Y, Z, C)-sized result: the
-    # empty channel, then alpha times the class split (uniform where no
-    # Gaussian covers the voxel).
+    c = len(sem_num)
+    covered = sem_den > 0
+    uncovered = ~covered
+    # Class by class on contiguous arrays: alpha times the class split
+    # (uniform where no Gaussian covers the voxel).
+    for num in sem_num:
+        np.divide(num, sem_den, out=num, where=covered)
+        np.copyto(num, 1.0 / c, where=uncovered)
+        num *= alpha
+    # probs is the only (X, Y, Z, C)-sized result: the empty channel, then
+    # the class channels, interleaved once.
     probs = np.empty(alpha.shape + (c + 1,))
     probs[..., 0] = 1.0 - alpha
-    probs[..., 1:] = 1.0 / c
-    np.divide(sem_num, sem_den[..., None], out=probs[..., 1:], where=(sem_den > 0)[..., None])
-    probs[..., 1:] *= alpha[..., None]
+    probs[..., 1:] = np.moveaxis(sem_num, 0, -1)
     labels = probs.argmax(axis=-1).astype(np.uint8)
     return SemanticOccupancyField(
         probs=probs,
@@ -129,7 +148,8 @@ def render_grid(
         ext = his - los
         live = np.flatnonzero(ext.all(axis=1))
         axes = _axis_centers(origin, voxel_size, dims)
-        sem_soft = softmax_logits(gs.semantics)
+        # Class-major, so each class's softmax gather reads one row.
+        sem_soft = np.ascontiguousarray(softmax_logits(gs.semantics).T)
         inv_norm = 1.0 / (_DENSITY_NORM * gs.scales.prod(axis=1))
         start = 0
         while start < len(live):
@@ -148,64 +168,82 @@ def render_grid(
                 np.add.at(log_keep.reshape(-1), vox, np.log1p(-a_phi))
             np.add.at(sem_den.reshape(-1), vox, w)
             for k in range(c):
-                np.add.at(sem_num[k].reshape(-1), vox, w * sem_soft[g, k])
+                np.add.at(sem_num[k].reshape(-1), vox, w * sem_soft[k].take(g))
             start = stop
-    return _finalize(log_keep, np.moveaxis(sem_num, 0, -1), sem_den, origin, voxel_size)
+    return _finalize(log_keep, sem_num, sem_den, origin, voxel_size)
+
+
+def _axis_terms(d, rots_a, scales):
+    """(3, n, B) terms (d_a * R_ak) / s_k of y_k = (d @ R)_k / s_k, k = 0, 1, 2,
+    from the (n, B) offsets `d` along one axis a of B Gaussians with rotation
+    rows `rots_a` = R[:, a, :] and scales `scales`, both (B, 3)."""
+    return d * rots_a.T[:, None, :] / scales.T[:, None, :]
+
+
+def _mahalanobis_sq(p):
+    """(nx, ny, nz, B) m^2 = (y0^2 + y1^2) + y2^2 from the per-axis terms `p`
+    (three (3, n_a, B) arrays from _axis_terms), with
+    y_k = (p0_k[x] + p1_k[y]) + p2_k[z]. The Gaussian axis is innermost, so
+    the inner loop of each broadcast add reads both operands contiguously."""
+    x, y, z = p[0][:, :, None, None], p[1][:, None, :, None], p[2][:, None, None]
+    m2 = np.add(x[0] + y[0], z[0])
+    m2 *= m2
+    yk = np.empty_like(m2)
+    for k in (1, 2):
+        np.add(x[k] + y[k], z[k], out=yk)
+        yk *= yk
+        m2 += yk
+    return m2
 
 
 def _box_pairs(gs, rots, los, ext, idx, axes, dims):
     """(Gaussian, flat voxel index, m^2) of every pair within the cutoff
     between the Gaussians `idx` and the voxel centers of their boxes,
     ordered by Gaussian index. The chunk is one dense array over its largest
-    box shape; voxels outside a Gaussian's own box are masked out."""
+    box shape; voxels outside a Gaussian's own box get m^2 = inf."""
     shape = ext[idx].max(axis=0)
-    steps = [np.arange(n) for n in shape]
-    # Padding may run past the grid: it reads the last center, then is masked.
-    dx, dy, dz = (
-        axes[a].take(los[idx, a, None] + steps[a], mode="clip") - gs.means[idx, a, None]
-        for a in range(3)
-    )
-    d = np.stack(
-        np.broadcast_arrays(dx[:, :, None, None], dy[:, None, :, None], dz[:, None, None, :]),
-        axis=-1,
-    )
-    # d @ R, not an explicit sum of products: the BLAS kernel may fuse
-    # multiply-adds, and its per-row result is the same whatever the
-    # number of rows, as in a per-Gaussian evaluation.
-    y = d.reshape(len(idx), -1, 3) @ rots[idx]
-    y /= gs.scales[idx, None, :]
-    y **= 2
-    # (y0 + y1) + y2, the order in which numpy sums a length-3 axis.
-    m2 = y[..., 0] + y[..., 1]
-    m2 += y[..., 2]
-    ix, iy, iz = (steps[a] < ext[idx, a, None] for a in range(3))
-    inside = ix[:, :, None, None] & iy[:, None, :, None] & iz[:, None, None, :]
-    # Row-major, so the pairs come out in ascending Gaussian order.
-    k, j = np.nonzero((m2 <= _CUTOFF_SQ) & inside.reshape(len(idx), -1))
+    p = []
+    for a in range(3):
+        steps = np.arange(shape[a])[:, None]
+        # Padding may run past the grid: it reads the last center, then its
+        # terms become +inf, so every y_k and m^2 there is +inf.
+        d = axes[a].take(los[idx, a] + steps, mode="clip") - gs.means[idx, a]
+        pa = _axis_terms(d, rots[idx, a], gs.scales[idx])
+        pa[:, steps >= ext[idx, a]] = np.inf
+        p.append(pa)
+    m2 = _mahalanobis_sq(p).reshape(-1, len(idx))
+    # Pair numbers in the Gaussian-major (B, n) mask, so the pairs come out
+    # in ascending Gaussian order.
+    n, b = m2.shape
+    pairs = np.flatnonzero(np.ascontiguousarray((m2 <= _CUTOFF_SQ).T))
+    k = pairs // n
+    j = pairs - k * n
     offsets = np.ravel_multi_index(np.indices(shape).reshape(3, -1), dims)
     base = np.ravel_multi_index(los[idx].T, dims)
-    return idx[k], base[k] + offsets[j], m2[k, j]
+    return idx.take(k), base.take(k) + offsets.take(j), m2.reshape(-1).take(j * b + k)
 
 
 def render_grid_bruteforce(
     gs: GaussianSet, dims, origin, voxel_size: float
 ) -> SemanticOccupancyField:
     """All-pairs reference renderer: every Gaussian against every voxel
-    center, with the same cutoff. Oracle for the culled path."""
+    center, with the same cutoff and the same m^2 formula. Oracle for the
+    culled path."""
     dims = tuple(int(d) for d in dims)
     origin = np.asarray(origin, dtype=np.float64)
     c = gs.num_classes
     n_vox = int(np.prod(dims))
     log_keep = np.zeros(n_vox)
-    sem_num = np.zeros((n_vox, c))
+    sem_num = np.zeros((c, n_vox))
     sem_den = np.zeros(n_vox)
     axes = _axis_centers(origin, voxel_size, dims)
-    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     rots = quaternion_to_matrices(gs.rotations)
     with np.errstate(divide="ignore"):
         for i in range(len(gs)):
-            y = (centers - gs.means[i]) @ rots[i]
-            m2 = ((y / gs.scales[i]) ** 2).sum(axis=1)
+            # One Gaussian: B = 1, so m^2 comes out in flat voxel order.
+            d = [(axes[a] - gs.means[i, a])[:, None] for a in range(3)]
+            p = [_axis_terms(d[a], rots[i, a, None], gs.scales[i, None]) for a in range(3)]
+            m2 = _mahalanobis_sq(p).reshape(-1)
             mask = m2 <= _CUTOFF_SQ
             if not mask.any():
                 continue
@@ -214,10 +252,10 @@ def render_grid_bruteforce(
             w = a_phi / (_DENSITY_NORM * gs.scales[i].prod())
             log_keep[mask] += np.log1p(-a_phi)
             sem_den[mask] += w
-            sem_num[mask] += w[:, None] * softmax_logits(gs.semantics[i])
+            sem_num[:, mask] += w * softmax_logits(gs.semantics[i])[:, None]
     return _finalize(
         log_keep.reshape(dims),
-        sem_num.reshape(dims + (c,)),
+        sem_num.reshape((c,) + dims),
         sem_den.reshape(dims),
         origin,
         voxel_size,

@@ -31,6 +31,22 @@ ATTRS = ConstantAttributes(
 )
 
 
+class PixelAttributes:
+    """Attributes that differ from pixel to pixel and from view to view."""
+
+    num_classes = 3
+
+    def __call__(self, view, rows, cols):
+        u = (view + 1) * 0.01 + rows * 1e-3 + cols * 1e-4
+        q = np.stack([np.ones_like(u), u, -u, 2 * u], axis=1)
+        return (
+            np.stack([0.1 + u, 0.2 + u, 0.3 + u], axis=1),
+            q / np.linalg.norm(q, axis=1, keepdims=True),
+            0.5 + u,
+            np.stack([u, -u, rows * 1.0], axis=1),
+        )
+
+
 def unproject_one(cam, row, col, d):
     return unproject_pixels(cam, np.array([row]), np.array([col]), np.array([d]))[0]
 
@@ -128,15 +144,42 @@ class TestInitGaussians:
             init_gaussians([cam], [dm], ATTRS)
 
     def test_bit_identical_across_runs_and_workers(self, rng):
+        # Five views; the middle one has no return at all, so its block of
+        # the preallocated set is empty and the next view starts right after
+        # the view before it.
         cams, dms = [], []
-        for _ in range(4):
+        for view in range(5):
             cam = make_camera(rng)
             depth = rng.uniform(1, 10, size=(cam.height, cam.width))
             depth[rng.random(depth.shape) < 0.2] = np.inf
+            if view == 2:
+                depth[:] = np.inf
             cams.append(cam)
             dms.append(DepthMap(depth=depth, uncertainty=np.full(depth.shape, 0.01)))
-        base = init_gaussians(cams, dms, ATTRS, n_workers=1)
-        for workers in (1, 4, 8):
-            again = init_gaussians(cams, dms, ATTRS, n_workers=workers)
-            np.testing.assert_array_equal(again.means, base.means)
-            np.testing.assert_array_equal(again.source_index, base.source_index)
+        attrs = PixelAttributes()
+        # Per-view oracle: each view's Gaussians built on their own, then
+        # concatenated in view order.
+        views = []
+        for view, (cam, dm) in enumerate(zip(cams, dms)):
+            rows, cols = np.nonzero(dm.valid)
+            views.append((unproject_pixels(cam, rows, cols, dm.depth[dm.valid]),
+                          *attrs(view, rows, cols),
+                          np.stack([np.full(len(rows), view), rows, cols], axis=1)))
+        fields = ("means", "scales", "rotations", "opacities", "semantics", "source_index")
+        want = [np.concatenate(parts) for parts in zip(*views)]
+        assert 2 not in want[-1][:, 0]
+        for workers in (1, 2, 4, 8):
+            got = init_gaussians(cams, dms, attrs, n_workers=workers)
+            for name, expected in zip(fields, want):
+                value = getattr(got, name)
+                assert value.dtype == (np.uint32 if name == "source_index" else np.float64)
+                assert np.array_equal(value, expected), (workers, name)
+
+    def test_provider_shape_mismatch_raises(self, rng):
+        cam = make_camera(rng)
+        dm = DepthMap(depth=np.ones((cam.height, cam.width)),
+                      uncertainty=np.ones((cam.height, cam.width)))
+        wide = ConstantAttributes(scale=np.ones(4), rotation=np.array([1.0, 0, 0, 0]),
+                                  opacity=0.5, logits=np.zeros(3))
+        with pytest.raises(ShapeError, match="scales"):
+            init_gaussians([cam], [dm], wide)

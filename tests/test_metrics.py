@@ -251,6 +251,24 @@ class TestRayIoU:
         assert 0 < hit < compared and missed_box > 0 and started_inside > 0
 
 
+    def test_first_hits_depend_on_transparency_not_label_values(self, rng):
+        """Shifting every label and the transparent set by the same amount
+        (to negative labels, to int8's lowest values, to uint8 labels up to
+        255) shifts the hit labels and changes nothing else."""
+        dims, origin, voxel_size = (6, 5, 4), np.zeros(3), 0.5
+        base = (rng.random(dims) < 0.3) * rng.integers(1, 4, size=dims)
+        o = rng.uniform(-0.5, 3.5, size=(200, 3))
+        v = rng.normal(size=(200, 3))
+        want_in, want_t, want_lab = first_hits([base], origin, voxel_size, o, v, [{0, 2}])
+        assert (want_lab >= 0).any()
+        for shift, dtype in ((-3, np.int64), (-128, np.int8), (252, np.uint8)):
+            labels = (base + shift).astype(dtype)
+            inside, t, lab = first_hits([labels], origin, voxel_size, o, v,
+                                        [{shift, 2 + shift}])
+            assert np.array_equal(inside, want_in)
+            assert np.array_equal(t, want_t, equal_nan=True)
+            assert np.array_equal(lab, np.where(want_lab >= 0, want_lab + shift, -1))
+
 class TestInitQuality:
     def test_center_placed_gaussians(self, rng):
         labels = np.zeros((6, 6, 4), dtype=np.uint8)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gsocc
 from gsocc import render
 from gsocc.core import S_MIN, GaussianSet
 from gsocc.render import render_grid, render_grid_bruteforce
@@ -313,3 +318,44 @@ def test_random_valid_sets_render_normalized_and_chunking_free(gs):
         mp.setattr(render, "_PAIR_BUDGET", 64)
         chunked = render_grid(gs, *grid)
     assert np.array_equal(chunked.probs, field.probs)
+
+
+# Renders 300 randomly rotated Gaussians on a 16^3 grid with both renderers
+# and prints the SHA-256 of each field's probs.
+_RENDER_DIGESTS = """
+import hashlib
+import numpy as np
+from gsocc.core import GaussianSet
+from gsocc.render import render_grid, render_grid_bruteforce
+rng = np.random.default_rng(20261018)
+n = 300
+q = rng.standard_normal((n, 4))
+gs = GaussianSet(
+    means=rng.uniform(-4.0, 4.0, size=(n, 3)),
+    scales=rng.uniform(0.05, 0.8, size=(n, 3)),
+    rotations=q / np.linalg.norm(q, axis=1, keepdims=True),
+    opacities=rng.uniform(0.05, 0.95, size=n),
+    semantics=rng.standard_normal((n, 3)) * 2.0,
+    source_index=np.zeros((n, 3), dtype=np.uint32),
+)
+for render in (render_grid, render_grid_bruteforce):
+    field = render(gs, (16, 16, 16), np.full(3, -4.0), 0.5)
+    print(hashlib.sha256(field.probs.tobytes()).hexdigest())
+"""
+
+
+def _render_digests(**env):
+    src = str(Path(gsocc.__file__).resolve().parents[1])
+    env = {**{k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"},
+           "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", **env}
+    run = subprocess.run([sys.executable, "-c", _RENDER_DIGESTS], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return run.stdout.split()
+
+
+def test_field_does_not_depend_on_blas_kernel():
+    # Prescott is the oldest x86-64 OpenBLAS kernel: no FMA, no AVX. A BLAS
+    # product in the Mahalanobis term would round differently under it.
+    default = _render_digests()
+    assert len(default) == 2
+    assert _render_digests(OPENBLAS_CORETYPE="Prescott") == default
