@@ -66,8 +66,8 @@ def compare(lines: list, saved: list) -> int:
 
 
 def run_cli_init(out: Path) -> None:
-    """`gsocc gen-scene`, `render-depth` and `init`, each reading the files
-    the step before wrote to `out`."""
+    """`gsocc gen-scene`, `render-depth` and `init` into `out`; the last two
+    read the scene the first wrote."""
     from gsocc.cli import main as gsocc
 
     scene = str(out / "scene.json")
@@ -79,8 +79,7 @@ def run_cli_init(out: Path) -> None:
 
     step("gen-scene", "--scene", scene)
     step("render-depth", "--scene", scene, "--out", str(out))
-    depths = sorted(str(p) for p in out.glob("depth_*.dpm"))
-    step("init", "--scene", scene, "--depths", *depths, "--output", str(out / "gaussians_init.gsb"))
+    step("init", "--scene", scene, "--output", str(out / "gaussians_init.gsb"))
 
 
 def main(argv=None) -> int:

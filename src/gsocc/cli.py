@@ -24,7 +24,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", type=Path, help="pipeline config JSON; flags override fields")
     p.add_argument("--seed", type=int, help="base seed (u64)")
     p.add_argument("--grid-size", type=float, dest="grid_size", help="sampling cell size, meters")
-    p.add_argument("--refine", choices=("off", "zero", "oracle-snap"))
+    p.add_argument("--refine", choices=pipeline.REFINE_MODES)
     p.add_argument("--ray-stride", type=int, dest="ray_stride")
     p.add_argument("--threads", type=int)
     p.add_argument("--noise", type=float, dest="noise_std", help="depth noise std-dev, meters")
@@ -49,10 +49,6 @@ def _read_scene(path) -> synth.SceneSpec:
         raise ConfigError(f"cannot read scene {path}: {e}") from e
 
 
-def _read_depths(paths) -> list | None:
-    return [formats.read_depth_map(p) for p in paths] if paths else None
-
-
 def _emit(doc: dict):
     print(json.dumps(doc, sort_keys=True, indent=2))
 
@@ -73,8 +69,8 @@ def cmd_render_depth(args) -> int:
 
 def cmd_init(args) -> int:
     cfg = _load_config(args)
-    classes = synth.pixel_hits(_read_scene(args.scene), cfg.cameras())[1]
-    pipeline.write_init(cfg, classes, _read_depths(args.depths), args.output)
+    depths, _, classes = pipeline.cast_depths(cfg, _read_scene(args.scene))
+    pipeline.write_init(cfg, classes, depths, args.output)
     return 0
 
 
@@ -118,13 +114,11 @@ def cmd_metrics(args) -> int:
 
 def cmd_eval_loss(args) -> int:
     cfg = _load_config(args)
-    _, _, probs = formats.read_occupancy(args.pred)
-    if probs is None:
-        raise ConfigError(f"{args.pred} has no probability dump; render with --dump-probs")
+    scene = _read_scene(args.scene)
     gt, _, _ = formats.read_occupancy(args.gt)
-    pred_depths = _read_depths(args.pred_depths)
-    gt_depths = _read_depths(args.gt_depths)
-    pipeline.write_losses(cfg, probs, gt, pred_depths, gt_depths, args.output)
+    field = pipeline.render_field(cfg, formats.read_gaussian_set(args.gaussians))
+    depths, clean, _ = pipeline.cast_depths(cfg, scene)
+    pipeline.write_losses(cfg, scene, field.probs, gt, depths, clean, args.output)
     return 0
 
 
@@ -151,9 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_render_depth)
 
-    p = sub.add_parser("init", help="pixel-aligned Gaussian initialization from depth maps")
+    p = sub.add_parser("init", help="pixel-aligned Gaussian initialization from a scene's depths")
     p.add_argument("--scene", type=Path, required=True)
-    p.add_argument("--depths", type=Path, nargs="+", required=True)
     p.add_argument("--output", type=Path, required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_init)
@@ -189,11 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_metrics)
 
-    p = sub.add_parser("eval-loss", help="evaluate objectives on rendered probabilities")
-    p.add_argument("--pred", type=Path, required=True, help="OCC1 file with probability dump")
+    p = sub.add_parser("eval-loss", help="evaluate objectives on a Gaussian set's rendered field")
+    p.add_argument("--gaussians", type=Path, required=True, help="refined set to render")
+    p.add_argument("--scene", type=Path, required=True, help="scene JSON to cast depths from")
     p.add_argument("--gt", type=Path, required=True)
-    p.add_argument("--pred-depths", type=Path, nargs="*")
-    p.add_argument("--gt-depths", type=Path, nargs="*")
     p.add_argument("--output", type=Path)
     _add_common(p)
     p.set_defaults(fn=cmd_eval_loss)

@@ -82,17 +82,6 @@ class GaussianSet:
         if self.source_index.shape != (p, 3):
             raise ShapeError(f"source_index must be ({p}, 3), got {self.source_index.shape}")
 
-    @staticmethod
-    def empty(num_classes: int) -> "GaussianSet":
-        return GaussianSet(
-            means=np.zeros((0, 3)),
-            scales=np.zeros((0, 3)),
-            rotations=np.zeros((0, 4)),
-            opacities=np.zeros(0),
-            semantics=np.zeros((0, num_classes)),
-            source_index=np.zeros((0, 3), dtype=np.uint32),
-        )
-
     def __len__(self) -> int:
         return self.means.shape[0]
 

@@ -47,6 +47,15 @@ OCC_MAGIC = b"OCC1"
 # Class ids 1..C are stored as u8 OCC1 labels.
 MAX_CLASSES = 255
 
+# The f32 columns of each GaussianSet field in a GSB1 record.
+_GSB_FIELDS = (
+    ("means", slice(0, 3)),
+    ("scales", slice(3, 6)),
+    ("rotations", slice(6, 10)),
+    ("opacities", 10),
+    ("semantics", slice(11, None)),
+)
+
 
 def _unpack(f, path, fmt: str) -> tuple:
     """Read and unpack one struct `fmt` from `f`, or raise ConfigError."""
@@ -84,11 +93,8 @@ def write_gaussian_set(path, gs: GaussianSet) -> None:
     # Slice assignment rounds float64 to f32 as astype does; the arrays go
     # to the file through the buffer protocol, without a bytes copy.
     rec = np.empty((p, 11 + c), dtype="<f4")
-    rec[:, 0:3] = gs.means
-    rec[:, 3:6] = gs.scales
-    rec[:, 6:10] = gs.rotations
-    rec[:, 10] = gs.opacities
-    rec[:, 11:] = gs.semantics
+    for name, cols in _GSB_FIELDS:
+        rec[:, cols] = getattr(gs, name)
     with open(path, "wb") as f:
         f.write(GSB_MAGIC)
         f.write(struct.pack("<II", p, c))
@@ -103,20 +109,14 @@ def read_gaussian_set(path) -> GaussianSet:
             raise ConfigError(f"{path}: not a GSB1 file")
         p, c = _unpack(f, path, "<II")
         _check_classes(path, c)
-        width = 3 + 3 + 4 + 1 + c
+        width = 11 + c
         _check_payload(f, path, p * (width + 3) * 4)
         rec = np.frombuffer(f.read(p * width * 4), dtype="<f4").reshape(p, width)
         prov = np.frombuffer(f.read(p * 3 * 4), dtype="<u4").reshape(p, 3)
     with np.errstate(invalid="ignore"):  # a signaling NaN; validate() rejects it
         fields = {
             name: np.ascontiguousarray(rec[:, cols], dtype=np.float64)
-            for name, cols in (
-                ("means", slice(0, 3)),
-                ("scales", slice(3, 6)),
-                ("rotations", slice(6, 10)),
-                ("opacities", 10),
-                ("semantics", slice(11, None)),
-            )
+            for name, cols in _GSB_FIELDS
         }
     gs = GaussianSet(**fields, source_index=prov.astype(np.uint32))
     with _invalid_content(path):

@@ -95,6 +95,9 @@ class PipelineConfig:
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        self.scene_config()  # SceneConfig checks the extents, num_boxes and box_classes
         if self.refine not in REFINE_MODES:
             raise ConfigError(f"refine mode must be one of {REFINE_MODES}")
         if self.rig not in synth.RIGS:
@@ -133,7 +136,9 @@ class PipelineConfig:
             raise ConfigError("gauss_opacity must lie in [0, 1]")
         if self.gauss_scale < S_MIN:
             raise ConfigError(f"gauss_scale must be finite and >= s_min={S_MIN}")
-        if self.num_classes < 1 or self.ground_class > self.num_classes or any(
+        if not 1 <= self.num_classes <= formats.MAX_CLASSES:
+            raise ConfigError(f"num_classes must lie in [1, {formats.MAX_CLASSES}]")
+        if self.ground_class > self.num_classes or any(
             c > self.num_classes or c < 1 for c in self.box_classes
         ):
             raise ConfigError("class ids must lie in [1, num_classes]")
@@ -305,17 +310,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
             config, field.to_grid(), gt_grid, init_set, st.path("metrics.json")
         ),
     )
-    # The depth loss compares against noise-free depth maps.
     losses = _run_stage(
         "eval-loss",
         out,
         lambda st: write_losses(
-            config,
-            field.probs,
-            gt_grid,
-            depths,
-            synth.depth_maps(scene.seed, clean_depths),
-            st.path("losses.json"),
+            config, scene, field.probs, gt_grid, depths, clean_depths, st.path("losses.json")
         ),
     )
     summary = {
@@ -362,12 +361,17 @@ def write_gt(config: PipelineConfig, scene, path):
     return grid
 
 
-def write_depths(config: PipelineConfig, scene, path_for) -> tuple:
-    """Cast every pixel ray once and write view i's depth map, with the
-    config's seeded noise, to `path_for("depth_<iii>.dpm")`. Returns the
-    written DepthMaps plus the noise-free depth and class maps."""
+def cast_depths(config: PipelineConfig, scene) -> tuple:
+    """Cast every pixel ray once: the DepthMaps with the config's seeded
+    noise, plus the noise-free depth and class maps."""
     clean, classes = synth.pixel_hits(scene, config.cameras())
-    depths = synth.depth_maps(scene.seed, clean, config.noise_std)
+    return synth.depth_maps(scene.seed, clean, config.noise_std), clean, classes
+
+
+def write_depths(config: PipelineConfig, scene, path_for) -> tuple:
+    """Write view i's depth map of cast_depths to `path_for("depth_<iii>.dpm")`
+    and return what cast_depths returned."""
+    depths, clean, classes = cast_depths(config, scene)
     for i, dm in enumerate(depths):
         formats.write_depth_map(path_for(f"depth_{i:03d}.dpm"), dm)
     return depths, clean, classes
@@ -406,9 +410,14 @@ def write_refined(config: PipelineConfig, gs: GaussianSet, scene, path) -> Gauss
     return refined
 
 
-def write_render(config: PipelineConfig, gs: GaussianSet, path):
+def render_field(config: PipelineConfig, gs: GaussianSet):
+    """The float64 field of `gs` on the config's voxel grid."""
     origin = np.asarray(config.extents_min, dtype=np.float64)
-    field = render_grid(gs, config.grid_dims(), origin, config.voxel_size)
+    return render_grid(gs, config.grid_dims(), origin, config.voxel_size)
+
+
+def write_render(config: PipelineConfig, gs: GaussianSet, path):
+    field = render_field(config, gs)
     formats.write_occupancy(
         path,
         field.to_grid(),
@@ -433,13 +442,15 @@ def write_metrics(config: PipelineConfig, pred, gt, gaussians, path) -> metrics.
     return report
 
 
-def write_losses(config: PipelineConfig, probs, gt, pred_depths, gt_depths, path):
-    """Objectives on rendered `probs`; the depth term only when depths are given."""
+def write_losses(config: PipelineConfig, scene, probs, gt, depths, clean, path):
+    """Objectives on rendered `probs` against `gt`. The depth term compares
+    the noisy `depths` with DepthMaps of the noise-free `clean` depths, both
+    as cast_depths returns them for `scene`."""
     report = compute_loss_report(
-        np.asarray(probs, dtype=np.float64).reshape(-1, probs.shape[-1]),
+        probs.reshape(-1, probs.shape[-1]),
         gt.labels.reshape(-1),
-        pred_depths=pred_depths,
-        gt_depths=gt_depths,
+        pred_depths=depths,
+        gt_depths=synth.depth_maps(scene.seed, clean),
         lambda_occ=config.lambda_occ,
         lambda_depth=config.lambda_depth,
         alpha_unc=config.alpha_unc,

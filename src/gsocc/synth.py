@@ -159,6 +159,8 @@ class SceneConfig:
             raise ConfigError("scene extents must have positive volume on all axes")
         if self.num_boxes < 0:
             raise ConfigError("num_boxes must be >= 0")
+        if not self.box_classes:
+            raise ConfigError("box_classes must name at least one class")
         if self.center_radius[0] > self.center_radius[1] or self.center_radius[0] < 0:
             raise ConfigError("invalid center_radius range")
         if self.half_extent_range[0] <= 0 or self.half_extent_range[0] > self.half_extent_range[1]:

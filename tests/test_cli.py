@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gsocc import synth
+from gsocc import formats, synth
 from gsocc.cli import main
 from gsocc.errors import ConfigError
 from gsocc.pipeline import MAX_FIELD_BYTES, MAX_RIG_PIXELS, PipelineConfig, _Stage, run_pipeline
@@ -17,6 +17,44 @@ SMALL_CONFIG = {
     "extents_min": [-12.0, -12.0, -4.0],
     "extents_max": [12.0, 12.0, 4.0],
 }
+
+
+# (id, refine mode of both runs or None for the config's, subcommand argv,
+# artifacts it writes). "{run}" is the pipeline's directory, "{new}" the
+# subcommand's.
+REPRODUCED_ARTIFACTS = [
+    ("gen-scene", None, ["gen-scene", "--scene", "{new}/scene.json"], ["scene.json"]),
+    ("render-depth", None, ["render-depth", "--scene", "{run}/scene.json", "--out", "{new}"],
+     [f"depth_{i:03d}.dpm" for i in range(6)]),
+    ("init", None, ["init", "--scene", "{run}/scene.json",
+                    "--output", "{new}/gaussians_init.gsb"],
+     ["gaussians_init.gsb"]),
+    ("sample", None, ["sample", "--gaussians", "{run}/gaussians_init.gsb",
+                      "--output", "{new}/gaussians_sampled.gsb"],
+     ["gaussians_sampled.gsb"]),
+    *(
+        (f"refine-{mode}", mode, ["refine", "--refine", mode, "--scene", "{run}/scene.json",
+                                  "--gaussians", "{run}/gaussians_sampled.gsb",
+                                  "--output", "{new}/gaussians_refined.gsb"],
+         ["gaussians_refined.gsb"])
+        for mode in ("off", "zero", "oracle-snap")
+    ),
+    ("render", None, ["render", "--gaussians", "{run}/gaussians_refined.gsb",
+                      "--output", "{new}/pred.occ"],
+     ["pred.occ"]),
+    ("metrics", None, ["metrics", "--pred", "{run}/pred.occ", "--gt", "{run}/gt.occ",
+                       "--gaussians", "{run}/gaussians_init.gsb",
+                       "--output", "{new}/metrics.json"],
+     ["metrics.json"]),
+    ("eval-loss", None, ["eval-loss", "--gaussians", "{run}/gaussians_refined.gsb",
+                         "--scene", "{run}/scene.json", "--gt", "{run}/gt.occ",
+                         "--output", "{new}/losses.json"],
+     ["losses.json"]),
+]
+
+# (id suffix, config overrides): SMALL_CONFIG itself, and with seeded depth
+# noise and the scene-reading refine mode.
+REPRODUCTION_CONFIGS = [("", {}), ("-noisy", {"noise_std": 0.05, "refine": "oracle-snap"})]
 
 
 @pytest.fixture
@@ -57,36 +95,21 @@ class TestPipelineCommand:
         assert run(["pipeline", "--config", config_file, "--refine", "zero", "--out", out2]) == 0
         assert (out1 / "pred.occ").read_bytes() == (out2 / "pred.occ").read_bytes()
 
-    @pytest.mark.parametrize("refine, argv, artifacts", [
-        pytest.param("zero", ["gen-scene", "--scene", "{new}/scene.json"],
-                     ["scene.json"], id="gen-scene"),
-        pytest.param("zero", ["render-depth", "--scene", "{run}/scene.json", "--out", "{new}"],
-                     [f"depth_{i:03d}.dpm" for i in range(6)], id="render-depth"),
-        pytest.param("zero", ["sample", "--gaussians", "{run}/gaussians_init.gsb",
-                              "--output", "{new}/gaussians_sampled.gsb"],
-                     ["gaussians_sampled.gsb"], id="sample"),
-        *(
-            pytest.param(mode, ["refine", "--refine", mode, "--scene", "{run}/scene.json",
-                                "--gaussians", "{run}/gaussians_sampled.gsb",
-                                "--output", "{new}/gaussians_refined.gsb"],
-                         ["gaussians_refined.gsb"], id=f"refine-{mode}")
-            for mode in ("off", "zero", "oracle-snap")
-        ),
-        pytest.param("zero", ["render", "--gaussians", "{run}/gaussians_refined.gsb",
-                              "--output", "{new}/pred.occ"],
-                     ["pred.occ"], id="render"),
-        pytest.param("zero", ["metrics", "--pred", "{run}/pred.occ", "--gt", "{run}/gt.occ",
-                              "--gaussians", "{run}/gaussians_init.gsb",
-                              "--output", "{new}/metrics.json"],
-                     ["metrics.json"], id="metrics"),
+    @pytest.mark.parametrize("overrides, refine, argv, artifacts", [
+        pytest.param(overrides, refine, argv, artifacts, id=name + suffix)
+        for suffix, overrides in REPRODUCTION_CONFIGS
+        for name, refine, argv, artifacts in REPRODUCED_ARTIFACTS
     ])
-    def test_subcommand_reproduces_pipeline_artifact(self, tmp_path, config_file,
+    def test_subcommand_reproduces_pipeline_artifact(self, tmp_path, overrides,
                                                      refine, argv, artifacts):
         # The subcommand reads the pipeline's own input files and must write
         # the pipeline's artifact byte for byte.
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({**SMALL_CONFIG, **overrides}))
         out, new = tmp_path / "run", tmp_path / "new"
         new.mkdir()
-        assert run(["pipeline", "--config", config_file, "--refine", refine, "--out", out]) == 0
+        refine_flag = ["--refine", refine] if refine else []
+        assert run(["pipeline", "--config", config_file, *refine_flag, "--out", out]) == 0
         argv = [a.format(run=out, new=new) for a in argv]
         assert run([argv[0], "--config", config_file, *argv[1:]]) == 0
         for name in artifacts:
@@ -121,28 +144,12 @@ class TestStageCommands:
         depth_dir = tmp_path / "depths"
         assert run(["render-depth", "--config", config_file, "--scene", scene,
                     "--out", depth_dir]) == 0
-        depths = sorted(depth_dir.glob("depth_*.dpm"))
-        assert len(depths) == 6
+        assert len(list(depth_dir.glob("depth_*.dpm"))) == 6
         gsb = tmp_path / "init.gsb"
-        assert run(["init", "--config", config_file, "--scene", scene,
-                    "--depths", *depths, "--output", gsb]) == 0
-        assert gsb.exists()
-
-    def test_eval_loss_requires_probs(self, tmp_path, config_file):
-        out = tmp_path / "run"
-        assert run(["pipeline", "--config", config_file, "--out", out]) == 0
-        rc = run(["eval-loss", "--config", config_file,
-                  "--pred", out / "pred.occ", "--gt", out / "gt.occ"])
-        assert rc == 2
-
-    def test_eval_loss_with_probs(self, tmp_path, config_file, capsys):
-        out = tmp_path / "run"
-        assert run(["pipeline", "--config", config_file, "--dump-probs", "--out", out]) == 0
-        capsys.readouterr()
-        assert run(["eval-loss", "--config", config_file,
-                    "--pred", out / "pred.occ", "--gt", out / "gt.occ"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["total"] >= 0
+        assert run(["init", "--config", config_file, "--scene", scene, "--output", gsb]) == 0
+        # init casts the depths of the scene itself: one Gaussian per valid pixel
+        valid = sum(int(formats.read_depth_map(p).valid.sum()) for p in depth_dir.iterdir())
+        assert len(formats.read_gaussian_set(gsb)) == valid
 
     def test_metrics_subcommand(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
@@ -193,6 +200,11 @@ class TestErrors:
             ("resolution", [16]),
             ("downsample", 48),  # 24 / 48 rounds to a 0-row camera grid
             ("downsample", 100),
+            ("num_boxes", -1),
+            ("box_classes", []),
+            ("num_classes", 300),  # above the 255 class ids a u8 OCC1 label holds
+            ("seed", -1),
+            ("seed", 2**64),
         ]
     ])
     def test_bad_config_value_exit_2(self, tmp_path, field, value):
