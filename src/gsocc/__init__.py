@@ -16,7 +16,7 @@ from .core import (
     quaternion_to_matrices,
 )
 from .attention import AttentionWeights, TokenSet, alternating_block, scaled_dot_attention
-from .initialize import AttributeProvider, ConstantAttributes, init_gaussians
+from .initialize import AttributeProvider, init_gaussians
 from .sampling import sample_representatives, splitmix64, voxel_keys
 from .refine import OffsetBasis, default_basis, refine_positions
 from .render import SemanticOccupancyField, render_grid, render_grid_bruteforce
@@ -39,7 +39,6 @@ __all__ = [
     "AttentionWeights",
     "AttributeProvider",
     "CameraModel",
-    "ConstantAttributes",
     "DepthMap",
     "GaussianSet",
     "LossReport",

@@ -28,7 +28,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--ray-stride", type=int, dest="ray_stride")
     p.add_argument("--threads", type=int)
     p.add_argument("--noise", type=float, dest="noise_std", help="depth noise std-dev, meters")
-    p.add_argument("--rig", choices=tuple(synth.RIGS))
     p.add_argument("--dump-probs", action="store_true", dest="dump_probs", default=None)
     p.add_argument("--out", dest="out_dir", help="output directory")
 

@@ -169,33 +169,6 @@ class CameraModel:
         rr, cc = np.mgrid[0 : self.height : stride, 0 : self.width : stride]
         return self.ray_directions(rr.ravel(), cc.ravel())
 
-    def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """World points -> continuous (row, col) pixel coordinates plus camera-frame z.
-
-        The returned coordinates are in pixel-center convention: a point on
-        the ray of pixel (r, c) projects to (r + 0.5, c + 0.5).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        cam = (pts - self.origin) @ rot
-        z = cam[:, 2]
-        u = self.fx * cam[:, 0] / z + self.cx
-        v = self.fy * cam[:, 1] / z + self.cy
-        return v, u, z
-
-    def scaled(self, factor: float) -> "CameraModel":
-        """Same pose at a rescaled pixel grid (e.g. factor=0.5 halves resolution)."""
-        return CameraModel(
-            fx=self.fx * factor,
-            fy=self.fy * factor,
-            cx=self.cx * factor,
-            cy=self.cy * factor,
-            height=int(round(self.height * factor)),
-            width=int(round(self.width * factor)),
-            rotation=self.rotation,
-            translation=self.translation,
-        )
-
 
 # Depth value marking a pixel with no surface return.
 NO_RETURN = np.inf

@@ -9,7 +9,6 @@ deterministic (view, row, col) raster order; no-return pixels are skipped.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -29,30 +28,6 @@ class AttributeProvider(Protocol):
     num_classes: int
 
     def __call__(self, view: int, rows: np.ndarray, cols: np.ndarray): ...
-
-
-@dataclass(frozen=True)
-class ConstantAttributes:
-    """Same attributes at every pixel. The everyday provider for pipelines
-    without a learned attribute head."""
-
-    scale: np.ndarray
-    rotation: np.ndarray
-    opacity: float
-    logits: np.ndarray
-
-    @property
-    def num_classes(self) -> int:
-        return np.asarray(self.logits).shape[0]
-
-    def __call__(self, view: int, rows: np.ndarray, cols: np.ndarray):
-        n = len(rows)
-        return (
-            np.tile(np.asarray(self.scale, dtype=np.float64), (n, 1)),
-            np.tile(np.asarray(self.rotation, dtype=np.float64), (n, 1)),
-            np.full(n, float(self.opacity)),
-            np.tile(np.asarray(self.logits, dtype=np.float64), (n, 1)),
-        )
 
 
 def unproject_pixels(

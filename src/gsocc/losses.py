@@ -155,19 +155,15 @@ class LossReport:
 def compute_loss_report(
     pred_probs: np.ndarray,
     gt_labels: np.ndarray,
-    pred_depths=None,
-    gt_depths=None,
+    pred_depths,
+    gt_depths,
     lambda_occ: float = 1.0,
     lambda_depth: float = 0.05,
     alpha_unc: float = 0.5,
-    ignore: int | None = None,
 ) -> LossReport:
-    ce = cross_entropy_loss(pred_probs, gt_labels, ignore=ignore)
+    ce = cross_entropy_loss(pred_probs, gt_labels)
     lov = lovasz_softmax_loss(pred_probs, gt_labels)
-    if pred_depths is not None:
-        depth = depth_uncertainty_loss(pred_depths, gt_depths, alpha_unc)
-    else:
-        depth = DepthLossBreakdown(0.0, 0.0, 0.0)
+    depth = depth_uncertainty_loss(pred_depths, gt_depths, alpha_unc)
     total = lambda_occ * (ce + lov) + lambda_depth * (
         depth.residual + depth.gradient + depth.uncertainty
     )

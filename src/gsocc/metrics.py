@@ -30,7 +30,6 @@ import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import GaussianSet, OccupancyGrid
 from .errors import ShapeError, UndefinedMetricError
@@ -253,6 +252,8 @@ def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray, wor
         np.sqrt(best, out=dist[lo : lo + _CHUNK])
     rest = ~occupied
     if rest.any():
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(origin + (np.argwhere(occ) + 0.5) * vs)
         dist[rest] = tree.query(means[rest], workers=min(workers, os.cpu_count() or 1))[0]
     return occupied, dist
@@ -299,38 +300,34 @@ class MetricReport:
     iou: float
     miou: float
     per_class_iou: dict
-    rayiou: float | None = None
-    rayiou_per_threshold: dict | None = None
+    rayiou: float
+    rayiou_per_threshold: dict
     perc: float | None = None
     dist: float | None = None
 
     def to_json(self) -> str:
         doc = asdict(self)
         doc["per_class_iou"] = {str(k): v for k, v in self.per_class_iou.items()}
-        if self.rayiou_per_threshold is not None:
-            doc["rayiou_per_threshold"] = {
-                str(k): v for k, v in self.rayiou_per_threshold.items()
-            }
+        doc["rayiou_per_threshold"] = {str(k): v for k, v in self.rayiou_per_threshold.items()}
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def evaluate(
     pred: OccupancyGrid,
     gt: OccupancyGrid,
-    cams: list | None = None,
+    cams: list,
     gaussians: GaussianSet | None = None,
     thresholds=(1.0, 2.0, 4.0),
     stride: int = 4,
     unknown_id: int | None = None,
     workers: int = 1,
 ) -> MetricReport:
-    """Bundle every metric the grids/cameras/Gaussians allow into one report.
-    `workers` threads run the Perc./Dist. nearest-neighbour query."""
+    """IoU, mIoU and RayIoU of `pred` against `gt` in one report, plus
+    Perc./Dist. when `gaussians` is given. `workers` threads run the
+    Perc./Dist. nearest-neighbour query."""
     iou, miou, per_class = iou_miou(pred.labels, gt.labels, gt.empty_id, unknown_id)
-    rayiou = ray_per = None
-    if cams:
-        ray_per = ray_iou(pred, gt, cams, thresholds=thresholds, stride=stride, unknown_id=unknown_id)
-        rayiou = float(np.mean(list(ray_per.values())))
+    ray_per = ray_iou(pred, gt, cams, thresholds=thresholds, stride=stride, unknown_id=unknown_id)
+    rayiou = float(np.mean(list(ray_per.values())))
     perc = dist = None
     if gaussians is not None:
         perc, dist = init_quality(gaussians, gt, unknown_id, workers)

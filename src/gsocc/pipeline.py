@@ -32,7 +32,7 @@ from .sampling import sample_representatives, voxel_keys, OUT_OF_BOUNDS
 
 LOGIT_STRENGTH = 12.0
 
-REFINE_MODES = ("off", "zero", "oracle-snap")
+REFINE_MODES = ("zero", "oracle-snap")
 
 # Largest rendered field accepted at config load: the (X, Y, Z, C+1) float64
 # probabilities render_grid returns (fine-grid's is 20 MiB). Rendering holds
@@ -46,6 +46,17 @@ MAX_FIELD_BYTES = 1 << 30
 MAX_RIG_PIXELS = 1 << 23
 
 
+def _fits(value, kind: type) -> bool:
+    """Whether a config value fits a field whose default is of type `kind`.
+    A bool fits only a bool field; a float field also takes an int that
+    numpy holds as int64."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float and isinstance(value, int):
+        return -(2**63) <= value < 2**63
+    return isinstance(value, kind)
+
+
 @dataclass
 class PipelineConfig:
     seed: int = 0
@@ -57,13 +68,11 @@ class PipelineConfig:
     ground_class: int = 1
     extents_min: tuple = (-16.0, -16.0, -4.0)
     extents_max: tuple = (16.0, 16.0, 4.0)
-    # camera rig
-    rig: str = "surround6"
+    # camera rig (synth.surround_rig)
     resolution: tuple = (48, 64)
     focal: float = 32.0
     cam_height: float = 0.5
     pitch_deg: float = 12.0
-    downsample: int = 1
     noise_std: float = 0.0
     # gaussian attributes
     gauss_scale: float = 0.3
@@ -84,15 +93,19 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        try:
-            self._validate()
-        except TypeError as e:  # a field of the wrong type, e.g. a string threshold
-            raise ConfigError(f"config field of the wrong type: {e}") from e
-
-    def _validate(self):
+        # Each value, or each entry of a tuple field (a list becomes a tuple),
+        # must fit the type of the field's default.
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            for v in value if isinstance(value, tuple) else (value,):
+            is_tuple = isinstance(f.default, tuple)
+            if is_tuple and isinstance(value, list):
+                value = tuple(value)
+                setattr(self, f.name, value)
+            kind = type(f.default[0] if is_tuple else f.default)
+            values = value if isinstance(value, tuple) else (value,)
+            if isinstance(value, tuple) != is_tuple or not all(_fits(v, kind) for v in values):
+                raise ConfigError(f"{f.name} must hold {kind.__name__} values, got {value!r}")
+            for v in values:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v}")
         if not 0 <= self.seed < 2**64:
@@ -100,8 +113,6 @@ class PipelineConfig:
         self.scene_config()  # SceneConfig checks the extents, num_boxes and box_classes
         if self.refine not in REFINE_MODES:
             raise ConfigError(f"refine mode must be one of {REFINE_MODES}")
-        if self.rig not in synth.RIGS:
-            raise ConfigError(f"unknown rig '{self.rig}'")
         if self.grid_size <= 0 or self.voxel_size <= 0:
             raise ConfigError("grid sizes must be positive")
         self.sampling_spec()  # rejects a grid too fine for int64 voxel keys
@@ -112,14 +123,7 @@ class PipelineConfig:
             raise ConfigError("focal must be positive")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
-        if self.downsample < 1:
-            raise ConfigError("downsample ratio must be >= 1")
         cams = self.cameras()
-        if any(cam.height < 1 or cam.width < 1 for cam in cams):
-            raise ConfigError(
-                f"resolution {list(self.resolution)} / downsample {self.downsample}"
-                " leaves a camera without pixels"
-            )
         pixels = sum(cam.height * cam.width for cam in cams)
         if pixels > MAX_RIG_PIXELS:
             raise ConfigError(
@@ -138,7 +142,7 @@ class PipelineConfig:
             raise ConfigError(f"gauss_scale must be finite and >= s_min={S_MIN}")
         if not 1 <= self.num_classes <= formats.MAX_CLASSES:
             raise ConfigError(f"num_classes must lie in [1, {formats.MAX_CLASSES}]")
-        if self.ground_class > self.num_classes or any(
+        if not 1 <= self.ground_class <= self.num_classes or any(
             c > self.num_classes or c < 1 for c in self.box_classes
         ):
             raise ConfigError("class ids must lie in [1, num_classes]")
@@ -164,9 +168,6 @@ class PipelineConfig:
         unknown = set(doc) - names
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        doc = {
-            k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()
-        }
         return PipelineConfig(**doc)
 
     def to_dict(self) -> dict:
@@ -185,15 +186,12 @@ class PipelineConfig:
         )
 
     def cameras(self) -> list:
-        rig = synth.RIGS[self.rig](
+        return synth.surround_rig(
             resolution=self.resolution,
             focal=self.focal,
             height=self.cam_height,
             pitch_deg=self.pitch_deg,
         )
-        if self.downsample > 1:
-            rig = [cam.scaled(1.0 / self.downsample) for cam in rig]
-        return rig
 
     def grid_dims(self) -> tuple:
         lo = np.asarray(self.extents_min)
@@ -396,11 +394,9 @@ def write_sampled(config: PipelineConfig, gs: GaussianSet, path) -> GaussianSet:
 
 
 def write_refined(config: PipelineConfig, gs: GaussianSet, scene, path) -> GaussianSet:
-    """Refine per `config.refine`; oracle-snap needs the scene, others ignore it."""
+    """Refine per `config.refine`; oracle-snap needs the scene, zero ignores it."""
     basis = default_basis(config.grid_size / 2.0)
-    if config.refine == "off":
-        refined = gs
-    elif config.refine == "zero":
+    if config.refine == "zero":
         refined = refine_positions(gs, basis, zero_weights(gs, basis))
     else:
         if scene is None:

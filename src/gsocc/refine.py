@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .core import GaussianSet
 from .errors import ShapeError
@@ -50,6 +49,8 @@ def default_basis(delta_max: float) -> OffsetBasis:
 
 def refine_positions(gs: GaussianSet, basis: OffsetBasis, weights: np.ndarray) -> GaussianSet:
     """Apply mu' = mu + B^T sigmoid(w) per Gaussian."""
+    from scipy.special import expit
+
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(gs), basis.num_rows):
         raise ShapeError(
@@ -85,6 +86,8 @@ class SurfaceSnapWeights:
         self.margin = margin
 
     def __call__(self, gs: GaussianSet, basis: OffsetBasis) -> np.ndarray:
+        from scipy.special import logit
+
         from .synth import nearest_surface_points
 
         target = nearest_surface_points(self.scene, gs.means)

@@ -139,13 +139,17 @@ class SceneSpec:
         )
 
 
+# Ranges of generated boxes, meters: center distance from the z axis and
+# each half extent.
+CENTER_RADIUS = (4.0, 13.0)
+HALF_EXTENT_RANGE = (0.5, 2.0)
+
+
 @dataclass(frozen=True)
 class SceneConfig:
-    """Ranges for seeded scene generation."""
+    """Box count, classes, ground plane and extents of a generated scene."""
 
     num_boxes: int = 6
-    center_radius: tuple = (4.0, 13.0)
-    half_extent_range: tuple = (0.5, 2.0)
     box_classes: tuple = (2, 3, 4)
     ground_z: float = -2.0
     ground_class: int = 1
@@ -161,10 +165,6 @@ class SceneConfig:
             raise ConfigError("num_boxes must be >= 0")
         if not self.box_classes:
             raise ConfigError("box_classes must name at least one class")
-        if self.center_radius[0] > self.center_radius[1] or self.center_radius[0] < 0:
-            raise ConfigError("invalid center_radius range")
-        if self.half_extent_range[0] <= 0 or self.half_extent_range[0] > self.half_extent_range[1]:
-            raise ConfigError("invalid half_extent_range")
 
 
 def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
@@ -172,9 +172,9 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
     rng = np.random.default_rng(seed)
     boxes = []
     for _ in range(config.num_boxes):
-        radius = rng.uniform(*config.center_radius)
+        radius = rng.uniform(*CENTER_RADIUS)
         angle = rng.uniform(0.0, 2.0 * np.pi)
-        he = rng.uniform(config.half_extent_range[0], config.half_extent_range[1], size=3)
+        he = rng.uniform(*HALF_EXTENT_RANGE, size=3)
         yaw = rng.uniform(0.0, 2.0 * np.pi)
         cls = int(rng.choice(np.asarray(config.box_classes)))
         center = np.array(
@@ -359,6 +359,3 @@ def surround_rig(
             )
         )
     return cams
-
-
-RIGS = {"surround6": surround_rig}

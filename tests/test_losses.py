@@ -262,6 +262,7 @@ class TestLossReport:
     def test_json_roundtrip_fields(self, rng):
         pred = rng.dirichlet(np.ones(2), size=8)
         gt = rng.integers(0, 2, size=8)
-        rep = compute_loss_report(pred, gt)
+        depths = flat_map(rng.uniform(1, 4, size=(4, 4)))
+        rep = compute_loss_report(pred, gt, pred_depths=depths, gt_depths=depths)
         doc = rep.to_json()
         assert '"occ_ce"' in doc and '"total"' in doc
