@@ -75,7 +75,7 @@ def cmd_init(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
-    gs = formats.read_gaussian_set(args.gaussians)
+    gs = formats.read_gaussian_means(args.gaussians)
     if args.dry_run:
         _emit(
             {
@@ -106,7 +106,7 @@ def cmd_metrics(args) -> int:
     cfg = _load_config(args)
     pred, _, _ = formats.read_occupancy(args.pred)
     gt, _, _ = formats.read_occupancy(args.gt)
-    gaussians = formats.read_gaussian_set(args.gaussians) if args.gaussians else None
+    gaussians = formats.read_gaussian_means(args.gaussians) if args.gaussians else None
     pipeline.write_metrics(cfg, pred, gt, gaussians, args.output)
     return 0
 

@@ -17,9 +17,14 @@ All binary formats are little-endian:
     u8 labels in (X, Y, Z) C-order, then optionally f32 probabilities
     of shape (X, Y, Z, C+1) when has_probs is 1.
 
-The GSB1 reader returns each field of the set as its own C-contiguous
-float64 array, converted straight from the f32 records, so later passes
-over means or semantics do not stride across whole records.
+GSB1 is written by `gaussian_block_writer`: each block of rows goes to the
+fixed offsets its first row implies, so the bytes do not depend on how many
+blocks there are, which thread writes them or in what order they finish.
+`write_gaussian_set` writes a whole set as one block. Three readers:
+`read_gaussian_set` returns the whole set, each field its own C-contiguous
+float64 array converted straight from the f32 records; `read_gaussian_means`
+checks every row in chunks of _ROWS but keeps only the means (a
+`GaussianFile`); `read_gaussian_rows` loads only the rows it is given.
 
 Readers raise ConfigError naming the file when its length differs from
 what the header implies, its class count C lies outside [1, 255] (class
@@ -34,6 +39,8 @@ from __future__ import annotations
 import os
 import struct
 from contextlib import contextmanager
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +53,10 @@ OCC_MAGIC = b"OCC1"
 
 # Class ids 1..C are stored as u8 OCC1 labels.
 MAX_CLASSES = 255
+
+# Rows per chunk of the GSB1 readers that stream a file; each chunk's
+# float64 fields take about 1 MiB with four classes.
+_ROWS = 1 << 13
 
 # The f32 columns of each GaussianSet field in a GSB1 record.
 _GSB_FIELDS = (
@@ -88,31 +99,68 @@ def _invalid_content(path):
         raise ConfigError(f"{path}: {e}") from e
 
 
+def _pwrite(fd: int, array: np.ndarray, offset: int) -> None:
+    """Write the bytes of the C-contiguous `array` at `offset` of `fd`; the
+    buffer goes to the file without a bytes copy."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
+    while view:
+        n = os.pwrite(fd, view, offset)
+        view, offset = view[n:], offset + n
+
+
+@contextmanager
+def gaussian_block_writer(path, p: int, c: int):
+    """Create the GSB1 file `path` of `p` Gaussians with `c` classes and
+    yield write(start, block), which puts the GaussianSet `block` at rows
+    start, start + 1, ... of the file. Calls may come from several threads
+    in any order; rows no call writes read back as zeros."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        width = (11 + c) * 4
+        os.pwrite(fd, GSB_MAGIC + struct.pack("<II", p, c), 0)
+        os.ftruncate(fd, 16 + p * (width + 12))
+
+        def write(start: int, block: GaussianSet) -> None:
+            # Slice assignment rounds float64 to f32 as astype does.
+            rec = np.empty((len(block), 11 + c), dtype="<f4")
+            for name, cols in _GSB_FIELDS:
+                rec[:, cols] = getattr(block, name)
+            _pwrite(fd, rec, 16 + start * width)
+            prov = np.ascontiguousarray(block.source_index, dtype="<u4")
+            _pwrite(fd, prov, 16 + p * width + start * 12)
+
+        yield write
+    finally:
+        os.close(fd)
+
+
 def write_gaussian_set(path, gs: GaussianSet) -> None:
-    p, c = len(gs), gs.num_classes
-    # Slice assignment rounds float64 to f32 as astype does; the arrays go
-    # to the file through the buffer protocol, without a bytes copy.
-    rec = np.empty((p, 11 + c), dtype="<f4")
-    for name, cols in _GSB_FIELDS:
-        rec[:, cols] = getattr(gs, name)
-    with open(path, "wb") as f:
-        f.write(GSB_MAGIC)
-        f.write(struct.pack("<II", p, c))
-        f.write(rec)
-        f.write(np.ascontiguousarray(gs.source_index, dtype="<u4"))
+    with gaussian_block_writer(path, len(gs), gs.num_classes) as write:
+        write(0, gs)
 
 
-def read_gaussian_set(path) -> GaussianSet:
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != GSB_MAGIC:
-            raise ConfigError(f"{path}: not a GSB1 file")
-        p, c = _unpack(f, path, "<II")
-        _check_classes(path, c)
-        width = 11 + c
-        _check_payload(f, path, p * (width + 3) * 4)
-        rec = np.frombuffer(f.read(p * width * 4), dtype="<f4").reshape(p, width)
-        prov = np.frombuffer(f.read(p * 3 * 4), dtype="<u4").reshape(p, 3)
+def _gsb_header(f, path) -> tuple:
+    """(P, C) of the open GSB1 file `f`, whose length must match them."""
+    if f.read(8) != GSB_MAGIC:
+        raise ConfigError(f"{path}: not a GSB1 file")
+    p, c = _unpack(f, path, "<II")
+    _check_classes(path, c)
+    _check_payload(f, path, p * (11 + c + 3) * 4)
+    return p, c
+
+
+def _gsb_rows(f, p: int, c: int, lo: int, hi: int) -> tuple:
+    """The f32 records and u32 provenance of rows [lo, hi) of the open GSB1
+    file `f` with `p` rows and `c` classes."""
+    width, n = 11 + c, hi - lo
+    f.seek(16 + lo * width * 4)
+    rec = np.frombuffer(f.read(n * width * 4), dtype="<f4").reshape(n, width)
+    f.seek(16 + p * width * 4 + lo * 12)
+    return rec, np.frombuffer(f.read(n * 12), dtype="<u4").reshape(n, 3)
+
+
+def _gaussian_set(path, rec: np.ndarray, prov: np.ndarray) -> GaussianSet:
+    """The checked GaussianSet of GSB1 records `rec` and provenance `prov`."""
     with np.errstate(invalid="ignore"):  # a signaling NaN; validate() rejects it
         fields = {
             name: np.ascontiguousarray(rec[:, cols], dtype=np.float64)
@@ -122,6 +170,65 @@ def read_gaussian_set(path) -> GaussianSet:
     with _invalid_content(path):
         gs.validate()
     return gs
+
+
+def read_gaussian_set(path) -> GaussianSet:
+    with open(path, "rb") as f:
+        p, c = _gsb_header(f, path)
+        rec, prov = _gsb_rows(f, p, c, 0, p)
+    return _gaussian_set(path, rec, prov)
+
+
+@dataclass(frozen=True)
+class GaussianFile:
+    """The Gaussian set of a GSB1 file with only its (P, 3) float64 means
+    in memory. len(), `means` and `num_classes` read as a GaussianSet's do;
+    take() loads the rows it is given from the file."""
+
+    path: Path
+    means: np.ndarray
+    num_classes: int
+
+    def __len__(self) -> int:
+        return self.means.shape[0]
+
+    def take(self, indices) -> GaussianSet:
+        return read_gaussian_rows(self.path, indices)
+
+
+def read_gaussian_means(path) -> GaussianFile:
+    """The means of the GSB1 file `path`. Every row is read and checked as
+    read_gaussian_set checks it, one chunk of _ROWS rows at a time."""
+    with open(path, "rb") as f:
+        p, c = _gsb_header(f, path)
+        means = np.empty((p, 3))
+        for lo in range(0, p, _ROWS):
+            hi = min(lo + _ROWS, p)
+            means[lo:hi] = _gaussian_set(path, *_gsb_rows(f, p, c, lo, hi)).means
+    return GaussianFile(Path(path), means, c)
+
+
+def read_gaussian_rows(path, rows) -> GaussianSet:
+    """Rows `rows` of the GSB1 file `path`, in that order, checked as
+    read_gaussian_set checks them. Only chunks of _ROWS rows that hold a
+    wanted row are read."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    order = np.argsort(rows, kind="stable")
+    wanted = rows[order]
+    with open(path, "rb") as f:
+        p, c = _gsb_header(f, path)
+        if wanted.size and not 0 <= wanted[0] <= wanted[-1] < p:
+            raise ConfigError(f"{path}: rows must lie in [0, {p})")
+        rec = np.empty((rows.size, 11 + c), dtype="<f4")
+        prov = np.empty((rows.size, 3), dtype="<u4")
+        bounds = np.searchsorted(wanted, np.arange(0, p + _ROWS, _ROWS))
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if a < b:
+                lo = k * _ROWS
+                chunk_rec, chunk_prov = _gsb_rows(f, p, c, lo, min(lo + _ROWS, p))
+                rec[order[a:b]] = chunk_rec[wanted[a:b] - lo]
+                prov[order[a:b]] = chunk_prov[wanted[a:b] - lo]
+    return _gaussian_set(path, rec, prov)
 
 
 def write_depth_map(path, dm: DepthMap) -> None:

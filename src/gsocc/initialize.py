@@ -13,6 +13,7 @@ from typing import Protocol
 
 import numpy as np
 
+from . import formats
 from .core import CameraModel, GaussianSet
 from .errors import ShapeError
 
@@ -40,22 +41,26 @@ def unproject_pixels(
     return cam.origin + np.asarray(depths, dtype=np.float64)[:, None] * v
 
 
-def _init_one_view(view, cam, depth_map, valid, attrs, out, start):
-    """Writes the Gaussians of one view's `valid` pixels into rows
-    start, start + 1, ... of the preallocated set `out`."""
-    rows, cols = np.nonzero(valid)  # row-major raster order
-    block = slice(start, start + len(rows))
-    out.means[block] = unproject_pixels(cam, rows, cols, depth_map.depth[valid])
-    fields = ("scales", "rotations", "opacities", "semantics")
-    for name, value in zip(fields, attrs(view, rows, cols)):
-        dst = getattr(out, name)[block]
-        if np.shape(value) != dst.shape:
+def _view_block(view, cam, depth_map, valid, attrs) -> GaussianSet:
+    """The Gaussians of one view's `valid` pixels, in row-major raster order."""
+    rows, cols = np.nonzero(valid)
+    n, c = len(rows), attrs.num_classes
+    fields = {}
+    for (name, shape), value in zip(
+        (("scales", (n, 3)), ("rotations", (n, 4)), ("opacities", (n,)), ("semantics", (n, c))),
+        attrs(view, rows, cols),
+    ):
+        if np.shape(value) != shape:
             raise ShapeError(
                 f"view {view}: attribute provider returned {name} of shape "
-                f"{np.shape(value)}, expected {dst.shape}"
+                f"{np.shape(value)}, expected {shape}"
             )
-        dst[...] = value
-    out.source_index[block] = np.stack([np.full(len(rows), view), rows, cols], axis=1)
+        fields[name] = np.asarray(value, dtype=np.float64)
+    return GaussianSet(
+        means=unproject_pixels(cam, rows, cols, depth_map.depth[valid]),
+        **fields,
+        source_index=np.stack([np.full(n, view), rows, cols], axis=1).astype(np.uint32),
+    )
 
 
 def init_gaussians(
@@ -63,14 +68,21 @@ def init_gaussians(
     depths: list,
     attrs: AttributeProvider,
     n_workers: int = 1,
-) -> GaussianSet:
+    path=None,
+):
     """One Gaussian per valid depth pixel across all views.
 
     Emits primitives in (view, row, col) raster order with provenance
     recorded; pixels whose depth is the no-return sentinel are skipped.
-    Per-view work may run on `n_workers` threads; each view writes its own
-    block of one preallocated set, so the result is identical for any
-    worker count.
+    Each view's block is built on its own, on up to `n_workers` threads,
+    and lands at the rows its view starts at, so the result is identical
+    for any worker count.
+
+    Without `path`, returns the GaussianSet the blocks fill. With `path`,
+    each block goes to the GSB1 file `path` as soon as it is built, so at
+    most about `n_workers` blocks are in memory at once; the file holds the
+    bytes `formats.write_gaussian_set` writes for the GaussianSet, and the
+    return is the file's `formats.read_gaussian_means`, every row checked.
     """
     if len(cams) != len(depths):
         raise ShapeError(f"{len(cams)} cameras but {len(depths)} depth maps")
@@ -81,8 +93,14 @@ def init_gaussians(
                 f"camera grid {(cam.height, cam.width)}"
             )
     valid = [dm.valid for dm in depths]
-    starts = np.cumsum([0] + [int(np.count_nonzero(v)) for v in valid])
-    p, c = int(starts[-1]), attrs.num_classes
+    starts = np.cumsum([0] + [int(np.count_nonzero(v)) for v in valid]).tolist()
+    p, c = starts[-1], attrs.num_classes
+    jobs = [(start, (i, cam, dm, v, attrs))
+            for i, (cam, dm, v, start) in enumerate(zip(cams, depths, valid, starts))]
+    if path is not None:
+        with formats.gaussian_block_writer(path, p, c) as write:
+            _put_blocks(jobs, write, n_workers)
+        return formats.read_gaussian_means(path)
     out = GaussianSet(
         means=np.empty((p, 3)),
         scales=np.empty((p, 3)),
@@ -91,12 +109,25 @@ def init_gaussians(
         semantics=np.empty((p, c)),
         source_index=np.empty((p, 3), dtype=np.uint32),
     )
-    jobs = [(i, cam, dm, v, attrs, out, int(start))
-            for i, (cam, dm, v, start) in enumerate(zip(cams, depths, valid, starts))]
+
+    def fill(start, block):
+        for name in ("means", "scales", "rotations", "opacities", "semantics", "source_index"):
+            getattr(out, name)[start : start + len(block)] = getattr(block, name)
+
+    _put_blocks(jobs, fill, n_workers)
+    return out
+
+
+def _put_blocks(jobs: list, put, n_workers: int) -> None:
+    """put(start, _view_block(*args)) for each (start, args) job, on up to
+    `n_workers` threads."""
+    def one(job):
+        start, args = job
+        put(start, _view_block(*args))
+
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda job: _init_one_view(*job), jobs))
+            list(pool.map(one, jobs))
     else:
         for job in jobs:
-            _init_one_view(*job)
-    return out
+            one(job)

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import GaussianSet, OccupancyGrid
+from .core import OccupancyGrid
 from .errors import ShapeError, UndefinedMetricError
 
 
@@ -259,10 +259,9 @@ def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray, wor
     return occupied, dist
 
 
-def init_quality(
-    gs: GaussianSet, gt: OccupancyGrid, unknown_id: int | None = None, workers: int = 1
-):
-    """(perc, dist) initialization quality against a ground-truth grid.
+def init_quality(gs, gt: OccupancyGrid, unknown_id: int | None = None, workers: int = 1):
+    """(perc, dist) initialization quality of the means of `gs` (a
+    GaussianSet or a formats.GaussianFile) against a ground-truth grid.
 
     perc: percentage of Gaussians whose containing gt voxel is non-empty
     (out-of-grid means count as unoccupied). dist: mean Euclidean distance
@@ -316,14 +315,14 @@ def evaluate(
     pred: OccupancyGrid,
     gt: OccupancyGrid,
     cams: list,
-    gaussians: GaussianSet | None = None,
+    gaussians=None,
     thresholds=(1.0, 2.0, 4.0),
     stride: int = 4,
     unknown_id: int | None = None,
     workers: int = 1,
 ) -> MetricReport:
     """IoU, mIoU and RayIoU of `pred` against `gt` in one report, plus
-    Perc./Dist. when `gaussians` is given. `workers` threads run the
+    Perc./Dist. of the means of `gaussians` when it is given. `workers` threads run the
     Perc./Dist. nearest-neighbour query."""
     iou, miou, per_class = iou_miou(pred.labels, gt.labels, gt.empty_id, unknown_id)
     ray_per = ray_iou(pred, gt, cams, thresholds=thresholds, stride=stride, unknown_id=unknown_id)

@@ -39,11 +39,24 @@ REFINE_MODES = ("zero", "oracle-snap")
 # about twice that at its peak.
 MAX_FIELD_BYTES = 1 << 30
 
-# Most pixels over all cameras of the rig accepted at config load. Every
-# pixel casts a ray and may become a Gaussian: the float64 init set holds
-# about 132 bytes per Gaussian with four classes, about 1 GiB at this
-# limit (7x dense-rig).
+# Most pixels over all cameras of the rig accepted at config load (7x
+# dense-rig). Every pixel casts a ray and may become a Gaussian; a run's
+# peak memory grows by about 60 bytes per pixel, since init streams its set
+# to disk and only the means stay in memory.
 MAX_RIG_PIXELS = 1 << 23
+
+# Most boxes in a generated scene accepted at config load. Each box is one
+# slab test per camera ray in the depth cast and one pass of the GT raster.
+MAX_BOXES = 1 << 10
+
+# Entries each tuple field must hold: an exact count, or None for at least one.
+_TUPLE_LENGTHS = {
+    "box_classes": None,
+    "extents_min": 3,
+    "extents_max": 3,
+    "resolution": 2,
+    "ray_thresholds": None,
+}
 
 
 def _fits(value, kind: type) -> bool:
@@ -94,7 +107,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         # Each value, or each entry of a tuple field (a list becomes a tuple),
-        # must fit the type of the field's default.
+        # must fit the type of the field's default; a tuple field must hold
+        # the number of entries _TUPLE_LENGTHS gives.
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             is_tuple = isinstance(f.default, tuple)
@@ -105,20 +119,27 @@ class PipelineConfig:
             values = value if isinstance(value, tuple) else (value,)
             if isinstance(value, tuple) != is_tuple or not all(_fits(v, kind) for v in values):
                 raise ConfigError(f"{f.name} must hold {kind.__name__} values, got {value!r}")
+            want = _TUPLE_LENGTHS.get(f.name)
+            if is_tuple and (len(value) != want if want else not value):
+                raise ConfigError(
+                    f"{f.name} must hold {want or 'at least one'} entries, got {len(value)}"
+                )
             for v in values:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
-        self.scene_config()  # SceneConfig checks the extents, num_boxes and box_classes
+        if self.num_boxes > MAX_BOXES:
+            raise ConfigError(f"num_boxes {self.num_boxes} is above the limit of {MAX_BOXES}")
+        self.scene_config()  # SceneConfig checks the extents and a negative num_boxes
         if self.refine not in REFINE_MODES:
             raise ConfigError(f"refine mode must be one of {REFINE_MODES}")
         if self.grid_size <= 0 or self.voxel_size <= 0:
             raise ConfigError("grid sizes must be positive")
         self.sampling_spec()  # rejects a grid too fine for int64 voxel keys
         dims = self.grid_dims()  # rejects a voxel size that does not divide the extents
-        if len(self.resolution) != 2 or not all(r >= 1 for r in self.resolution):
-            raise ConfigError("resolution must be two entries >= 1: [height, width]")
+        if not all(r >= 1 for r in self.resolution):
+            raise ConfigError("resolution entries must be >= 1: [height, width]")
         if self.focal <= 0:
             raise ConfigError("focal must be positive")
         if self.noise_std < 0:
@@ -134,8 +155,8 @@ class PipelineConfig:
             raise ConfigError("threads must be >= 1")
         if self.ray_stride < 1:
             raise ConfigError("ray_stride must be >= 1")
-        if not self.ray_thresholds or not all(t > 0 for t in self.ray_thresholds):
-            raise ConfigError("ray_thresholds must be a non-empty list of finite positive meters")
+        if not all(t > 0 for t in self.ray_thresholds):
+            raise ConfigError("ray_thresholds must be finite positive meters")
         if not 0.0 <= self.gauss_opacity <= 1.0:
             raise ConfigError("gauss_opacity must lie in [0, 1]")
         if self.gauss_scale < S_MIN:
@@ -265,7 +286,9 @@ def _run_stage(name, out_dir, fn):
     return result
 
 
-def distinct_occupied_voxels(gs: GaussianSet, spec: VoxelGridSpec) -> int:
+def distinct_occupied_voxels(gs, spec: VoxelGridSpec) -> int:
+    """Occupied voxels of `spec` among the means of `gs` (a GaussianSet or a
+    formats.GaussianFile)."""
     keys = voxel_keys(gs.means, spec)
     keys = keys[keys != OUT_OF_BOUNDS]
     return int(np.unique(keys).size)
@@ -281,15 +304,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
     depths, clean_depths, classes = _run_stage(
         "render-depth", out, lambda st: write_depths(config, scene, st.path)
     )
-    _run_stage(
+    staged = _run_stage(
         "init", out, lambda st: write_init(config, classes, depths, st.path("gaussians_init.gsb"))
     )
     del classes
-    # Each stage below consumes the artifact it reloads, not the in-memory
-    # float64 set, so standalone subcommands reproduce the same bytes. The
-    # float64 set is already dropped when the reload runs, which bounds peak
-    # memory on large rigs.
-    init_set = formats.read_gaussian_set(out / "gaussians_init.gsb")
+    # After init the run holds only the init set's f32-rounded means, read
+    # back from the artifact with every row checked; the sample stage loads
+    # the rows it keeps from the committed file. Each stage below consumes
+    # what the stage before wrote, not an in-memory float64 set, so the
+    # standalone subcommands reproduce the same bytes.
+    init_set = dataclasses.replace(staged, path=out / "gaussians_init.gsb")
     _run_stage(
         "sample", out, lambda st: write_sampled(config, init_set, st.path("gaussians_sampled.gsb"))
     )
@@ -375,17 +399,18 @@ def write_depths(config: PipelineConfig, scene, path_for) -> tuple:
     return depths, clean, classes
 
 
-def write_init(config: PipelineConfig, class_maps: list, depths: list, path) -> GaussianSet:
-    """Pixel-aligned Gaussians from `depths`, labelled from `class_maps`."""
+def write_init(config: PipelineConfig, class_maps: list, depths: list, path):
+    """Pixel-aligned Gaussians from `depths`, labelled from `class_maps`,
+    streamed to `path` view by view; returns the file's checked means."""
     attrs = GroundTruthClassAttributes(
         class_maps, config.gauss_scale, config.gauss_opacity, config.num_classes
     )
-    gs = init_gaussians(config.cameras(), depths, attrs, n_workers=config.threads)
-    formats.write_gaussian_set(path, gs)
-    return gs
+    return init_gaussians(config.cameras(), depths, attrs, n_workers=config.threads, path=path)
 
 
-def write_sampled(config: PipelineConfig, gs: GaussianSet, path) -> GaussianSet:
+def write_sampled(config: PipelineConfig, gs, path) -> GaussianSet:
+    """Sample `gs`, a GaussianSet or a formats.GaussianFile whose kept rows
+    are read from its file."""
     sampled = sample_representatives(
         gs, config.sampling_spec(), config.seed, n_workers=config.threads
     )

@@ -16,7 +16,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import GaussianSet, VoxelGridSpec
+from .core import VoxelGridSpec
+
+# Means per chunk of the key computation.
+_KEY_ROWS = 1 << 16
 
 # Marker key for means outside the grid extents.
 OUT_OF_BOUNDS = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -39,12 +42,7 @@ def voxel_coords(means: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
     return np.floor(np.asarray(means, dtype=np.float64) / spec.grid_size).astype(np.int64)
 
 
-def voxel_keys(means: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
-    """(P,) uint64 keys; out-of-extent means get OUT_OF_BOUNDS.
-
-    In-bounds means satisfy min_corner <= mean < max_corner on every axis.
-    """
-    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
+def _chunk_keys(means: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
     in_bounds = ((means >= spec.min_corner) & (means < spec.max_corner)).all(axis=1)
     v = voxel_coords(means, spec) - spec.v_min
     dy, dz = int(spec.dims[1]), int(spec.dims[2])
@@ -54,39 +52,46 @@ def voxel_keys(means: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
     return keys
 
 
-def _keys_parallel(means: np.ndarray, spec: VoxelGridSpec, n_workers: int) -> np.ndarray:
+def voxel_keys(means: np.ndarray, spec: VoxelGridSpec, n_workers: int = 1) -> np.ndarray:
+    """(P,) uint64 keys; out-of-extent means get OUT_OF_BOUNDS.
+
+    In-bounds means satisfy min_corner <= mean < max_corner on every axis.
+    Keys are elementwise; they are computed in chunks of _KEY_ROWS means on
+    up to `n_workers` threads (at most one per CPU), which bounds the
+    temporaries and does not change any key.
+    """
+    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
     n = means.shape[0]
-    n_workers = min(n_workers, os.cpu_count() or 1)  # the keys do not depend on it
-    if n_workers <= 1 or n < 2 * n_workers:
-        return voxel_keys(means, spec)
     out = np.empty(n, dtype=np.uint64)
-    bounds = np.linspace(0, n, n_workers + 1, dtype=np.int64)
 
-    def work(i):
-        lo, hi = bounds[i], bounds[i + 1]
-        out[lo:hi] = voxel_keys(means[lo:hi], spec)
+    def work(lo):
+        out[lo : lo + _KEY_ROWS] = _chunk_keys(means[lo : lo + _KEY_ROWS], spec)
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        list(pool.map(work, range(n_workers)))
+    chunks = range(0, n, _KEY_ROWS)
+    n_workers = min(n_workers, os.cpu_count() or 1, len(chunks))
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(work, chunks))
+    else:
+        for lo in chunks:
+            work(lo)
     return out
 
 
-def sample_representatives(
-    gs: GaussianSet, spec: VoxelGridSpec, seed: int, n_workers: int = 1
-) -> GaussianSet:
-    """Keep exactly one input Gaussian per occupied voxel.
+def sample_indices(
+    means: np.ndarray, spec: VoxelGridSpec, seed: int, n_workers: int = 1
+) -> np.ndarray:
+    """Input rows of the one Gaussian kept per occupied voxel, sorted by key.
 
-    Out-of-extent Gaussians are discarded. Within a voxel the representative
+    Out-of-extent means are discarded. Within a voxel the representative
     is drawn uniformly by splitmix64(seed XOR key) mod group size over the
-    group members in global input order; the output is sorted by key. No
-    attribute is modified, and the result does not depend on n_workers.
+    group members in global input order. The rows depend only on (means,
+    spec, seed), not on n_workers.
     """
-    if len(gs) == 0:
-        return gs
-    keys = _keys_parallel(gs.means, spec, n_workers)
+    keys = voxel_keys(means, spec, n_workers)
     in_bounds = np.flatnonzero(keys != OUT_OF_BOUNDS)
     if in_bounds.size == 0:
-        return gs.take(np.zeros(0, dtype=np.int64))
+        return in_bounds
     keys = keys[in_bounds]
     # Stable sort keeps global input order within each key group.
     order = np.argsort(keys, kind="stable")
@@ -95,5 +100,11 @@ def sample_representatives(
     starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
     sizes = np.diff(np.concatenate((starts, [sorted_keys.size])))
     draw = splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ sorted_keys[starts])
-    chosen = sorted_global[starts + (draw % sizes.astype(np.uint64)).astype(np.int64)]
-    return gs.take(chosen)
+    return sorted_global[starts + (draw % sizes.astype(np.uint64)).astype(np.int64)]
+
+
+def sample_representatives(gs, spec: VoxelGridSpec, seed: int, n_workers: int = 1):
+    """Keep exactly one input Gaussian per occupied voxel: the rows of
+    sample_indices, taken from `gs` (a GaussianSet, or a formats.GaussianFile
+    whose rows are read from its file). No attribute is modified."""
+    return gs.take(sample_indices(gs.means, spec, seed, n_workers))

@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 
 import gsocc
-from gsocc import formats, synth
+from gsocc import formats, pipeline, synth
 from gsocc.cli import main
 from gsocc.errors import ConfigError
-from gsocc.pipeline import MAX_FIELD_BYTES, MAX_RIG_PIXELS, PipelineConfig, _Stage, run_pipeline
+from gsocc.pipeline import (
+    MAX_BOXES,
+    MAX_FIELD_BYTES,
+    MAX_RIG_PIXELS,
+    PipelineConfig,
+    _Stage,
+    run_pipeline,
+)
+from gsocc.sampling import sample_indices
 
 SMALL_CONFIG = {
     "seed": 7,
@@ -217,6 +225,9 @@ class TestErrors:
             ("dump_probs", "no"),  # truthy, but not a bool
             ("ground_class", 0),
             ("ground_class", -1),
+            ("extents_min", [1.0]),  # broadcast against extents_max, then a ShapeError
+            ("extents_max", [16.0]),
+            ("num_boxes", MAX_BOXES + 1),
         ]
     ])
     def test_bad_config_value_exit_2(self, tmp_path, field, value):
@@ -336,6 +347,62 @@ def test_rig_at_the_limit_accepted():
     cams = PipelineConfig.from_dict({"resolution": [1024, 1365]}).cameras()
     pixels = sum(cam.height * cam.width for cam in cams)
     assert MAX_RIG_PIXELS - 6 * 1024 < pixels <= MAX_RIG_PIXELS
+
+
+def test_box_count_limit_at_load():
+    # Config load only: no box is generated.
+    assert PipelineConfig.from_dict({"num_boxes": MAX_BOXES}).num_boxes == MAX_BOXES
+    with pytest.raises(ConfigError, match=f"limit of {MAX_BOXES}"):
+        PipelineConfig.from_dict({"num_boxes": MAX_BOXES + 1})
+
+
+@pytest.mark.parametrize("damage", ["logit-nan", "rotation-not-unit"])
+def test_bad_init_row_outside_the_kept_ones_rejected(tmp_path, monkeypatch, damage):
+    """The sample stage loads only the kept rows of gaussians_init.gsb, but
+    the pipeline still checks every row of it."""
+    cfg = PipelineConfig(**{**SMALL_CONFIG, "out_dir": str(tmp_path / "clean")})
+    run_pipeline(cfg)
+    init = formats.read_gaussian_set(tmp_path / "clean" / "gaussians_init.gsb")
+    kept = sample_indices(init.means, cfg.sampling_spec(), cfg.seed)
+    row = int(np.setdiff1d(np.arange(len(init)), kept)[-1])
+    bad_view, bad_row, bad_col = init.source_index[row]
+
+    class Damaged(pipeline.GroundTruthClassAttributes):
+        def __call__(self, view, rows, cols):
+            scales, rotations, opacities, logits = super().__call__(view, rows, cols)
+            hit = (view == bad_view) & (rows == bad_row) & (cols == bad_col)
+            if damage == "logit-nan":
+                logits[hit, 0] = np.nan
+            else:
+                rotations[hit] = [2.0, 0.0, 0.0, 0.0]
+            return scales, rotations, opacities, logits
+
+    monkeypatch.setattr(pipeline, "GroundTruthClassAttributes", Damaged)
+    cfg.out_dir = str(tmp_path / "damaged")
+    with pytest.raises(ConfigError, match="gaussians_init.gsb"):
+        run_pipeline(cfg)
+
+
+def test_pipeline_memory_per_rig_pixel(tmp_path):
+    """Peak Python-heap use of a run grows by well under the 132 bytes a
+    float64 Gaussian takes per rig pixel: after init the run holds the init
+    set's means, not the set."""
+    import tracemalloc
+
+    import scipy.spatial  # noqa: F401  imported here, not inside the measured run
+    import scipy.special  # noqa: F401
+
+    cfg = PipelineConfig(resolution=(192, 256), voxel_size=1.0, ray_stride=32, threads=2,
+                         seed=7, out_dir=str(tmp_path / "run"))
+    pixels = sum(cam.height * cam.width for cam in cfg.cameras())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / pixels < 100, f"{peak / pixels:.0f} bytes per rig pixel"
 
 
 def test_pixel_rays_cast_once_per_camera(tmp_path, monkeypatch):

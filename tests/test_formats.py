@@ -13,13 +13,24 @@ from gsocc.errors import ConfigError
 from gsocc.formats import (
     GSB_MAGIC,
     read_depth_map,
+    read_gaussian_means,
+    read_gaussian_rows,
     read_gaussian_set,
     read_occupancy,
     write_depth_map,
     write_gaussian_set,
     write_occupancy,
 )
-from gsocc.pipeline import PipelineConfig, write_depths, write_init, write_scene
+from gsocc.initialize import init_gaussians
+from gsocc.pipeline import (
+    GroundTruthClassAttributes,
+    PipelineConfig,
+    cast_depths,
+    write_depths,
+    write_init,
+    write_scene,
+)
+from gsocc.sampling import sample_indices, sample_representatives
 
 from conftest import random_gaussian_set
 
@@ -91,6 +102,40 @@ class TestGSB1:
         assert len(write_init(config, classes, depths, tmp_path / "init.gsb")) > 1000
         write_gaussian_set(tmp_path / "again.gsb", read_gaussian_set(tmp_path / "init.gsb"))
         assert (tmp_path / "again.gsb").read_bytes() == (tmp_path / "init.gsb").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_streamed_init_equals_whole_set_written(self, tmp_path, workers):
+        config = PipelineConfig.from_dict(
+            {"seed": 7, "resolution": [24, 32], "focal": 16.0, "threads": workers})
+        depths, _, classes = cast_depths(config, write_scene(config, tmp_path / "scene.json"))
+        streamed = write_init(config, classes, depths, tmp_path / "streamed.gsb")
+        attrs = GroundTruthClassAttributes(
+            classes, config.gauss_scale, config.gauss_opacity, config.num_classes)
+        gs = init_gaussians(config.cameras(), depths, attrs, n_workers=workers)
+        write_gaussian_set(tmp_path / "whole.gsb", gs)
+        assert (tmp_path / "streamed.gsb").read_bytes() == (tmp_path / "whole.gsb").read_bytes()
+        np.testing.assert_array_equal(streamed.means, gs.means.astype(np.float32))
+        # Provenance names each Gaussian, so equal source_index means equal rows.
+        spec = config.sampling_spec()
+        kept = sample_representatives(gs, spec, config.seed)
+        rows = sample_indices(gs.means, spec, config.seed, n_workers=workers)
+        np.testing.assert_array_equal(gs.source_index[rows], kept.source_index)
+        from_file = sample_representatives(streamed, spec, config.seed, n_workers=workers)
+        from_set = sample_representatives(read_gaussian_set(streamed.path), spec, config.seed)
+        for name in ("means", "scales", "rotations", "opacities", "semantics", "source_index"):
+            np.testing.assert_array_equal(getattr(from_file, name), getattr(from_set, name))
+
+    def test_rows_reader_loads_rows_in_the_given_order(self, tmp_path, rng):
+        path = tmp_path / "set.gsb"
+        write_gaussian_set(path, random_gaussian_set(rng, 3 * (1 << 13) + 5))
+        whole = read_gaussian_set(path)
+        rows = rng.integers(0, len(whole), size=200)
+        got = read_gaussian_rows(path, rows)
+        for name in ("means", "scales", "rotations", "opacities", "semantics", "source_index"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(whole.take(rows), name))
+        np.testing.assert_array_equal(read_gaussian_means(path).means, whole.means)
+        with pytest.raises(ConfigError, match="rows must lie in"):
+            read_gaussian_rows(path, [len(whole)])
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.gsb"
@@ -236,7 +281,7 @@ def test_class_count_outside_u8_labels_rejected(tmp_path, fmt, c):
 def _valid_file(fmt: str, seed: int, path) -> None:
     """A small valid file of format `fmt`, its content drawn from `seed`."""
     rng = np.random.default_rng(seed)
-    if fmt == "gsb":
+    if fmt.startswith("gsb"):
         write_gaussian_set(path, random_gaussian_set(rng, int(rng.integers(1, 5)),
                                                      num_classes=int(rng.integers(1, 4))))
     elif fmt == "dpm":
@@ -251,9 +296,23 @@ def _valid_file(fmt: str, seed: int, path) -> None:
         write_occupancy(path, grid, num_classes=c, probs=probs)
 
 
+def _damage_reader(fmt: str, path):
+    """The reader the damage test calls for `fmt`. The GSB1 rows reader asks
+    for the last row of the undamaged file at `path`, then the first."""
+    if fmt == "gsb-means":
+        return read_gaussian_means
+    if fmt == "gsb-rows":
+        rows = [len(read_gaussian_set(path)) - 1, 0]
+        return lambda p: read_gaussian_rows(p, rows)
+    return READERS[fmt[:3]]
+
+
 def _assert_valid_read(fmt: str, result) -> None:
     """What a reader returns must hold its type's invariants, with no NaN."""
-    if fmt == "gsb":
+    if fmt == "gsb-means":
+        assert result.means.shape == (len(result), 3) and np.isfinite(result.means).all()
+        assert 1 <= result.num_classes <= 255
+    elif fmt.startswith("gsb"):
         result.validate()
         assert 1 <= result.num_classes <= 255
     elif fmt == "dpm":
@@ -270,19 +329,22 @@ def _assert_valid_read(fmt: str, result) -> None:
             assert ((probs >= 0) & (probs <= 1)).all()
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(
-    fmt=st.sampled_from(["gsb", "dpm", "occ", "occ-probs"]),
+    fmt=st.sampled_from(["gsb", "gsb-means", "gsb-rows", "dpm", "occ", "occ-probs"]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 def test_damaged_file_reads_valid_or_raises_config_error(fmt, seed, data):
     """Truncated, extended and bit-flipped files: a reader either returns a
-    valid object or raises ConfigError, never another exception."""
+    valid object or raises ConfigError, never another exception. The GSB1
+    means reader checks every row, so it accepts what read_gaussian_set
+    accepts and returns the same means."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.bin"
         _valid_file(fmt, seed, path)
-        _assert_valid_read(fmt, READERS[fmt[:3]](path))
+        read = _damage_reader(fmt, path)
+        _assert_valid_read(fmt, read(path))
         raw = bytearray(path.read_bytes())
         for _ in range(data.draw(st.integers(1, 3), label="damages")):
             damage = data.draw(st.sampled_from(["truncate", "extend", "flip"]), label="damage")
@@ -295,7 +357,9 @@ def test_damaged_file_reads_valid_or_raises_config_error(fmt, seed, data):
                 raw[bit // 8] ^= 1 << (bit % 8)
         path.write_bytes(bytes(raw))
         try:
-            result = READERS[fmt[:3]](path)
+            result = read(path)
         except ConfigError:
             return
         _assert_valid_read(fmt, result)
+        if fmt == "gsb-means":
+            np.testing.assert_array_equal(result.means, read_gaussian_set(path).means)
