@@ -41,9 +41,9 @@ def _load_config(args) -> PipelineConfig:
     return PipelineConfig.from_dict(doc)
 
 
-def _read_scene(path) -> synth.SceneSpec:
+def _read_scene(path, config: PipelineConfig) -> synth.SceneSpec:
     try:
-        return synth.SceneSpec.from_json(Path(path).read_text())
+        return synth.SceneSpec.from_json(Path(path).read_text(), config.num_classes)
     except OSError as e:
         raise ConfigError(f"cannot read scene {path}: {e}") from e
 
@@ -59,7 +59,7 @@ def cmd_gen_scene(args) -> int:
 
 def cmd_render_depth(args) -> int:
     cfg = _load_config(args)
-    scene = _read_scene(args.scene)
+    scene = _read_scene(args.scene, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline.write_depths(cfg, scene, out_dir.joinpath)
@@ -68,7 +68,7 @@ def cmd_render_depth(args) -> int:
 
 def cmd_init(args) -> int:
     cfg = _load_config(args)
-    depths, _, classes = pipeline.cast_depths(cfg, _read_scene(args.scene))
+    depths, _, classes = pipeline.cast_depths(cfg, _read_scene(args.scene, cfg))
     pipeline.write_init(cfg, classes, depths, args.output)
     return 0
 
@@ -91,7 +91,7 @@ def cmd_sample(args) -> int:
 def cmd_refine(args) -> int:
     cfg = _load_config(args)
     gs = formats.read_gaussian_set(args.gaussians)
-    scene = _read_scene(args.scene) if args.scene else None
+    scene = _read_scene(args.scene, cfg) if args.scene else None
     pipeline.write_refined(cfg, gs, scene, args.output)
     return 0
 
@@ -113,7 +113,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_eval_loss(args) -> int:
     cfg = _load_config(args)
-    scene = _read_scene(args.scene)
+    scene = _read_scene(args.scene, cfg)
     gt, _, _ = formats.read_occupancy(args.gt)
     field = pipeline.render_field(cfg, formats.read_gaussian_set(args.gaussians))
     depths, clean, _ = pipeline.cast_depths(cfg, scene)
@@ -152,8 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="grid-based sampling of a Gaussian set")
     p.add_argument("--gaussians", type=Path, required=True)
-    p.add_argument("--output", type=Path)
-    p.add_argument("--dry-run", action="store_true", help="print the distinct-voxel count only")
+    out = p.add_mutually_exclusive_group(required=True)
+    out.add_argument("--output", type=Path)
+    out.add_argument("--dry-run", action="store_true", help="print the distinct-voxel count only")
     _add_common(p)
     p.set_defaults(fn=cmd_sample)
 

@@ -15,7 +15,7 @@ class InvalidRotationError(GsoccError, ValueError):
 
 class UndefinedMetricError(GsoccError, RuntimeError):
     """A metric or loss has no defined value for the given inputs
-    (e.g. empty ground truth, all voxels ignored, no rays hit the grid)."""
+    (e.g. empty ground truth, no voxels, no rays hit the grid)."""
 
 
 class ConfigError(GsoccError, ValueError):

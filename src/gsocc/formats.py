@@ -28,7 +28,7 @@ checks every row in chunks of _ROWS but keeps only the means (a
 
 Readers raise ConfigError naming the file when its length differs from
 what the header implies, its class count C lies outside [1, 255] (class
-ids are u8 labels), or its content breaks the invariants of the type it
+ids are u8 labels), an OCC1 grid dimension is 0, or its content breaks the invariants of the type it
 is read into: GaussianSet.validate(), the DepthMap and OccupancyGrid
 checks, and for OCC1 also has_probs in {0, 1}, every label and the empty
 id in [0, C], and probabilities finite in [0, 1]. No reader returns NaN.
@@ -277,6 +277,8 @@ def read_occupancy(path):
             f, path, "<IIIffffIIB"
         )
         _check_classes(path, num_classes)
+        if 0 in (x, y, z):
+            raise ConfigError(f"{path}: grid dimensions {x}x{y}x{z} must all be >= 1")
         if has_probs > 1:
             raise ConfigError(f"{path}: has_probs flag {has_probs} is neither 0 nor 1")
         n = x * y * z * (num_classes + 1)

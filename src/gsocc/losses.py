@@ -22,9 +22,9 @@ from .errors import ShapeError, UndefinedMetricError
 PROB_CLAMP = 1e-7
 
 
-def cross_entropy_loss(pred: np.ndarray, gt: np.ndarray, ignore: int | None = None) -> float:
-    """Mean -log(pred[gt]) over non-ignored voxels, probabilities clamped
-    to [1e-7, 1]."""
+def cross_entropy_loss(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Mean -log(pred[gt]) over all voxels, probabilities clamped to
+    [1e-7, 1]."""
     pred = np.asarray(pred, dtype=np.float64).reshape(-1, np.asarray(pred).shape[-1])
     gt = np.asarray(gt).reshape(-1)
     if pred.shape[0] != gt.shape[0]:
@@ -32,10 +32,9 @@ def cross_entropy_loss(pred: np.ndarray, gt: np.ndarray, ignore: int | None = No
     sums = pred.sum(axis=1)
     if np.abs(sums - 1.0).max(initial=0.0) > 1e-4:
         raise ValueError("prediction rows must sum to 1 within 1e-4")
-    keep = np.ones(gt.shape[0], dtype=bool) if ignore is None else gt != ignore
-    if not keep.any():
-        raise UndefinedMetricError("all voxels ignored; cross-entropy mean undefined")
-    picked = pred[np.arange(gt.shape[0]), gt.astype(np.int64)][keep]
+    if gt.shape[0] == 0:
+        raise UndefinedMetricError("no voxels; cross-entropy mean undefined")
+    picked = pred[np.arange(gt.shape[0]), gt.astype(np.int64)]
     return float(-np.log(np.clip(picked, PROB_CLAMP, 1.0)).mean())
 
 

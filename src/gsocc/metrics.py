@@ -9,9 +9,7 @@ of (R, 3) arrays, and a ray leaves the active set once both grids have a
 hit or it leaves the box. Per ray, the first non-empty hits are compared: a
 per-class true positive requires matching classes and a hit-distance gap
 within the threshold. TP/FP/FN are counted per class with np.bincount, and
-the per-class IoUs are averaged in ascending class order. Voxels labeled
-`unknown_id` are excluded from voxel metrics and are transparent to the ray
-march.
+the per-class IoUs are averaged in ascending class order.
 
 Perc./Dist. find each mean's gt voxel by floor. The voxels are the Voronoi
 cells of their center lattice, so a mean in an occupied voxel has its
@@ -20,7 +18,7 @@ neighbours on the mean's side: every other center is farther than the own
 one by at least voxel_size^2 in squared distance. Such means take the
 minimum over those <= 8 centers, computed with the KD-tree's center values
 and distance formula, so the result is bitwise the tree's; the KD-tree
-answers every other mean. `unknown_id` voxels count as empty.
+answers every other mean.
 """
 
 from __future__ import annotations
@@ -35,17 +33,12 @@ from .core import OccupancyGrid
 from .errors import ShapeError, UndefinedMetricError
 
 
-def iou_miou(
-    pred: np.ndarray,
-    gt: np.ndarray,
-    empty_id: int = 0,
-    unknown_id: int | None = None,
-):
+def iou_miou(pred: np.ndarray, gt: np.ndarray, empty_id: int = 0):
     """Binary occupied-vs-empty IoU plus per-class IoU and their mean.
 
-    Voxels where gt equals `unknown_id` are excluded. mIoU averages only
-    classes present in gt; per-class values come back as {class: iou}.
-    A union of zero (both grids empty) counts as perfect agreement.
+    mIoU averages the classes present in gt; per-class values come back as
+    {class: iou}. Raises UndefinedMetricError when gt has no occupied
+    voxel, since mIoU then averages no class.
     """
     pred = np.asarray(pred)
     gt = np.asarray(gt)
@@ -53,43 +46,26 @@ def iou_miou(
         raise ShapeError(f"pred {pred.shape} vs gt {gt.shape}")
     pred = pred.reshape(-1)
     gt = gt.reshape(-1)
-    keep = np.ones(gt.shape, dtype=bool) if unknown_id is None else gt != unknown_id
     pred_occ = pred != empty_id
     gt_occ = gt != empty_id
-    if unknown_id is not None:
-        pred_occ &= pred != unknown_id
-    inter = int(np.count_nonzero(pred_occ & gt_occ & keep))
-    union = int(np.count_nonzero((pred_occ | gt_occ) & keep))
-    iou = inter / union if union else 1.0
+    if not gt_occ.any():
+        raise UndefinedMetricError("ground truth grid has no occupied voxel")
+    iou = int(np.count_nonzero(pred_occ & gt_occ)) / int(np.count_nonzero(pred_occ | gt_occ))
     per_class = {}
-    for c in np.unique(gt[keep]):
-        c = int(c)
-        if c == empty_id or (unknown_id is not None and c == unknown_id):
-            continue
-        pc = (pred == c) & keep
-        gc = (gt == c) & keep
-        u = int(np.count_nonzero(pc | gc))
-        per_class[c] = int(np.count_nonzero(pc & gc)) / u if u else 1.0
-    miou = float(np.mean(list(per_class.values()))) if per_class else float("nan")
-    return iou, miou, per_class
+    for c in np.unique(gt[gt_occ]):
+        pc = pred == c
+        gc = gt == c
+        per_class[int(c)] = int(np.count_nonzero(pc & gc)) / int(np.count_nonzero(pc | gc))
+    return iou, float(np.mean(list(per_class.values()))), per_class
 
 
-def _opaque_table(labels, clear):
-    """(lo, opaque): the bool table opaque[label - lo] is False for the labels
-    in `clear` and True for every other label of the grid `labels`."""
-    lo = int(labels.min(initial=0))
-    opaque = np.ones(int(labels.max(initial=0)) - lo + 1, dtype=bool)
-    opaque[[c - lo for c in clear if 0 <= c - lo < len(opaque)]] = False
-    return lo, opaque
-
-
-def first_hits(label_grids, origin, voxel_size, o, v, transparent):
-    """First non-transparent voxel of every ray in each of several label grids.
+def first_hits(label_grids, origin, voxel_size, o, v, empty):
+    """First non-empty voxel of every ray in each of several label grids.
 
     `label_grids` are G (X, Y, Z) label volumes sharing one geometry (min
     corner `origin`, cubic voxels of `voxel_size`); `o` and `v` are (R, 3)
-    ray origins and directions; `transparent[g]` lists the labels the march
-    passes through in grid g. All rays take Amanatides-Woo steps together;
+    ray origins and directions; the march passes through the voxels of grid
+    g labelled `empty[g]`. All rays take Amanatides-Woo steps together;
     a ray leaves the active set once every grid has a hit or it leaves the
     box. Returns (inside, t, label): inside is (R,) bool, true for rays that
     meet the box; t (G, R) is the entry distance of the hit voxel (NaN for
@@ -128,15 +104,14 @@ def first_hits(label_grids, origin, voxel_size, o, v, transparent):
     t_max = np.where(moving, (boundary - o) / v_safe, np.inf)
     t_delta = np.where(moving, voxel_size / np.abs(v_safe), np.inf)
 
-    tables = [_opaque_table(labels, clear) for labels, clear in zip(label_grids, transparent)]
     t_hit = np.full((len(label_grids), inside.size), np.nan)
     lab_hit = np.full(t_hit.shape, -1, dtype=np.int64)
     while ray.size:
         done = np.ones(ray.size, dtype=bool)
-        for g, (labels, (lo, opaque)) in enumerate(zip(label_grids, tables)):
+        for g, (labels, e) in enumerate(zip(label_grids, empty)):
             pending = lab_hit[g, ray] < 0
             lab = labels[idx[:, 0], idx[:, 1], idx[:, 2]]
-            new = pending & opaque[lab.astype(np.int64) - lo if lo else lab]
+            new = pending & (lab != e)
             lab_hit[g, ray[new]] = lab[new]
             t_hit[g, ray[new]] = t_entry[new]
             done &= new | ~pending
@@ -160,7 +135,6 @@ def ray_iou(
     cams: list,
     thresholds=(1.0, 2.0, 4.0),
     stride: int = 4,
-    unknown_id: int | None = None,
 ):
     """Per-threshold ray-level IoU over rays from every camera through each
     stride-th pixel center. Returns {threshold: iou}."""
@@ -168,7 +142,6 @@ def ray_iou(
         np.asarray(pred.origin), np.asarray(gt.origin)
     ):
         raise ShapeError("pred and gt grids must share geometry")
-    unknown = set() if unknown_id is None else {unknown_id}
     dirs = [cam.pixel_rays(stride) for cam in cams]
     origins = [np.broadcast_to(cam.origin, d.shape) for cam, d in zip(cams, dirs)]
     inside, t, lab = first_hits(
@@ -177,7 +150,7 @@ def ray_iou(
         pred.voxel_size,
         np.concatenate([np.empty((0, 3)), *origins]),
         np.concatenate([np.empty((0, 3)), *dirs]),
-        [{pred.empty_id} | unknown, {gt.empty_id} | unknown],
+        [pred.empty_id, gt.empty_id],
     )
     if not inside.any():
         raise UndefinedMetricError("no rays intersect the grid")
@@ -259,7 +232,7 @@ def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray, wor
     return occupied, dist
 
 
-def init_quality(gs, gt: OccupancyGrid, unknown_id: int | None = None, workers: int = 1):
+def init_quality(gs, gt: OccupancyGrid, workers: int = 1):
     """(perc, dist) initialization quality of the means of `gs` (a
     GaussianSet or a formats.GaussianFile) against a ground-truth grid.
 
@@ -283,8 +256,6 @@ def init_quality(gs, gt: OccupancyGrid, unknown_id: int | None = None, workers: 
     neither perc nor dist depends on `workers`.
     """
     occ = gt.labels != gt.empty_id
-    if unknown_id is not None:
-        occ &= gt.labels != unknown_id
     if not occ.any():
         raise UndefinedMetricError("ground truth grid has no occupied voxel")
     if len(gs) == 0:
@@ -318,18 +289,18 @@ def evaluate(
     gaussians=None,
     thresholds=(1.0, 2.0, 4.0),
     stride: int = 4,
-    unknown_id: int | None = None,
     workers: int = 1,
 ) -> MetricReport:
     """IoU, mIoU and RayIoU of `pred` against `gt` in one report, plus
     Perc./Dist. of the means of `gaussians` when it is given. `workers` threads run the
-    Perc./Dist. nearest-neighbour query."""
-    iou, miou, per_class = iou_miou(pred.labels, gt.labels, gt.empty_id, unknown_id)
-    ray_per = ray_iou(pred, gt, cams, thresholds=thresholds, stride=stride, unknown_id=unknown_id)
+    Perc./Dist. nearest-neighbour query. Raises UndefinedMetricError when
+    `gt` has no occupied voxel."""
+    iou, miou, per_class = iou_miou(pred.labels, gt.labels, gt.empty_id)
+    ray_per = ray_iou(pred, gt, cams, thresholds=thresholds, stride=stride)
     rayiou = float(np.mean(list(ray_per.values())))
     perc = dist = None
     if gaussians is not None:
-        perc, dist = init_quality(gaussians, gt, unknown_id, workers)
+        perc, dist = init_quality(gaussians, gt, workers)
     return MetricReport(
         iou=iou,
         miou=miou,

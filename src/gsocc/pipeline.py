@@ -405,7 +405,7 @@ def write_init(config: PipelineConfig, class_maps: list, depths: list, path):
     attrs = GroundTruthClassAttributes(
         class_maps, config.gauss_scale, config.gauss_opacity, config.num_classes
     )
-    return init_gaussians(config.cameras(), depths, attrs, n_workers=config.threads, path=path)
+    return init_gaussians(config.cameras(), depths, attrs, path, n_workers=config.threads)
 
 
 def write_sampled(config: PipelineConfig, gs, path) -> GaussianSet:

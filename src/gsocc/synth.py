@@ -10,6 +10,7 @@ so no execution schedule can change results.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,25 +119,66 @@ class SceneSpec:
         return json.dumps(doc, sort_keys=True, indent=2)
 
     @staticmethod
-    def from_json(text: str) -> "SceneSpec":
-        doc = json.loads(text)
-        boxes = tuple(
-            Box(
-                center=np.array(b["center"], dtype=np.float64),
-                half_extents=np.array(b["half_extents"], dtype=np.float64),
-                yaw=float(b["yaw"]),
-                class_id=int(b["class_id"]),
+    def from_json(text: str, num_classes: int) -> "SceneSpec":
+        """Parse a document of the form to_json writes. Raises ConfigError
+        for one that is not an object with exactly to_json's keys (each box
+        too), a number that is not finite, a seed outside [0, 2**64), a half
+        extent <= 0, or a class id outside [1, num_classes]."""
+        doc = _scene_object(json.loads(text), _SCENE_KEYS, "scene")
+        if not isinstance(doc["boxes"], list):
+            raise ConfigError("scene boxes must be a list")
+        boxes = []
+        for b in doc["boxes"]:
+            b = _scene_object(b, _BOX_KEYS, "scene box")
+            box = Box(
+                center=_scene_number(b, "center", 3),
+                half_extents=_scene_number(b, "half_extents", 3),
+                yaw=_scene_number(b, "yaw"),
+                class_id=_scene_int(b, "class_id", 1, num_classes),
             )
-            for b in doc["boxes"]
-        )
+            if not (box.half_extents > 0).all():
+                raise ConfigError(f"scene box half extents must be > 0, got {b['half_extents']}")
+            boxes.append(box)
         return SceneSpec(
-            seed=int(doc["seed"]),
-            boxes=boxes,
-            ground_z=float(doc["ground_z"]),
-            ground_class=int(doc["ground_class"]),
-            extents_min=np.array(doc["extents_min"], dtype=np.float64),
-            extents_max=np.array(doc["extents_max"], dtype=np.float64),
+            seed=_scene_int(doc, "seed", 0, 2**64 - 1),
+            boxes=tuple(boxes),
+            ground_z=_scene_number(doc, "ground_z"),
+            ground_class=_scene_int(doc, "ground_class", 1, num_classes),
+            extents_min=_scene_number(doc, "extents_min", 3),
+            extents_max=_scene_number(doc, "extents_max", 3),
         )
+
+
+_SCENE_KEYS = {"seed", "boxes", "ground_z", "ground_class", "extents_min", "extents_max"}
+_BOX_KEYS = {"center", "half_extents", "yaw", "class_id"}
+
+
+def _scene_object(doc, keys: set, what: str) -> dict:
+    """`doc` if it is a JSON object with exactly the keys `keys`."""
+    if not isinstance(doc, dict) or doc.keys() != keys:
+        raise ConfigError(f"{what} must be an object with exactly the keys {sorted(keys)}")
+    return doc
+
+
+def _scene_number(doc: dict, key: str, n: int = 0):
+    """doc[key] as a float (n = 0) or as a float64 vector of n entries; each
+    must be a finite JSON number. An int beyond the float range is not."""
+    items = doc[key] if n else [doc[key]]
+    if not (
+        isinstance(items, list)
+        and len(items) == max(n, 1)
+        and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in items)
+    ):
+        raise ConfigError(f"scene {key} must be {n or 1} finite number(s), got {doc[key]!r}")
+    return np.array(items, dtype=np.float64) if n else float(items[0])
+
+
+def _scene_int(doc: dict, key: str, lo: int, hi: int) -> int:
+    """doc[key], which must be a JSON integer in [lo, hi]."""
+    value = doc[key]
+    if type(value) is not int or not lo <= value <= hi:
+        raise ConfigError(f"scene {key} must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
 
 
 # Ranges of generated boxes, meters: center distance from the z axis and
@@ -334,9 +376,9 @@ def surround_rig(
     focal: float = 32.0,
     height: float = 0.5,
     pitch_deg: float = 12.0,
-    radius: float = 0.0,
 ) -> list:
-    """Six-camera surround rig, yaw-spaced at 60 degrees, pitched down."""
+    """Six-camera surround rig at (0, 0, height), yaw-spaced at 60 degrees,
+    pitched down."""
     h, w = resolution
     pitch = np.deg2rad(pitch_deg)
     cams = []
@@ -345,7 +387,6 @@ def surround_rig(
         f = np.array(
             [np.cos(yaw) * np.cos(pitch), np.sin(yaw) * np.cos(pitch), -np.sin(pitch)]
         )
-        pos = np.array([radius * np.cos(yaw), radius * np.sin(yaw), height])
         cams.append(
             CameraModel(
                 fx=focal,
@@ -355,7 +396,7 @@ def surround_rig(
                 height=h,
                 width=w,
                 rotation=look_rotation(f),
-                translation=pos,
+                translation=np.array([0.0, 0.0, height]),
             )
         )
     return cams

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gsocc.core import GaussianSet
+from gsocc.initialize import unproject_pixels
 
 # One (criterion number, passed, detail) entry per acceptance criterion;
 # printed by pytest_terminal_summary so the lines survive output capture.
@@ -31,6 +32,19 @@ def random_gaussian_set(rng, n, num_classes=3, lo=(-8.0, -8.0, -4.0), hi=(8.0, 8
         semantics=rng.standard_normal((n, num_classes)) * 2.0,
         source_index=np.zeros((n, 3), dtype=np.uint32),
     )
+
+
+def init_oracle(cams, depths, attrs):
+    """Per-view reference for initialize.init_gaussians: each view's valid
+    pixels unprojected and given their attributes on their own, in float64,
+    then concatenated in view order."""
+    views = []
+    for view, (cam, dm) in enumerate(zip(cams, depths)):
+        rows, cols = np.nonzero(dm.valid)
+        views.append((unproject_pixels(cam, rows, cols, dm.depth[dm.valid]),
+                      *attrs(view, rows, cols),
+                      np.stack([np.full(len(rows), view), rows, cols], axis=1).astype(np.uint32)))
+    return GaussianSet(*(np.concatenate(parts) for parts in zip(*views)))
 
 
 @pytest.fixture

@@ -70,6 +70,40 @@ REPRODUCED_ARTIFACTS = [
 REPRODUCTION_CONFIGS = [("", {}), ("-noisy", {"noise_std": 0.05, "refine": "oracle-snap"})]
 
 
+def _box(**fields):
+    """Damage the first box of a scene document."""
+    def damage(doc):
+        doc["boxes"][0].update(fields)
+        return doc
+    return damage
+
+
+# Scene documents `gsocc init --scene` must reject at load: a change applied
+# to the default config's seed-7 scene, keyed by id.
+SCENE_DAMAGE = {
+    "not-an-object": lambda doc: [],
+    "empty-object": lambda doc: {},
+    "unknown-key": lambda doc: {**doc, "extra": 1},
+    "missing-key": lambda doc: {k: v for k, v in doc.items() if k != "ground_z"},
+    "boxes-not-a-list": lambda doc: {**doc, "boxes": 3},
+    "box-not-an-object": lambda doc: {**doc, "boxes": [[1, 2]]},
+    "box-unknown-key": _box(colour="red"),
+    "yaw-string-nan": _box(yaw="nan"),
+    "yaw-nan": _box(yaw=float("nan")),
+    "center-inf": _box(center=[float("inf"), 0.0, 0.0]),
+    "center-two-entries": _box(center=[1.0, 2.0]),
+    "center-int-beyond-float": _box(center=[10**400, 0, 0]),
+    "half-extent-negative": _box(half_extents=[1.0, -1.0, 1.0]),
+    "half-extent-zero": _box(half_extents=[1.0, 0.0, 1.0]),
+    "class-id-300": _box(class_id=300),
+    "class-id-0": _box(class_id=0),
+    "class-id-above-num-classes": _box(class_id=5),
+    "class-id-float": _box(class_id=2.0),
+    "ground-class-bool": lambda doc: {**doc, "ground_class": True},
+    "seed-negative": lambda doc: {**doc, "seed": -1},
+}
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "config.json"
@@ -273,6 +307,23 @@ class TestErrors:
         assert run(["render-depth", "--config", config_file,
                     "--scene", tmp_path / "nope.json", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("damage", sorted(SCENE_DAMAGE))
+    def test_bad_scene_file_exit_2(self, tmp_path, config_file, damage):
+        doc = json.loads(synth.generate_scene(7).to_json())
+        text = json.dumps(SCENE_DAMAGE[damage](doc))
+        with pytest.raises(ConfigError):
+            synth.SceneSpec.from_json(text, num_classes=PipelineConfig().num_classes)
+        (tmp_path / "scene.json").write_text(text)
+        assert run(["init", "--config", config_file, "--scene", tmp_path / "scene.json",
+                    "--output", tmp_path / "init.gsb"]) == 2
+        assert not (tmp_path / "init.gsb").exists()
+
+    @pytest.mark.parametrize("outputs", [[], ["--output", "s.gsb", "--dry-run"]])
+    def test_sample_needs_one_of_output_and_dry_run(self, tmp_path, config_file, outputs):
+        with pytest.raises(SystemExit) as e:
+            run(["sample", "--config", config_file, "--gaussians", tmp_path / "g.gsb", *outputs])
+        assert e.value.code == 2
+
     def test_undefined_metric_exit_4(self, tmp_path, config_file, rng):
         # a gt grid with no occupied voxel makes Perc./Dist. undefined
         from gsocc.core import OccupancyGrid
@@ -287,6 +338,10 @@ class TestErrors:
         rc = run(["metrics", "--pred", tmp_path / "pred.occ", "--gt", tmp_path / "gt.occ",
                   "--gaussians", tmp_path / "g.gsb"])
         assert rc == 4
+        # mIoU is as undefined: without Gaussians, no NaN is written either
+        rc = run(["metrics", "--pred", tmp_path / "pred.occ", "--gt", tmp_path / "gt.occ",
+                  "--output", tmp_path / "metrics.json"])
+        assert rc == 4 and not (tmp_path / "metrics.json").exists()
 
     def test_stage_failure_exit_code_and_partials(self, tmp_path, config_file):
         out = tmp_path / "run"

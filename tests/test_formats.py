@@ -21,7 +21,6 @@ from gsocc.formats import (
     write_gaussian_set,
     write_occupancy,
 )
-from gsocc.initialize import init_gaussians
 from gsocc.pipeline import (
     GroundTruthClassAttributes,
     PipelineConfig,
@@ -32,7 +31,7 @@ from gsocc.pipeline import (
 )
 from gsocc.sampling import sample_indices, sample_representatives
 
-from conftest import random_gaussian_set
+from conftest import init_oracle, random_gaussian_set
 
 
 class TestGSB1:
@@ -111,7 +110,7 @@ class TestGSB1:
         streamed = write_init(config, classes, depths, tmp_path / "streamed.gsb")
         attrs = GroundTruthClassAttributes(
             classes, config.gauss_scale, config.gauss_opacity, config.num_classes)
-        gs = init_gaussians(config.cameras(), depths, attrs, n_workers=workers)
+        gs = init_oracle(config.cameras(), depths, attrs)
         write_gaussian_set(tmp_path / "whole.gsb", gs)
         assert (tmp_path / "streamed.gsb").read_bytes() == (tmp_path / "whole.gsb").read_bytes()
         np.testing.assert_array_equal(streamed.means, gs.means.astype(np.float32))
@@ -218,7 +217,9 @@ BAD_GAUSSIAN_VALUES = {
     pytest.param(fmt, damage, id=f"{fmt}-{damage}")
     for fmt in ("gsb", "dpm", "occ")
     for damage in ("truncated-payload", "trailing-bytes", "truncated-header")
-] + [pytest.param("gsb", damage, id=f"gsb-{damage}") for damage in BAD_GAUSSIAN_VALUES])
+] + [pytest.param("gsb", damage, id=f"gsb-{damage}") for damage in BAD_GAUSSIAN_VALUES] + [
+    pytest.param("occ", "zero-dim", id="occ-zero-dim"),
+])
 def test_malformed_file_rejected_naming_it(tmp_path, rng, fmt, damage):
     path = tmp_path / f"bad.{fmt}"
     if damage in BAD_GAUSSIAN_VALUES:
@@ -229,8 +230,10 @@ def test_malformed_file_rejected_naming_it(tmp_path, rng, fmt, damage):
     else:
         WRITERS[fmt](path, rng)
         raw = path.read_bytes()
+        # zero-dim: X = 0 and no payload, a length the header agrees with.
         path.write_bytes({"truncated-payload": raw[:-1], "trailing-bytes": raw + b"\0\0",
-                          "truncated-header": raw[:10]}[damage])
+                          "truncated-header": raw[:10],
+                          "zero-dim": raw[:4] + bytes(4) + raw[8:41]}[damage])
     with pytest.raises(ConfigError, match=re.escape(str(path))):
         READERS[fmt](path)
 

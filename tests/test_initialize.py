@@ -5,8 +5,11 @@ import pytest
 
 from gsocc.core import CameraModel, DepthMap
 from gsocc.errors import ShapeError
+from gsocc.formats import read_gaussian_set
 from gsocc.initialize import init_gaussians, unproject_pixels
 from gsocc.synth import look_rotation
+
+from conftest import init_oracle
 
 
 def make_camera(rng=None, height=8, width=10):
@@ -82,6 +85,15 @@ class PixelAttributes:
         )
 
 
+def init_set(path, cams, depths, attrs=ATTRS, n_workers=1):
+    """The set init_gaussians streams to `path`, read back whole; its
+    returned means are the file's."""
+    means = init_gaussians(cams, depths, attrs, path, n_workers).means
+    gs = read_gaussian_set(path)
+    assert np.array_equal(means, gs.means)
+    return gs
+
+
 def unproject_one(cam, row, col, d):
     return unproject_pixels(cam, np.array([row]), np.array([col]), np.array([d]))[0]
 
@@ -122,24 +134,24 @@ class TestUnproject:
 
 
 class TestInitGaussians:
-    def test_counting_and_provenance(self):
+    def test_counting_and_provenance(self, tmp_path):
         cam = make_camera(height=2, width=2)
         dm = DepthMap(depth=np.full((2, 2), 3.0), uncertainty=np.full((2, 2), 1e-3))
-        gs = init_gaussians([cam], [dm], ATTRS)
+        gs = init_set(tmp_path / "init.gsb", [cam], [dm])
         assert len(gs) == 4
         np.testing.assert_array_equal(
             gs.source_index,
             [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]],
         )
 
-    def test_all_sentinel_gives_empty_set(self):
+    def test_all_sentinel_gives_empty_set(self, tmp_path):
         cam = make_camera(height=2, width=2)
         dm = DepthMap(depth=np.full((2, 2), np.inf), uncertainty=np.full((2, 2), 1e-3))
-        gs = init_gaussians([cam], [dm], ATTRS)
+        gs = init_set(tmp_path / "init.gsb", [cam], [dm])
         assert len(gs) == 0
         assert gs.num_classes == 3
 
-    def test_count_equals_valid_pixels(self, rng):
+    def test_count_equals_valid_pixels(self, tmp_path, rng):
         cams, dms, expect = [], [], 0
         for _ in range(3):
             cam = make_camera(rng)
@@ -149,10 +161,10 @@ class TestInitGaussians:
             expect += int((~mask).sum())
             cams.append(cam)
             dms.append(DepthMap(depth=depth, uncertainty=np.full(depth.shape, 0.01)))
-        gs = init_gaussians(cams, dms, ATTRS)
+        gs = init_set(tmp_path / "init.gsb", cams, dms)
         assert len(gs) == expect
 
-    def test_two_cameras_facing_plane(self):
+    def test_two_cameras_facing_plane(self, tmp_path):
         # Both cameras look along +z at the plane z = 5; depth is the exact
         # along-ray distance, so every mean must land on the plane.
         plane_z = 5.0
@@ -168,20 +180,20 @@ class TestInitGaussians:
             t = (plane_z - cam.origin[2]) / dirs[:, 2]
             dms.append(DepthMap(depth=t.reshape(cam.height, cam.width),
                                 uncertainty=np.full((cam.height, cam.width), 1e-3)))
-        gs = init_gaussians(cams, dms, ATTRS)
+        gs = init_set(tmp_path / "init.gsb", cams, dms)
         assert len(gs) == 2 * 12 * 16
         np.testing.assert_allclose(gs.means[:, 2], plane_z, atol=1e-3)
 
-    def test_shape_mismatch_raises(self, rng):
+    def test_shape_mismatch_raises(self, tmp_path, rng):
         cam = make_camera(rng)
         dm = DepthMap(depth=np.ones((3, 3)), uncertainty=np.ones((3, 3)))
         with pytest.raises(ShapeError):
-            init_gaussians([cam], [dm], ATTRS)
+            init_gaussians([cam], [dm], ATTRS, tmp_path / "init.gsb")
 
-    def test_bit_identical_across_runs_and_workers(self, rng):
+    def test_bit_identical_across_runs_and_workers(self, tmp_path, rng):
         # Five views; the middle one has no return at all, so its block of
-        # the preallocated set is empty and the next view starts right after
-        # the view before it.
+        # the file is empty and the next view starts right after the view
+        # before it.
         cams, dms = [], []
         for view in range(5):
             cam = make_camera(rng)
@@ -192,29 +204,22 @@ class TestInitGaussians:
             cams.append(cam)
             dms.append(DepthMap(depth=depth, uncertainty=np.full(depth.shape, 0.01)))
         attrs = PixelAttributes()
-        # Per-view oracle: each view's Gaussians built on their own, then
-        # concatenated in view order.
-        views = []
-        for view, (cam, dm) in enumerate(zip(cams, dms)):
-            rows, cols = np.nonzero(dm.valid)
-            views.append((unproject_pixels(cam, rows, cols, dm.depth[dm.valid]),
-                          *attrs(view, rows, cols),
-                          np.stack([np.full(len(rows), view), rows, cols], axis=1)))
-        fields = ("means", "scales", "rotations", "opacities", "semantics", "source_index")
-        want = [np.concatenate(parts) for parts in zip(*views)]
-        assert 2 not in want[-1][:, 0]
+        want = init_oracle(cams, dms, attrs)
+        assert 2 not in want.source_index[:, 0]
+        fields = ("means", "scales", "rotations", "opacities", "semantics")
         for workers in (1, 2, 4, 8):
-            got = init_gaussians(cams, dms, attrs, n_workers=workers)
-            for name, expected in zip(fields, want):
-                value = getattr(got, name)
-                assert value.dtype == (np.uint32 if name == "source_index" else np.float64)
-                assert np.array_equal(value, expected), (workers, name)
+            got = init_set(tmp_path / f"init{workers}.gsb", cams, dms, attrs, workers)
+            # The file stores f32; each field is the oracle's rounded to it.
+            for name in fields:
+                expected = getattr(want, name).astype(np.float32)
+                assert np.array_equal(getattr(got, name), expected), (workers, name)
+            assert np.array_equal(got.source_index, want.source_index), workers
 
-    def test_provider_shape_mismatch_raises(self, rng):
+    def test_provider_shape_mismatch_raises(self, tmp_path, rng):
         cam = make_camera(rng)
         dm = DepthMap(depth=np.ones((cam.height, cam.width)),
                       uncertainty=np.ones((cam.height, cam.width)))
         wide = ConstantAttributes(scale=np.ones(4), rotation=np.array([1.0, 0, 0, 0]),
                                   opacity=0.5, logits=np.zeros(3))
         with pytest.raises(ShapeError, match="scales"):
-            init_gaussians([cam], [dm], wide)
+            init_gaussians([cam], [dm], wide, tmp_path / "init.gsb")

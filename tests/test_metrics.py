@@ -6,7 +6,15 @@ from scipy.spatial import cKDTree
 
 from gsocc.core import CameraModel, OccupancyGrid
 from gsocc.errors import ShapeError, UndefinedMetricError
-from gsocc.metrics import _CHUNK, _nearest_occupied, first_hits, init_quality, iou_miou, ray_iou
+from gsocc.metrics import (
+    _CHUNK,
+    _nearest_occupied,
+    evaluate,
+    first_hits,
+    init_quality,
+    iou_miou,
+    ray_iou,
+)
 from gsocc.synth import look_rotation
 
 from conftest import random_gaussian_set
@@ -18,30 +26,26 @@ def grid_of(labels, origin=(0.0, 0.0, 0.0), voxel_size=1.0):
                          voxel_size=voxel_size, labels=labels, empty_id=0)
 
 
-def iou_set_oracle(pred, gt, unknown=None):
+def iou_set_oracle(pred, gt):
     """Set-arithmetic IoU: indices as python sets."""
     pred = pred.reshape(-1)
     gt = gt.reshape(-1)
-    keep = {i for i in range(gt.size) if unknown is None or gt[i] != unknown}
-    p_occ = {i for i in keep if pred[i] != 0 and (unknown is None or pred[i] != unknown)}
-    g_occ = {i for i in keep if gt[i] != 0}
-    union = p_occ | g_occ
-    binary = len(p_occ & g_occ) / len(union) if union else 1.0
+    p_occ = {i for i in range(pred.size) if pred[i] != 0}
+    g_occ = {i for i in range(gt.size) if gt[i] != 0}
+    binary = len(p_occ & g_occ) / len(p_occ | g_occ)
     per_class = {}
-    for c in set(int(gt[i]) for i in keep) - {0} - ({unknown} if unknown else set()):
-        pc = {i for i in keep if pred[i] == c}
-        gc = {i for i in keep if gt[i] == c}
+    for c in set(int(gt[i]) for i in g_occ):
+        pc = {i for i in range(pred.size) if pred[i] == c}
+        gc = {i for i in g_occ if gt[i] == c}
         per_class[c] = len(pc & gc) / len(pc | gc)
-    miou = sum(per_class.values()) / len(per_class) if per_class else float("nan")
-    return binary, miou, per_class
+    return binary, sum(per_class.values()) / len(per_class), per_class
 
 
-def first_hit_enumeration_oracle(grid, o, v, transparent=None):
+def first_hit_enumeration_oracle(grid, o, v, empty=None):
     """Independent first-hit: slab-test every voxel whose label is not
-    transparent (default: the empty label), min entry t."""
+    `empty` (default: the grid's empty label), min entry t."""
     best = None
-    transparent = {grid.empty_id} if transparent is None else transparent
-    occ = np.argwhere(~np.isin(grid.labels, list(transparent)))
+    occ = np.argwhere(grid.labels != (grid.empty_id if empty is None else empty))
     for idx in occ:
         lo = np.asarray(grid.origin) + idx * grid.voxel_size
         hi = lo + grid.voxel_size
@@ -80,8 +84,8 @@ class TestIoU:
         for _ in range(10):
             pred = rng.integers(0, 5, size=(8, 8, 8)).astype(np.uint8)
             gt = rng.integers(0, 5, size=(8, 8, 8)).astype(np.uint8)
-            got = iou_miou(pred, gt, unknown_id=4)
-            want = iou_set_oracle(pred, gt, unknown=4)
+            got = iou_miou(pred, gt)
+            want = iou_set_oracle(pred, gt)
             assert got[0] == want[0]
             assert got[1] == pytest.approx(want[1], abs=1e-12)
             assert got[2] == pytest.approx(want[2])
@@ -95,10 +99,18 @@ class TestIoU:
         with pytest.raises(ShapeError):
             iou_miou(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
 
+    def test_gt_without_occupied_voxel_raises(self):
+        # mIoU would average no class and come out NaN.
+        empty = grid_of(np.zeros((4, 4, 4)))
+        pred = grid_of(np.ones((4, 4, 4)))
+        cam = forward_camera((0.1, 2.0, 2.0))
+        for p in (empty, pred):
+            with pytest.raises(UndefinedMetricError, match="no occupied voxel"):
+                evaluate(p, empty, [cam])
 
-def ray_iou_oracle(pred, gt, cams, taus, stride, unknown_id=None):
+
+def ray_iou_oracle(pred, gt, cams, taus, stride):
     """Ray IoU from enumeration-oracle first hits, tallied in per-class dicts."""
-    transparent = {0} if unknown_id is None else {0, unknown_id}
     hits = []
     for cam in cams:
         rows, cols = np.meshgrid(np.arange(0, cam.height, stride),
@@ -106,8 +118,8 @@ def ray_iou_oracle(pred, gt, cams, taus, stride, unknown_id=None):
         for r, c in zip(rows.ravel(), cols.ravel()):
             v = cam.ray_directions(np.array([r]), np.array([c]))[0]
             hits.append(
-                (first_hit_enumeration_oracle(pred, cam.origin, v, transparent),
-                 first_hit_enumeration_oracle(gt, cam.origin, v, transparent))
+                (first_hit_enumeration_oracle(pred, cam.origin, v),
+                 first_hit_enumeration_oracle(gt, cam.origin, v))
             )
     out = {}
     for tau in taus:
@@ -179,15 +191,15 @@ class TestRayIoU:
         gt = self.make_scene_grid()
         pred_labels = gt.labels.copy()
         pred_labels[6, 4, 4] = 2      # wrong class in the wall
-        pred_labels[2, 5:7, 2:5] = 3  # unknown-labelled block, transparent to both grids
+        pred_labels[2, 5:7, 2:5] = 3  # hallucinated block
         pred_labels[4, 6, 5] = 0      # missed box
         pred = grid_of(pred_labels)
         cams = self.cams() + [forward_camera((7.63, 4.41, 3.87), yaw_deg=183.0, pitch_deg=4.0)]
         stride, taus = 2, (0.5, 1.0, 2.0)
-        got = ray_iou(pred, gt, cams, thresholds=taus, stride=stride, unknown_id=3)
-        expect = ray_iou_oracle(pred, gt, cams, taus, stride, unknown_id=3)
+        got = ray_iou(pred, gt, cams, thresholds=taus, stride=stride)
+        expect = ray_iou_oracle(pred, gt, cams, taus, stride)
         assert got == {tau: pytest.approx(expect[tau], abs=0) for tau in taus}
-        assert got != ray_iou(pred, gt, cams[:1], thresholds=taus, stride=stride, unknown_id=3)
+        assert got != ray_iou(pred, gt, cams[:1], thresholds=taus, stride=stride)
 
     def test_monotone_in_threshold(self):
         gt = self.make_scene_grid()
@@ -208,39 +220,38 @@ class TestRayIoU:
         gt = self.make_scene_grid()
         o = np.array([[0.5, 3.5, 3.5]])
         v = np.array([[1.0, 0.0, 0.0]])
-        inside, t, lab = first_hits([gt.labels], gt.origin, gt.voxel_size, o, v, [{0}])
+        inside, t, lab = first_hits([gt.labels], gt.origin, gt.voxel_size, o, v, [0])
         # first non-empty voxel along +x at row (3,3) is x-index 6, entered at t = 5.5
         assert inside[0] and (t[0, 0], lab[0, 0]) == (5.5, 1)
 
     def test_first_hits_match_enumeration_oracle(self, rng):
         """Random small grids and rays, origins inside and outside the box,
         zero and axis-aligned direction components, two grids with different
-        transparent sets: per ray and grid the march agrees with the oracle."""
+        empty labels: per ray and grid the march agrees with the oracle."""
         compared = hit = missed_box = started_inside = 0
         for _ in range(40):
             dims = tuple(int(d) for d in rng.integers(2, 9, size=3))
             voxel_size = float(rng.choice([0.25, 0.3, 0.5, 1.0]))
             origin = rng.uniform(-2.0, 2.0, size=3)
             extent = np.asarray(dims) * voxel_size
+            empty = [0, 5]
             grids = [
-                grid_of((rng.random(dims) < 0.12) * rng.integers(1, 4, size=dims), origin,
-                        voxel_size)
-                for _ in range(2)
+                grid_of(np.where(rng.random(dims) < 0.12, rng.integers(1, 4, size=dims), e),
+                        origin, voxel_size)
+                for e in empty
             ]
-            transparent = [{0}, {0, 2}]
             o = origin + rng.uniform(-0.5, 1.5, size=(30, 3)) * extent
             v = origin + rng.uniform(0.0, 1.0, size=(30, 3)) * extent - o
             v[rng.random(30) < 0.2] = rng.normal(size=3)  # some rays aim anywhere
             v[rng.random((30, 3)) < 0.2] = 0.0
             v[:5] = np.eye(3)[rng.integers(0, 3, size=5)] * rng.choice([-1.0, 1.0], size=(5, 1))
             v[~v.any(axis=1), 2] = -1.0
-            inside, t, lab = first_hits([g.labels for g in grids], origin, voxel_size, o, v,
-                                        transparent)
+            inside, t, lab = first_hits([g.labels for g in grids], origin, voxel_size, o, v, empty)
             missed_box += int(np.count_nonzero(~inside))
             started_inside += int(np.count_nonzero(((o > origin) & (o < origin + extent)).all(1)))
             for r in range(len(o)):
                 for g, grid in enumerate(grids):
-                    want = first_hit_enumeration_oracle(grid, o[r], v[r], transparent[g])
+                    want = first_hit_enumeration_oracle(grid, o[r], v[r], empty[g])
                     compared += 1
                     if want is None:
                         assert lab[g, r] == -1 and np.isnan(t[g, r])
@@ -252,19 +263,18 @@ class TestRayIoU:
 
 
     def test_first_hits_depend_on_transparency_not_label_values(self, rng):
-        """Shifting every label and the transparent set by the same amount
-        (to negative labels, to int8's lowest values, to uint8 labels up to
-        255) shifts the hit labels and changes nothing else."""
+        """Shifting every label and the empty label by the same amount (to
+        negative labels, to int8's lowest values, to uint8 labels up to 255)
+        shifts the hit labels and changes nothing else."""
         dims, origin, voxel_size = (6, 5, 4), np.zeros(3), 0.5
         base = (rng.random(dims) < 0.3) * rng.integers(1, 4, size=dims)
         o = rng.uniform(-0.5, 3.5, size=(200, 3))
         v = rng.normal(size=(200, 3))
-        want_in, want_t, want_lab = first_hits([base], origin, voxel_size, o, v, [{0, 2}])
+        want_in, want_t, want_lab = first_hits([base], origin, voxel_size, o, v, [0])
         assert (want_lab >= 0).any()
         for shift, dtype in ((-3, np.int64), (-128, np.int8), (252, np.uint8)):
             labels = (base + shift).astype(dtype)
-            inside, t, lab = first_hits([labels], origin, voxel_size, o, v,
-                                        [{shift, 2 + shift}])
+            inside, t, lab = first_hits([labels], origin, voxel_size, o, v, [shift])
             assert np.array_equal(inside, want_in)
             assert np.array_equal(t, want_t, equal_nan=True)
             assert np.array_equal(lab, np.where(want_lab >= 0, want_lab + shift, -1))
@@ -345,18 +355,16 @@ def lattice_means(rng, grid, n, f32=False):
     return m.astype(np.float32).astype(np.float64) if f32 else m
 
 
-def assert_matches_tree(means, grid, unknown_id=None):
+def assert_matches_tree(means, grid):
     """The own-voxel route and the tree agree bit for bit, per mean and in
     the mean; returns how many means took the own-voxel route."""
     occ = grid.labels != grid.empty_id
-    if unknown_id is not None:
-        occ &= grid.labels != unknown_id
     centers = grid.origin + (np.argwhere(occ) + 0.5) * grid.voxel_size
     want = cKDTree(centers).query(means)[0]  # the full tree query
     occupied, got = _nearest_occupied(means, grid, occ, workers=1)
     np.testing.assert_array_equal(got, want)
     gs = dataclasses.replace(random_gaussian_set(np.random.default_rng(0), len(means)), means=means)
-    perc, dist = init_quality(gs, grid, unknown_id)
+    perc, dist = init_quality(gs, grid)
     assert dist == want.mean()
     assert perc == 100.0 * np.count_nonzero(occupied) / len(means)
     return int(np.count_nonzero(occupied))
@@ -377,13 +385,6 @@ class TestOwnVoxelRoute:
             grid = grid_of(labels, origin=origin, voxel_size=voxel_size)
             own = assert_matches_tree(lattice_means(rng, grid, 3000, f32), grid)
             assert 0 < own < 3000
-
-    def test_unknown_voxels_next_to_occupied_count_as_empty(self, rng):
-        labels = rng.integers(0, 4, size=(8, 8, 4)).astype(np.uint8)
-        grid = grid_of(labels, origin=(-2.3, 0.7, -1.0), voxel_size=0.3)
-        means = lattice_means(rng, grid, 4000)
-        assert assert_matches_tree(means, grid, unknown_id=3) > 0
-        assert assert_matches_tree(means, grid, unknown_id=1) > 0
 
     def test_boundary_voxels_whose_near_neighbour_is_outside(self, rng):
         labels = np.zeros((5, 5, 5), dtype=np.uint8)

@@ -83,7 +83,7 @@ class TestGenerateScene:
 
     def test_json_roundtrip(self):
         scene = generate_scene(9)
-        again = SceneSpec.from_json(scene.to_json())
+        again = SceneSpec.from_json(scene.to_json(), num_classes=4)
         assert again.to_json() == scene.to_json()
 
     def test_invalid_config_rejected(self):
