@@ -23,6 +23,11 @@ S_MIN = 1e-3
 # Unit-norm tolerance for quaternions and rotation matrices.
 ROTATION_TOL = 1e-6
 
+# Largest magnitude of a float read from outside: a config float field or
+# a scene number. Keeps every coordinate, depth and loss term far inside
+# the f32 range of the file formats.
+MAX_MAGNITUDE = 1e6
+
 
 def quaternion_to_matrices(q: np.ndarray) -> np.ndarray:
     """(P, 3, 3) rotation matrices of P unit quaternions in (w, x, y, z) order.

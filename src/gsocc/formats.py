@@ -19,7 +19,7 @@ All binary formats are little-endian:
 
 GSB1 is written by `gaussian_block_writer`: each block of rows goes to the
 fixed offsets its first row implies, so the bytes do not depend on how many
-blocks there are, which thread writes them or in what order they finish.
+blocks there are or in what order they are written.
 `write_gaussian_set` writes a whole set as one block. Three readers:
 `read_gaussian_set` returns the whole set, each field its own C-contiguous
 float64 array converted straight from the f32 records; `read_gaussian_means`
@@ -112,8 +112,8 @@ def _pwrite(fd: int, array: np.ndarray, offset: int) -> None:
 def gaussian_block_writer(path, p: int, c: int):
     """Create the GSB1 file `path` of `p` Gaussians with `c` classes and
     yield write(start, block), which puts the GaussianSet `block` at rows
-    start, start + 1, ... of the file. Calls may come from several threads
-    in any order; rows no call writes read back as zeros."""
+    start, start + 1, ... of the file. Calls may come in any order; rows
+    no call writes read back as zeros."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         width = (11 + c) * 4

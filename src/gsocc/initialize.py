@@ -8,7 +8,6 @@ deterministic (view, row, col) raster order; no-return pixels are skipped.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol
 
 import numpy as np
@@ -68,17 +67,15 @@ def init_gaussians(
     depths: list,
     attrs: AttributeProvider,
     path,
-    n_workers: int = 1,
 ) -> formats.GaussianFile:
     """One Gaussian per valid depth pixel across all views, streamed to the
     GSB1 file `path`.
 
     Emits primitives in (view, row, col) raster order with provenance
     recorded; pixels whose depth is the no-return sentinel are skipped.
-    Each view's block is built on its own, on up to `n_workers` threads,
-    and written to the rows its view starts at as soon as it is built, so
-    at most about `n_workers` blocks are in memory at once and the file's
-    bytes do not depend on the worker count. Returns the file's
+    Each view's block is built in view order on the calling thread and
+    written to the rows its view starts at as soon as it is built, so one
+    block is in memory at a time. Returns the file's
     `formats.read_gaussian_means`, every row checked.
     """
     if len(cams) != len(depths):
@@ -92,17 +89,6 @@ def init_gaussians(
     valid = [dm.valid for dm in depths]
     starts = np.cumsum([0] + [int(np.count_nonzero(v)) for v in valid]).tolist()
     with formats.gaussian_block_writer(path, starts[-1], attrs.num_classes) as write:
-
-        def put(view):
-            write(starts[view], _view_block(view, cams[view], depths[view], valid[view], attrs))
-
-        # One worker builds the blocks on this thread: a one-thread pool
-        # raised a 192x256-rig run's peak RSS by about 7 MiB (measured; a
-        # pool thread likely allocates from its own malloc arena).
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                list(pool.map(put, range(len(cams))))
-        else:
-            for view in range(len(cams)):
-                put(view)
+        for view, (cam, dm) in enumerate(zip(cams, depths)):
+            write(starts[view], _view_block(view, cam, dm, valid[view], attrs))
     return formats.read_gaussian_means(path)

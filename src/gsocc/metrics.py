@@ -24,7 +24,6 @@ answers every other mean.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -171,7 +170,7 @@ def ray_iou(
 _CHUNK = 1 << 14
 
 
-def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray, workers: int):
+def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray):
     """(occupied, dist) of (P, 3) `means` against the voxels of `gt` that the
     (X, Y, Z) bool mask `occ` marks occupied.
 
@@ -179,7 +178,7 @@ def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray, wor
     occupied; dist (P,) is its distance to the nearest occupied voxel
     center, bitwise what `cKDTree(centers).query(means)[0]` returns. A mean
     in an occupied voxel takes the own-voxel route (see `init_quality`);
-    every other mean is queried in the KD-tree on `workers` threads.
+    every other mean is queried in the KD-tree.
     """
     origin = np.asarray(gt.origin, dtype=np.float64)
     vs = gt.voxel_size
@@ -228,11 +227,11 @@ def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray, wor
         from scipy.spatial import cKDTree
 
         tree = cKDTree(origin + (np.argwhere(occ) + 0.5) * vs)
-        dist[rest] = tree.query(means[rest], workers=min(workers, os.cpu_count() or 1))[0]
+        dist[rest] = tree.query(means[rest])[0]
     return occupied, dist
 
 
-def init_quality(gs, gt: OccupancyGrid, workers: int = 1):
+def init_quality(gs, gt: OccupancyGrid):
     """(perc, dist) initialization quality of the means of `gs` (a
     GaussianSet or a formats.GaussianFile) against a ground-truth grid.
 
@@ -250,17 +249,16 @@ def init_quality(gs, gt: OccupancyGrid, workers: int = 1):
     in-grid centers is the answer. Those distances use the tree's centers
     origin + (idx + 0.5) * voxel_size and cKDTree's own formula
     sqrt((dx*dx + dy*dy) + dz*dz), so they equal the tree query bit for
-    bit. Every other mean goes to the KD-tree on at most `workers`
-    threads. Both routes fill one (P,) array in input order, so the mean
-    sums the same values in the same order as one full tree query, and
-    neither perc nor dist depends on `workers`.
+    bit. Every other mean goes to the KD-tree. Both routes fill one (P,)
+    array in input order, so the mean sums the same values in the same
+    order as one full tree query.
     """
     occ = gt.labels != gt.empty_id
     if not occ.any():
         raise UndefinedMetricError("ground truth grid has no occupied voxel")
     if len(gs) == 0:
         raise UndefinedMetricError("no Gaussians to score")
-    occupied, dist = _nearest_occupied(gs.means, gt, occ, workers)
+    occupied, dist = _nearest_occupied(gs.means, gt, occ)
     perc = 100.0 * float(np.count_nonzero(occupied)) / len(gs)
     return perc, float(dist.mean())
 
@@ -289,18 +287,16 @@ def evaluate(
     gaussians=None,
     thresholds=(1.0, 2.0, 4.0),
     stride: int = 4,
-    workers: int = 1,
 ) -> MetricReport:
     """IoU, mIoU and RayIoU of `pred` against `gt` in one report, plus
-    Perc./Dist. of the means of `gaussians` when it is given. `workers` threads run the
-    Perc./Dist. nearest-neighbour query. Raises UndefinedMetricError when
-    `gt` has no occupied voxel."""
+    Perc./Dist. of the means of `gaussians` when it is given. Raises
+    UndefinedMetricError when `gt` has no occupied voxel."""
     iou, miou, per_class = iou_miou(pred.labels, gt.labels, gt.empty_id)
     ray_per = ray_iou(pred, gt, cams, thresholds=thresholds, stride=stride)
     rayiou = float(np.mean(list(ray_per.values())))
     perc = dist = None
     if gaussians is not None:
-        perc, dist = init_quality(gaussians, gt, workers)
+        perc, dist = init_quality(gaussians, gt)
     return MetricReport(
         iou=iou,
         miou=miou,

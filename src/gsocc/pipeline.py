@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, metrics, synth
-from .core import S_MIN, GaussianSet, VoxelGridSpec
+from .core import MAX_MAGNITUDE, S_MIN, GaussianSet, VoxelGridSpec
 from .errors import ConfigError, GsoccError, StageError
 from .initialize import init_gaussians
 from .losses import compute_loss_report
@@ -41,8 +41,9 @@ MAX_FIELD_BYTES = 1 << 30
 
 # Most pixels over all cameras of the rig accepted at config load (7x
 # dense-rig). Every pixel casts a ray and may become a Gaussian; a run's
-# peak memory grows by about 60 bytes per pixel, since init streams its set
-# to disk and only the means stay in memory.
+# peak memory grows by about 50 bytes per pixel (peak RSS of one run at 2.4M
+# and 1.2M rig pixels, 2-core VM), since init streams its set to disk one
+# view at a time and only the means stay in memory.
 MAX_RIG_PIXELS = 1 << 23
 
 # Most boxes in a generated scene accepted at config load. Each box is one
@@ -61,13 +62,10 @@ _TUPLE_LENGTHS = {
 
 def _fits(value, kind: type) -> bool:
     """Whether a config value fits a field whose default is of type `kind`.
-    A bool fits only a bool field; a float field also takes an int that
-    numpy holds as int64."""
+    A bool fits only a bool field; a float field also takes an int."""
     if isinstance(value, bool) or kind is bool:
         return isinstance(value, bool) and kind is bool
-    if kind is float and isinstance(value, int):
-        return -(2**63) <= value < 2**63
-    return isinstance(value, kind)
+    return isinstance(value, kind) or (kind is float and isinstance(value, int))
 
 
 @dataclass
@@ -108,7 +106,8 @@ class PipelineConfig:
     def __post_init__(self):
         # Each value, or each entry of a tuple field (a list becomes a tuple),
         # must fit the type of the field's default; a tuple field must hold
-        # the number of entries _TUPLE_LENGTHS gives.
+        # the number of entries _TUPLE_LENGTHS gives, and a float field's
+        # values must be finite with magnitude <= MAX_MAGNITUDE.
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             is_tuple = isinstance(f.default, tuple)
@@ -124,9 +123,10 @@ class PipelineConfig:
                 raise ConfigError(
                     f"{f.name} must hold {want or 'at least one'} entries, got {len(value)}"
                 )
-            for v in values:
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ConfigError(f"{f.name} must be finite, got {v}")
+            if kind is float and not all(abs(v) <= MAX_MAGNITUDE for v in values):
+                raise ConfigError(
+                    f"{f.name} must be finite with magnitude <= {MAX_MAGNITUDE:g}, got {value!r}"
+                )
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.num_boxes > MAX_BOXES:
@@ -405,7 +405,7 @@ def write_init(config: PipelineConfig, class_maps: list, depths: list, path):
     attrs = GroundTruthClassAttributes(
         class_maps, config.gauss_scale, config.gauss_opacity, config.num_classes
     )
-    return init_gaussians(config.cameras(), depths, attrs, path, n_workers=config.threads)
+    return init_gaussians(config.cameras(), depths, attrs, path)
 
 
 def write_sampled(config: PipelineConfig, gs, path) -> GaussianSet:
@@ -432,7 +432,13 @@ def write_refined(config: PipelineConfig, gs: GaussianSet, scene, path) -> Gauss
 
 
 def render_field(config: PipelineConfig, gs: GaussianSet):
-    """The float64 field of `gs` on the config's voxel grid."""
+    """The float64 field of `gs` on the config's voxel grid. Raises
+    ConfigError when `gs` holds other than `config.num_classes` classes."""
+    if gs.num_classes != config.num_classes:
+        raise ConfigError(
+            f"the Gaussian set holds {gs.num_classes} classes, but num_classes is"
+            f" {config.num_classes}"
+        )
     origin = np.asarray(config.extents_min, dtype=np.float64)
     return render_grid(gs, config.grid_dims(), origin, config.voxel_size)
 
@@ -457,7 +463,6 @@ def write_metrics(config: PipelineConfig, pred, gt, gaussians, path) -> metrics.
         gaussians=gaussians,
         thresholds=config.ray_thresholds,
         stride=config.ray_stride,
-        workers=config.threads,
     )
     _write_text(path, report.to_json())
     return report

@@ -10,12 +10,11 @@ so no execution schedule can change results.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CameraModel, DepthMap, OccupancyGrid
+from .core import MAX_MAGNITUDE, CameraModel, DepthMap, OccupancyGrid
 from .errors import ConfigError
 
 
@@ -122,8 +121,9 @@ class SceneSpec:
     def from_json(text: str, num_classes: int) -> "SceneSpec":
         """Parse a document of the form to_json writes. Raises ConfigError
         for one that is not an object with exactly to_json's keys (each box
-        too), a number that is not finite, a seed outside [0, 2**64), a half
-        extent <= 0, or a class id outside [1, num_classes]."""
+        too), a number that is not finite or of magnitude above
+        MAX_MAGNITUDE, a seed outside [0, 2**64), a half extent <= 0, or a
+        class id outside [1, num_classes]."""
         doc = _scene_object(json.loads(text), _SCENE_KEYS, "scene")
         if not isinstance(doc["boxes"], list):
             raise ConfigError("scene boxes must be a list")
@@ -162,14 +162,17 @@ def _scene_object(doc, keys: set, what: str) -> dict:
 
 def _scene_number(doc: dict, key: str, n: int = 0):
     """doc[key] as a float (n = 0) or as a float64 vector of n entries; each
-    must be a finite JSON number. An int beyond the float range is not."""
+    must be a JSON number of magnitude <= MAX_MAGNITUDE."""
     items = doc[key] if n else [doc[key]]
     if not (
         isinstance(items, list)
         and len(items) == max(n, 1)
-        and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in items)
+        and all(type(x) in (int, float) and abs(x) <= MAX_MAGNITUDE for x in items)
     ):
-        raise ConfigError(f"scene {key} must be {n or 1} finite number(s), got {doc[key]!r}")
+        raise ConfigError(
+            f"scene {key} must be {n or 1} number(s) of magnitude <= {MAX_MAGNITUDE:g},"
+            f" got {doc[key]!r}"
+        )
     return np.array(items, dtype=np.float64) if n else float(items[0])
 
 

@@ -10,6 +10,7 @@ import pytest
 import gsocc
 from gsocc import formats, pipeline, synth
 from gsocc.cli import main
+from gsocc.core import MAX_MAGNITUDE
 from gsocc.errors import ConfigError
 from gsocc.pipeline import (
     MAX_BOXES,
@@ -101,6 +102,9 @@ SCENE_DAMAGE = {
     "class-id-float": _box(class_id=2.0),
     "ground-class-bool": lambda doc: {**doc, "ground_class": True},
     "seed-negative": lambda doc: {**doc, "seed": -1},
+    "ground-z-1e300": lambda doc: {**doc, "ground_z": 1e300},
+    "half-extent-1e300": _box(half_extents=[1e300, 1.0, 1.0]),
+    "yaw-int-beyond-bound": _box(yaw=10**7),
 }
 
 
@@ -262,6 +266,12 @@ class TestErrors:
             ("extents_min", [1.0]),  # broadcast against extents_max, then a ShapeError
             ("extents_max", [16.0]),
             ("num_boxes", MAX_BOXES + 1),
+            # magnitudes beyond MAX_MAGNITUDE, an int among them
+            ("gauss_scale", 1e300),
+            ("noise_std", 1e300),
+            ("cam_height", 1e300),
+            ("alpha_unc", 1e308),
+            ("cam_height", 10**7),
         ]
     ])
     def test_bad_config_value_exit_2(self, tmp_path, field, value):
@@ -302,6 +312,26 @@ class TestErrors:
         assert run(["render", "--config", config_file, "--gaussians", tmp_path / "g.gsb",
                     "--output", tmp_path / "pred.occ"]) == 2
         assert not (tmp_path / "pred.occ").exists()
+
+    @pytest.mark.parametrize("command, classes", [
+        ("render", 8), ("render --dump-probs", 3), ("eval-loss", 8), ("eval-loss", 3),
+    ])
+    def test_class_count_other_than_config_exit_2(self, tmp_path, config_file, rng,
+                                                  command, classes):
+        from gsocc.formats import write_gaussian_set
+        from conftest import random_gaussian_set
+
+        write_gaussian_set(tmp_path / "g.gsb", random_gaussian_set(rng, 4, num_classes=classes))
+        argv = command.split()
+        if command == "eval-loss":
+            cfg = PipelineConfig(**SMALL_CONFIG)
+            pipeline.write_gt(cfg, pipeline.write_scene(cfg, tmp_path / "scene.json"),
+                              tmp_path / "gt.occ")
+            argv += ["--scene", tmp_path / "scene.json", "--gt", tmp_path / "gt.occ"]
+        out = tmp_path / "out"
+        assert run([*argv, "--config", config_file, "--gaussians", tmp_path / "g.gsb",
+                    "--output", out]) == 2
+        assert not out.exists()
 
     def test_missing_scene_file_exit_2(self, tmp_path, config_file):
         assert run(["render-depth", "--config", config_file,
@@ -411,6 +441,15 @@ def test_box_count_limit_at_load():
         PipelineConfig.from_dict({"num_boxes": MAX_BOXES + 1})
 
 
+def test_value_at_the_magnitude_bound_loads():
+    # Config and scene load only: nothing is run.
+    assert PipelineConfig.from_dict({"cam_height": 10**6}).cam_height == MAX_MAGNITUDE
+    doc = json.loads(synth.generate_scene(7).to_json())
+    doc["boxes"][0]["yaw"] = -MAX_MAGNITUDE
+    scene = synth.SceneSpec.from_json(json.dumps(doc), PipelineConfig().num_classes)
+    assert scene.boxes[0].yaw == -MAX_MAGNITUDE
+
+
 @pytest.mark.parametrize("damage", ["logit-nan", "rotation-not-unit"])
 def test_bad_init_row_outside_the_kept_ones_rejected(tmp_path, monkeypatch, damage):
     """The sample stage loads only the kept rows of gaussians_init.gsb, but
@@ -436,6 +475,25 @@ def test_bad_init_row_outside_the_kept_ones_rejected(tmp_path, monkeypatch, dama
     cfg.out_dir = str(tmp_path / "damaged")
     with pytest.raises(ConfigError, match="gaussians_init.gsb"):
         run_pipeline(cfg)
+
+
+def test_init_builds_every_view_on_the_calling_thread(tmp_path, monkeypatch):
+    """`threads` sets only the sampling workers: init builds each view's
+    block in view order on the thread that runs the pipeline."""
+    import threading
+
+    calls = []
+
+    class Recorded(pipeline.GroundTruthClassAttributes):
+        def __call__(self, view, rows, cols):
+            calls.append((view, threading.get_ident()))
+            return super().__call__(view, rows, cols)
+
+    monkeypatch.setattr(pipeline, "GroundTruthClassAttributes", Recorded)
+    cfg = PipelineConfig(**{**SMALL_CONFIG, "threads": 2, "out_dir": str(tmp_path / "run")})
+    run_pipeline(cfg)
+    here = threading.get_ident()
+    assert calls == [(view, here) for view in range(len(cfg.cameras()))]
 
 
 def test_pipeline_memory_per_rig_pixel(tmp_path):

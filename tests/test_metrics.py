@@ -325,14 +325,6 @@ class TestInitQuality:
         occ[inside] = labels[idx[inside, 0], idx[inside, 1], idx[inside, 2]] != 0
         assert perc == 100.0 * occ.sum() / len(gs)
 
-    def test_worker_count_does_not_change_result(self, rng):
-        labels = (rng.random((32, 32, 16)) < 0.05).astype(np.uint8) * 2
-        grid = grid_of(labels, origin=(-8.0, -8.0, -4.0), voxel_size=0.5)
-        gs = random_gaussian_set(rng, 20000, lo=(-9, -9, -5), hi=(9, 9, 5))
-        one = init_quality(gs, grid, workers=1)
-        assert init_quality(gs, grid, workers=2) == one
-        assert init_quality(gs, grid, workers=8) == one  # capped at the core count
-
     def test_fully_empty_gt_raises(self, rng):
         grid = grid_of(np.zeros((4, 4, 4), dtype=np.uint8))
         with pytest.raises(UndefinedMetricError):
@@ -361,7 +353,7 @@ def assert_matches_tree(means, grid):
     occ = grid.labels != grid.empty_id
     centers = grid.origin + (np.argwhere(occ) + 0.5) * grid.voxel_size
     want = cKDTree(centers).query(means)[0]  # the full tree query
-    occupied, got = _nearest_occupied(means, grid, occ, workers=1)
+    occupied, got = _nearest_occupied(means, grid, occ)
     np.testing.assert_array_equal(got, want)
     gs = dataclasses.replace(random_gaussian_set(np.random.default_rng(0), len(means)), means=means)
     perc, dist = init_quality(gs, grid)
@@ -408,7 +400,7 @@ class TestOwnVoxelRoute:
         labels = np.ones((6, 4, 3), dtype=np.uint8)
         grid = grid_of(labels, origin=(-1.9, 2.2, -0.4), voxel_size=1 / 3)
         means = lattice_means(rng, grid, 3000)
-        occupied, _ = _nearest_occupied(means, grid, grid.labels == 1, workers=1)
+        occupied, _ = _nearest_occupied(means, grid, grid.labels == 1)
         idx = np.floor((means - grid.origin) / grid.voxel_size)
         assert np.array_equal(occupied, ((idx >= 0) & (idx < grid.dims)).all(axis=1))
         assert assert_matches_tree(means, grid) == np.count_nonzero(occupied) > 500
