@@ -68,7 +68,7 @@ def cmd_render_depth(args) -> int:
 
 def cmd_init(args) -> int:
     cfg = _load_config(args)
-    depths, _, classes = pipeline.cast_depths(cfg, _read_scene(args.scene, cfg))
+    depths, classes, _ = pipeline.cast_depths(cfg, _read_scene(args.scene, cfg))
     pipeline.write_init(cfg, classes, depths, args.output)
     return 0
 
@@ -116,8 +116,7 @@ def cmd_eval_loss(args) -> int:
     scene = _read_scene(args.scene, cfg)
     gt, _, _ = formats.read_occupancy(args.gt)
     field = pipeline.render_field(cfg, formats.read_gaussian_set(args.gaussians))
-    depths, clean, _ = pipeline.cast_depths(cfg, scene)
-    pipeline.write_losses(cfg, scene, field.probs, gt, depths, clean, args.output)
+    pipeline.write_losses(cfg, field.probs, gt, pipeline.cast_depths(cfg, scene)[2], args.output)
     return 0
 
 

@@ -17,10 +17,10 @@ All binary formats are little-endian:
     u8 labels in (X, Y, Z) C-order, then optionally f32 probabilities
     of shape (X, Y, Z, C+1) when has_probs is 1.
 
-GSB1 is written by `gaussian_block_writer`: each block of rows goes to the
-fixed offsets its first row implies, so the bytes do not depend on how many
-blocks there are or in what order they are written.
-`write_gaussian_set` writes a whole set as one block. Three readers:
+GSB1 is written by `gaussian_block_writer`, which appends blocks of rows in
+call order behind a header that states the final row count, so the bytes do
+not depend on how the rows are split into blocks. `write_gaussian_set`
+writes a whole set as one block. Three readers:
 `read_gaussian_set` returns the whole set, each field its own C-contiguous
 float64 array converted straight from the f32 records; `read_gaussian_means`
 checks every row in chunks of _ROWS but keeps only the means (a
@@ -111,16 +111,18 @@ def _pwrite(fd: int, array: np.ndarray, offset: int) -> None:
 @contextmanager
 def gaussian_block_writer(path, p: int, c: int):
     """Create the GSB1 file `path` of `p` Gaussians with `c` classes and
-    yield write(start, block), which puts the GaussianSet `block` at rows
-    start, start + 1, ... of the file. Calls may come in any order; rows
-    no call writes read back as zeros."""
+    yield write(block), which appends the GaussianSet `block` after the rows
+    already written. Rows no call writes read back as zeros, which fail
+    GaussianSet.validate() (a zero rotation)."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         width = (11 + c) * 4
         os.pwrite(fd, GSB_MAGIC + struct.pack("<II", p, c), 0)
         os.ftruncate(fd, 16 + p * (width + 12))
+        start = 0
 
-        def write(start: int, block: GaussianSet) -> None:
+        def write(block: GaussianSet) -> None:
+            nonlocal start
             # Slice assignment rounds float64 to f32 as astype does.
             rec = np.empty((len(block), 11 + c), dtype="<f4")
             for name, cols in _GSB_FIELDS:
@@ -128,6 +130,7 @@ def gaussian_block_writer(path, p: int, c: int):
             _pwrite(fd, rec, 16 + start * width)
             prov = np.ascontiguousarray(block.source_index, dtype="<u4")
             _pwrite(fd, prov, 16 + p * width + start * 12)
+            start += len(block)
 
         yield write
     finally:
@@ -136,7 +139,7 @@ def gaussian_block_writer(path, p: int, c: int):
 
 def write_gaussian_set(path, gs: GaussianSet) -> None:
     with gaussian_block_writer(path, len(gs), gs.num_classes) as write:
-        write(0, gs)
+        write(gs)
 
 
 def _gsb_header(f, path) -> tuple:

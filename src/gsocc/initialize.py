@@ -40,8 +40,9 @@ def unproject_pixels(
     return cam.origin + np.asarray(depths, dtype=np.float64)[:, None] * v
 
 
-def _view_block(view, cam, depth_map, valid, attrs) -> GaussianSet:
-    """The Gaussians of one view's `valid` pixels, in row-major raster order."""
+def _view_block(view, cam, depth_map, attrs) -> GaussianSet:
+    """The Gaussians of one view's valid pixels, in row-major raster order."""
+    valid = depth_map.valid
     rows, cols = np.nonzero(valid)
     n, c = len(rows), attrs.num_classes
     fields = {}
@@ -74,8 +75,8 @@ def init_gaussians(
     Emits primitives in (view, row, col) raster order with provenance
     recorded; pixels whose depth is the no-return sentinel are skipped.
     Each view's block is built in view order on the calling thread and
-    written to the rows its view starts at as soon as it is built, so one
-    block is in memory at a time. Returns the file's
+    appended to the file as soon as it is built, so one block is in memory
+    at a time. Returns the file's
     `formats.read_gaussian_means`, every row checked.
     """
     if len(cams) != len(depths):
@@ -86,9 +87,8 @@ def init_gaussians(
                 f"view {i}: depth map {dm.depth.shape} does not match "
                 f"camera grid {(cam.height, cam.width)}"
             )
-    valid = [dm.valid for dm in depths]
-    starts = np.cumsum([0] + [int(np.count_nonzero(v)) for v in valid]).tolist()
-    with formats.gaussian_block_writer(path, starts[-1], attrs.num_classes) as write:
+    p = sum(int(np.count_nonzero(dm.valid)) for dm in depths)
+    with formats.gaussian_block_writer(path, p, attrs.num_classes) as write:
         for view, (cam, dm) in enumerate(zip(cams, depths)):
-            write(starts[view], _view_block(view, cam, dm, valid[view], attrs))
+            write(_view_block(view, cam, dm, attrs))
     return formats.read_gaussian_means(path)

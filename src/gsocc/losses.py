@@ -12,7 +12,7 @@ term. These are forward metrics only; there is no backward pass.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -90,45 +90,42 @@ class DepthLossBreakdown:
     def total(self) -> float:
         return self.residual + self.gradient + self.uncertainty
 
+    def __add__(self, other: "DepthLossBreakdown") -> "DepthLossBreakdown":
+        """Term-by-term sum: summing views from zeros in view order gives
+        each term as one running float sum over the views."""
+        return DepthLossBreakdown(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
 
 def _rms(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(values**2))) if values.size else 0.0
 
 
-def depth_uncertainty_loss(pred, gt, alpha_unc: float) -> DepthLossBreakdown:
-    """Uncertainty-weighted depth loss summed over views.
+def depth_uncertainty_loss(pred: DepthMap, gt: DepthMap, alpha_unc: float) -> DepthLossBreakdown:
+    """Uncertainty-weighted depth loss of one view.
 
-    `pred` / `gt` are DepthMaps or equal-length sequences of them; the
-    ground-truth uncertainty channel is ignored. Per view:
+    The ground-truth uncertainty channel is ignored.
     RMS(sigma * (dhat - d)) + RMS(sigma * (grad dhat - grad d))
     - alpha * mean(log sigma), with forward-difference gradients and all
     statistics over pixels valid in both maps.
     """
-    preds = [pred] if isinstance(pred, DepthMap) else list(pred)
-    gts = [gt] if isinstance(gt, DepthMap) else list(gt)
-    if len(preds) != len(gts):
-        raise ShapeError(f"{len(preds)} predicted vs {len(gts)} ground-truth views")
-    residual = gradient = uncertainty = 0.0
-    for p, g in zip(preds, gts):
-        if p.depth.shape != g.depth.shape:
-            raise ShapeError(f"view shapes differ: {p.depth.shape} vs {g.depth.shape}")
-        valid = p.valid & g.valid
-        sig = p.uncertainty
-        # Sentinel pixels produce inf-inf before masking; silence, then drop.
-        with np.errstate(invalid="ignore"):
-            residual += _rms((sig * (p.depth - g.depth))[valid])
-            grads = []
-            for axis in (0, 1):
-                dp = np.diff(p.depth, axis=axis)
-                dg = np.diff(g.depth, axis=axis)
-                ok = valid.take(range(1, valid.shape[axis]), axis=axis) & valid.take(
-                    range(valid.shape[axis] - 1), axis=axis
-                )
-                base_sig = sig.take(range(sig.shape[axis] - 1), axis=axis)
-                grads.append((base_sig * (dp - dg))[ok])
-            gradient += _rms(np.concatenate(grads))
-        if valid.any():
-            uncertainty += float(-alpha_unc * np.log(sig[valid]).mean())
+    if pred.depth.shape != gt.depth.shape:
+        raise ShapeError(f"view shapes differ: {pred.depth.shape} vs {gt.depth.shape}")
+    valid = pred.valid & gt.valid
+    sig = pred.uncertainty
+    # Sentinel pixels produce inf-inf before masking; silence, then drop.
+    with np.errstate(invalid="ignore"):
+        residual = _rms((sig * (pred.depth - gt.depth))[valid])
+        grads = []
+        for axis in (0, 1):
+            dp = np.diff(pred.depth, axis=axis)
+            dg = np.diff(gt.depth, axis=axis)
+            ok = valid.take(range(1, valid.shape[axis]), axis=axis) & valid.take(
+                range(valid.shape[axis] - 1), axis=axis
+            )
+            base_sig = sig.take(range(sig.shape[axis] - 1), axis=axis)
+            grads.append((base_sig * (dp - dg))[ok])
+        gradient = _rms(np.concatenate(grads))
+    uncertainty = float(-alpha_unc * np.log(sig[valid]).mean()) if valid.any() else 0.0
     return DepthLossBreakdown(residual=residual, gradient=gradient, uncertainty=uncertainty)
 
 
@@ -154,18 +151,16 @@ class LossReport:
 def compute_loss_report(
     pred_probs: np.ndarray,
     gt_labels: np.ndarray,
-    pred_depths,
-    gt_depths,
+    depth: DepthLossBreakdown,
     lambda_occ: float = 1.0,
     lambda_depth: float = 0.05,
     alpha_unc: float = 0.5,
 ) -> LossReport:
+    """Occupancy losses of `pred_probs` against `gt_labels`, weighted with
+    the `depth` terms, which were computed with `alpha_unc`."""
     ce = cross_entropy_loss(pred_probs, gt_labels)
     lov = lovasz_softmax_loss(pred_probs, gt_labels)
-    depth = depth_uncertainty_loss(pred_depths, gt_depths, alpha_unc)
-    total = lambda_occ * (ce + lov) + lambda_depth * (
-        depth.residual + depth.gradient + depth.uncertainty
-    )
+    total = lambda_occ * (ce + lov) + lambda_depth * depth.total
     return LossReport(
         total=total,
         occ_ce=ce,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import formats, metrics, synth
+from . import formats, losses, metrics, synth
 from .core import MAX_MAGNITUDE, S_MIN, GaussianSet, VoxelGridSpec
 from .errors import ConfigError, GsoccError, StageError
 from .initialize import init_gaussians
@@ -41,9 +41,10 @@ MAX_FIELD_BYTES = 1 << 30
 
 # Most pixels over all cameras of the rig accepted at config load (7x
 # dense-rig). Every pixel casts a ray and may become a Gaussian; a run's
-# peak memory grows by about 50 bytes per pixel (peak RSS of one run at 2.4M
-# and 1.2M rig pixels, 2-core VM), since init streams its set to disk one
-# view at a time and only the means stay in memory.
+# peak memory grows by about 24 bytes per pixel (scripts/peak_memory.py,
+# 2-core VM), since the cast keeps only noisy depths and uint8 classes,
+# init streams its set to disk one view at a time and only the means stay
+# in memory after it.
 MAX_RIG_PIXELS = 1 << 23
 
 # Most boxes in a generated scene accepted at config load. Each box is one
@@ -131,7 +132,9 @@ class PipelineConfig:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.num_boxes > MAX_BOXES:
             raise ConfigError(f"num_boxes {self.num_boxes} is above the limit of {MAX_BOXES}")
-        self.scene_config()  # SceneConfig checks the extents and a negative num_boxes
+        # SceneConfig checks the extents, ground_z and a negative num_boxes;
+        # the scene then checks that every generated box meets the extents.
+        synth.generate_scene(self.seed, self.scene_config())
         if self.refine not in REFINE_MODES:
             raise ConfigError(f"refine mode must be one of {REFINE_MODES}")
         if self.grid_size <= 0 or self.voxel_size <= 0:
@@ -232,8 +235,8 @@ class PipelineConfig:
 
 class GroundTruthClassAttributes:
     """Attribute provider that labels each pixel's Gaussian with the class
-    of the surface its ray hits, read from per-view (H, W) class maps (0 for
-    a miss, see synth.pixel_hits). Scale/rotation/opacity are constants."""
+    of the surface its ray hits, read from per-view (H, W) uint8 class maps
+    (0 for a miss, see cast_depths). Scale/rotation/opacity are constants."""
 
     def __init__(self, class_maps: list, scale: float, opacity: float, num_classes: int):
         self.num_classes = num_classes
@@ -301,15 +304,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     scene = _run_stage("gen-scene", out, lambda st: write_scene(config, st.path("scene.json")))
     gt_grid = _run_stage("rasterize-gt", out, lambda st: write_gt(config, scene, st.path("gt.occ")))
-    depths, clean_depths, classes = _run_stage(
+    depths, classes, depth_loss = _run_stage(
         "render-depth", out, lambda st: write_depths(config, scene, st.path)
     )
     staged = _run_stage(
         "init", out, lambda st: write_init(config, classes, depths, st.path("gaussians_init.gsb"))
     )
-    del classes
-    # After init the run holds only the init set's f32-rounded means, read
-    # back from the artifact with every row checked; the sample stage loads
+    del depths, classes
+    # After init the run holds no per-pixel array: only the three depth-loss
+    # terms and the init set's f32-rounded means, read back from the
+    # artifact with every row checked; the sample stage loads
     # the rows it keeps from the committed file. Each stage below consumes
     # what the stage before wrote, not an in-memory float64 set, so the
     # standalone subcommands reproduce the same bytes.
@@ -332,12 +336,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
             config, field.to_grid(), gt_grid, init_set, st.path("metrics.json")
         ),
     )
-    losses = _run_stage(
+    loss_report = _run_stage(
         "eval-loss",
         out,
-        lambda st: write_losses(
-            config, scene, field.probs, gt_grid, depths, clean_depths, st.path("losses.json")
-        ),
+        lambda st: write_losses(config, field.probs, gt_grid, depth_loss, st.path("losses.json")),
     )
     summary = {
         "initial_count": len(init_set),
@@ -349,7 +351,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "rayiou": report.rayiou,
         "perc": report.perc,
         "dist": report.dist,
-        "loss_total": losses.total,
+        "loss_total": loss_report.total,
     }
     stage = _Stage("summary", out)
     stage.path("summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
@@ -384,19 +386,30 @@ def write_gt(config: PipelineConfig, scene, path):
 
 
 def cast_depths(config: PipelineConfig, scene) -> tuple:
-    """Cast every pixel ray once: the DepthMaps with the config's seeded
-    noise, plus the noise-free depth and class maps."""
-    clean, classes = synth.pixel_hits(scene, config.cameras())
-    return synth.depth_maps(scene.seed, clean, config.noise_std), clean, classes
+    """Cast every pixel ray of the rig once, one camera at a time in view
+    order: (the DepthMaps with the config's seeded noise, the (H, W) uint8
+    class maps, the losses.DepthLossBreakdown of the DepthMaps against the
+    noise-free depths, summed over views). No noise-free map outlives its
+    view."""
+    depths, classes = [], []
+    depth_loss = losses.DepthLossBreakdown(0.0, 0.0, 0.0)
+    for view, cam in enumerate(config.cameras()):
+        hits, cls = synth.ray_hit_classes(scene, cam.origin, cam.pixel_rays())
+        clean = hits.reshape(cam.height, cam.width)
+        depths.append(synth.depth_map(scene.seed, view, clean, config.noise_std))
+        classes.append(cls.astype(np.uint8).reshape(clean.shape))
+        gt = synth.depth_map(scene.seed, view, clean)
+        depth_loss += losses.depth_uncertainty_loss(depths[-1], gt, config.alpha_unc)
+    return depths, classes, depth_loss
 
 
 def write_depths(config: PipelineConfig, scene, path_for) -> tuple:
     """Write view i's depth map of cast_depths to `path_for("depth_<iii>.dpm")`
     and return what cast_depths returned."""
-    depths, clean, classes = cast_depths(config, scene)
+    depths, classes, depth_loss = cast_depths(config, scene)
     for i, dm in enumerate(depths):
         formats.write_depth_map(path_for(f"depth_{i:03d}.dpm"), dm)
-    return depths, clean, classes
+    return depths, classes, depth_loss
 
 
 def write_init(config: PipelineConfig, class_maps: list, depths: list, path):
@@ -468,15 +481,13 @@ def write_metrics(config: PipelineConfig, pred, gt, gaussians, path) -> metrics.
     return report
 
 
-def write_losses(config: PipelineConfig, scene, probs, gt, depths, clean, path):
-    """Objectives on rendered `probs` against `gt`. The depth term compares
-    the noisy `depths` with DepthMaps of the noise-free `clean` depths, both
-    as cast_depths returns them for `scene`."""
+def write_losses(config: PipelineConfig, probs, gt, depth_loss, path):
+    """Objectives on rendered `probs` against `gt`, with the depth terms
+    `depth_loss` that cast_depths returns."""
     report = compute_loss_report(
         probs.reshape(-1, probs.shape[-1]),
         gt.labels.reshape(-1),
-        pred_depths=depths,
-        gt_depths=synth.depth_maps(scene.seed, clean),
+        depth_loss,
         lambda_occ=config.lambda_occ,
         lambda_depth=config.lambda_depth,
         alpha_unc=config.alpha_unc,

@@ -37,14 +37,17 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def voxel_coords(means: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
-    """floor(mean / grid_size) per component; floor is toward -inf."""
-    return np.floor(np.asarray(means, dtype=np.float64) / spec.grid_size).astype(np.int64)
+def voxel_coords(means: np.ndarray, spec: VoxelGridSpec, where=True) -> np.ndarray:
+    """floor(mean / grid_size) per component; floor is toward -inf. Rows
+    where the (P, 1) mask `where` is False get 0 instead, so a mean outside
+    the grid (NaN, or beyond the int64 range of coords) is never cast."""
+    q = np.divide(means, spec.grid_size, out=np.zeros(np.shape(means)), where=where)
+    return np.floor(q, out=q).astype(np.int64)
 
 
 def _chunk_keys(means: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
     in_bounds = ((means >= spec.min_corner) & (means < spec.max_corner)).all(axis=1)
-    v = voxel_coords(means, spec) - spec.v_min
+    v = voxel_coords(means, spec, where=in_bounds[:, None]) - spec.v_min
     dy, dz = int(spec.dims[1]), int(spec.dims[2])
     lin = (v[:, 0] * dy + v[:, 1]) * dz + v[:, 2]
     keys = lin.astype(np.uint64)

@@ -192,7 +192,9 @@ HALF_EXTENT_RANGE = (0.5, 2.0)
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Box count, classes, ground plane and extents of a generated scene."""
+    """Box count, classes, ground plane and extents of a generated scene.
+    The ground plane must lie in the z extents: below the top face, so the
+    ground truth holds its voxel layer."""
 
     num_boxes: int = 6
     box_classes: tuple = (2, 3, 4)
@@ -206,6 +208,10 @@ class SceneConfig:
         hi = np.asarray(self.extents_max, dtype=np.float64)
         if not (lo < hi).all():
             raise ConfigError("scene extents must have positive volume on all axes")
+        if not lo[2] <= self.ground_z < hi[2]:
+            raise ConfigError(
+                f"ground_z {self.ground_z} must lie in [{lo[2]:g}, {hi[2]:g}), the z extents"
+            )
         if self.num_boxes < 0:
             raise ConfigError("num_boxes must be >= 0")
         if not self.box_classes:
@@ -308,42 +314,31 @@ def ray_hit_classes(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray):
     return best, cls
 
 
-def pixel_hits(scene: SceneSpec, cams: list) -> tuple[list, list]:
-    """Noise-free (depth maps, class maps), one (H, W) array per camera, of
-    the nearest scene surface behind every pixel center. Each camera's
-    pixel rays are cast once, in one ray_hit_classes call."""
-    depths, classes = [], []
-    for cam in cams:
-        depth, cls = ray_hit_classes(scene, cam.origin, cam.pixel_rays())
-        depths.append(depth.reshape(cam.height, cam.width))
-        classes.append(cls.reshape(cam.height, cam.width))
-    return depths, classes
+def depth_map(seed: int, view: int, depth: np.ndarray, noise_std: float = 0.0) -> DepthMap:
+    """DepthMap of view `view`'s noise-free (H, W) depths with optional
+    seeded Gaussian noise on the finite ones.
 
-
-def depth_maps(seed: int, depths: list, noise_std: float = 0.0) -> list:
-    """DepthMaps of noise-free per-view depths with optional seeded Gaussian
-    noise on the finite ones.
-
-    Uncertainty is max(noise_std, 1e-3) everywhere. Noise seeding is
-    per (scene seed, view), so results do not depend on execution order.
+    Uncertainty is max(noise_std, 1e-3) everywhere, held as one broadcast
+    value. Noise seeding is per (scene seed, view), so results do not depend
+    on execution order.
     """
     if noise_std < 0:
         raise ConfigError("noise_std must be >= 0")
-    maps = []
-    for view, depth in enumerate(depths):
-        if noise_std > 0:
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(view,)))
-            noise = noise_std * rng.standard_normal(depth.shape)
-            depth = np.where(np.isfinite(depth), np.maximum(depth + noise, 0.0), depth)
-        unc = np.full(depth.shape, max(noise_std, 1e-3))
-        maps.append(DepthMap(depth=depth, uncertainty=unc))
-    return maps
+    if noise_std > 0:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(view,)))
+        noise = noise_std * rng.standard_normal(depth.shape)
+        depth = np.where(np.isfinite(depth), np.maximum(depth + noise, 0.0), depth)
+    return DepthMap(depth=depth, uncertainty=np.broadcast_to(max(noise_std, 1e-3), depth.shape))
 
 
 def render_depth_maps(scene: SceneSpec, cams: list, noise_std: float = 0.0) -> list:
-    """Analytic depth per pixel with optional seeded Gaussian noise: the
-    depth maps of pixel_hits through depth_maps."""
-    return depth_maps(scene.seed, pixel_hits(scene, cams)[0], noise_std)
+    """Analytic depth per pixel with optional seeded Gaussian noise: each
+    camera's pixel rays cast once by ray_hit_classes, then depth_map."""
+    maps = []
+    for view, cam in enumerate(cams):
+        depth = ray_hit_classes(scene, cam.origin, cam.pixel_rays())[0]
+        maps.append(depth_map(scene.seed, view, depth.reshape(cam.height, cam.width), noise_std))
+    return maps
 
 
 def nearest_surface_points(scene: SceneSpec, points: np.ndarray) -> np.ndarray:

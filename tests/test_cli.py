@@ -273,10 +273,22 @@ class TestErrors:
             ("alpha_unc", 1e308),
             ("cam_height", 10**7),
         ]
+    ] + [
+        # scenes gen-scene cannot build: the ground plane outside the z
+        # extents, and boxes (4-13 m from the z axis) outside +-1 m extents
+        pytest.param("ground_z", 100.0, id="ground_z=100.0"),
+        pytest.param(None, {"ground_z": 100.0, "num_boxes": 0},
+                     id="ground_z=100.0,num_boxes=0"),
+        pytest.param(None, {"ground_z": 4.0, "num_boxes": 0}, id="ground_z=4.0,num_boxes=0"),
+        pytest.param(None, {"extents_min": [-1.0, -1.0, -4.0],
+                      "extents_max": [1.0, 1.0, 4.0]}, id="extents=1m"),
     ])
     def test_bad_config_value_exit_2(self, tmp_path, field, value):
+        """`value` replaces `field` of SMALL_CONFIG; with no field, the dict
+        `value` replaces the fields it names."""
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**SMALL_CONFIG, field: value}))
+        doc = {**SMALL_CONFIG, **(value if field is None else {field: value})}
+        bad.write_text(json.dumps(doc))
         assert run(["pipeline", "--config", bad, "--out", tmp_path / "x"]) == 2
         assert not (tmp_path / "x").exists()  # rejected at config load, before any stage
 
@@ -496,9 +508,11 @@ def test_init_builds_every_view_on_the_calling_thread(tmp_path, monkeypatch):
     assert calls == [(view, here) for view in range(len(cfg.cameras()))]
 
 
-def test_pipeline_memory_per_rig_pixel(tmp_path):
+@pytest.mark.parametrize("noise_std", [0.0, 0.05])
+def test_pipeline_memory_per_rig_pixel(tmp_path, noise_std):
     """Peak Python-heap use of a run grows by well under the 132 bytes a
-    float64 Gaussian takes per rig pixel: after init the run holds the init
+    float64 Gaussian takes per rig pixel: the cast keeps no noise-free depth
+    map and no full uncertainty map, and after init the run holds the init
     set's means, not the set."""
     import tracemalloc
 
@@ -506,7 +520,7 @@ def test_pipeline_memory_per_rig_pixel(tmp_path):
     import scipy.special  # noqa: F401
 
     cfg = PipelineConfig(resolution=(192, 256), voxel_size=1.0, ray_stride=32, threads=2,
-                         seed=7, out_dir=str(tmp_path / "run"))
+                         seed=7, noise_std=noise_std, out_dir=str(tmp_path / "run"))
     pixels = sum(cam.height * cam.width for cam in cfg.cameras())
     tracemalloc.start()
     try:
@@ -515,7 +529,7 @@ def test_pipeline_memory_per_rig_pixel(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / pixels < 100, f"{peak / pixels:.0f} bytes per rig pixel"
+    assert peak / pixels < 50, f"{peak / pixels:.1f} bytes per rig pixel"
 
 
 def test_pixel_rays_cast_once_per_camera(tmp_path, monkeypatch):

@@ -97,7 +97,7 @@ class TestGSB1:
     def test_pipeline_init_set_rewrites_identically(self, tmp_path):
         config = PipelineConfig.from_dict({"seed": 7, "resolution": [24, 32], "focal": 16.0})
         scene = write_scene(config, tmp_path / "scene.json")
-        depths, _, classes = write_depths(config, scene, lambda name: tmp_path / name)
+        depths, classes, _ = write_depths(config, scene, lambda name: tmp_path / name)
         assert len(write_init(config, classes, depths, tmp_path / "init.gsb")) > 1000
         write_gaussian_set(tmp_path / "again.gsb", read_gaussian_set(tmp_path / "init.gsb"))
         assert (tmp_path / "again.gsb").read_bytes() == (tmp_path / "init.gsb").read_bytes()
@@ -106,7 +106,7 @@ class TestGSB1:
     def test_streamed_init_equals_whole_set_written(self, tmp_path, workers):
         config = PipelineConfig.from_dict(
             {"seed": 7, "resolution": [24, 32], "focal": 16.0, "threads": workers})
-        depths, _, classes = cast_depths(config, write_scene(config, tmp_path / "scene.json"))
+        depths, classes, _ = cast_depths(config, write_scene(config, tmp_path / "scene.json"))
         streamed = write_init(config, classes, depths, tmp_path / "streamed.gsb")
         attrs = GroundTruthClassAttributes(
             classes, config.gauss_scale, config.gauss_opacity, config.num_classes)

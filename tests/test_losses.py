@@ -249,7 +249,7 @@ class TestLossReport:
         gt = rng.integers(0, 3, size=40)
         pd = flat_map(rng.uniform(1, 4, size=(4, 4)), unc=0.7)
         gd = flat_map(rng.uniform(1, 4, size=(4, 4)))
-        rep = compute_loss_report(pred, gt, pred_depths=pd, gt_depths=gd,
+        rep = compute_loss_report(pred, gt, depth_uncertainty_loss(pd, gd, alpha_unc=0.5),
                                   lambda_occ=1.0, lambda_depth=0.05, alpha_unc=0.5)
         expect = rep.lambda_occ * (rep.occ_ce + rep.occ_lovasz) + rep.lambda_depth * (
             rep.depth_term + rep.gradient_term + rep.uncertainty_term
@@ -260,6 +260,6 @@ class TestLossReport:
         pred = rng.dirichlet(np.ones(2), size=8)
         gt = rng.integers(0, 2, size=8)
         depths = flat_map(rng.uniform(1, 4, size=(4, 4)))
-        rep = compute_loss_report(pred, gt, pred_depths=depths, gt_depths=depths)
+        rep = compute_loss_report(pred, gt, depth_uncertainty_loss(depths, depths, 0.5))
         doc = rep.to_json()
         assert '"occ_ce"' in doc and '"total"' in doc

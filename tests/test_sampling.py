@@ -57,6 +57,14 @@ class TestVoxelize:
         assert keys[1] == OUT_OF_BOUNDS  # max is exclusive
         assert keys[2] != OUT_OF_BOUNDS
 
+    def test_far_and_nan_means_key_without_a_cast_warning(self):
+        """Means whose voxel coords overflow int64 are keyed out of bounds;
+        RuntimeWarnings are errors under the test settings."""
+        far = np.array([[1e30, 0.0, 0.0], [-1e30, 0.0, 0.0], [np.nan, 0.0, 0.0], [1.2, -0.7, 0.3]])
+        keys = voxel_keys(far, SPEC)
+        assert (keys[:3] == OUT_OF_BOUNDS).all()
+        assert keys[3] == voxel_keys(far[3:], SPEC)[0] != OUT_OF_BOUNDS
+
     def test_keys_match_dictionary_oracle(self, rng):
         means = rng.uniform(-10, 10, size=(10_000, 3))
         keys = voxel_keys(means, SPEC)
