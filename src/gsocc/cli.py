@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import formats, pipeline, synth
+from . import formats, losses, pipeline, synth
 from .errors import ConfigError, GsoccError, StageError, UndefinedMetricError
 from .pipeline import PipelineConfig, distinct_occupied_voxels, run_pipeline
 
@@ -62,14 +62,15 @@ def cmd_render_depth(args) -> int:
     scene = _read_scene(args.scene, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pipeline.write_depths(cfg, scene, out_dir.joinpath)
+    for view in pipeline.cast_views(cfg, scene):
+        pipeline.write_depth(out_dir.joinpath, view)
     return 0
 
 
 def cmd_init(args) -> int:
     cfg = _load_config(args)
-    depths, classes, _ = pipeline.cast_depths(cfg, _read_scene(args.scene, cfg))
-    pipeline.write_init(cfg, classes, depths, args.output)
+    views = pipeline.cast_views(cfg, _read_scene(args.scene, cfg))
+    pipeline.write_gaussians(cfg, views, args.output)
     return 0
 
 
@@ -116,7 +117,11 @@ def cmd_eval_loss(args) -> int:
     scene = _read_scene(args.scene, cfg)
     gt, _, _ = formats.read_occupancy(args.gt)
     field = pipeline.render_field(cfg, formats.read_gaussian_set(args.gaussians))
-    pipeline.write_losses(cfg, field.probs, gt, pipeline.cast_depths(cfg, scene)[2], args.output)
+    depth_loss = sum(
+        (pipeline.view_depth_loss(cfg, scene, v) for v in pipeline.cast_views(cfg, scene)),
+        losses.DepthLossBreakdown(0.0, 0.0, 0.0),
+    )
+    pipeline.write_losses(cfg, field.probs, gt, depth_loss, args.output)
     return 0
 
 

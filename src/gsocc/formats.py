@@ -18,9 +18,9 @@ All binary formats are little-endian:
     of shape (X, Y, Z, C+1) when has_probs is 1.
 
 GSB1 is written by `gaussian_block_writer`, which appends blocks of rows in
-call order behind a header that states the final row count, so the bytes do
-not depend on how the rows are split into blocks. `write_gaussian_set`
-writes a whole set as one block. Three readers:
+call order and writes the header with the final row count when it closes,
+so the bytes do not depend on how the rows are split into blocks.
+`write_gaussian_set` writes a whole set as one block. Three readers:
 `read_gaussian_set` returns the whole set, each field its own C-contiguous
 float64 array converted straight from the f32 records; `read_gaussian_means`
 checks every row in chunks of _ROWS but keeps only the means (a
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,36 +110,45 @@ def _pwrite(fd: int, array: np.ndarray, offset: int) -> None:
 
 
 @contextmanager
-def gaussian_block_writer(path, p: int, c: int):
-    """Create the GSB1 file `path` of `p` Gaussians with `c` classes and
-    yield write(block), which appends the GaussianSet `block` after the rows
-    already written. Rows no call writes read back as zeros, which fail
-    GaussianSet.validate() (a zero rotation)."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        width = (11 + c) * 4
-        os.pwrite(fd, GSB_MAGIC + struct.pack("<II", p, c), 0)
-        os.ftruncate(fd, 16 + p * (width + 12))
-        start = 0
+def gaussian_block_writer(path, c: int):
+    """Create the GSB1 file `path` of Gaussians with `c` classes and yield
+    write(block), which appends the GaussianSet `block` after the rows
+    already written. The row count P is known only when the block exits, so
+    the provenance triples, which follow all P records, and the header are
+    written then, and only when no error left the block: the file of a
+    failed writer starts with zeros, not the GSB1 magic."""
+    # The triples wait in an unnamed file next to `path`, not in memory:
+    # blocks held until the end would pin the heap that each block's
+    # temporaries were freed to.
+    with tempfile.TemporaryFile(dir=Path(path).parent) as prov:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            width = (11 + c) * 4
+            p = 0
 
-        def write(block: GaussianSet) -> None:
-            nonlocal start
-            # Slice assignment rounds float64 to f32 as astype does.
-            rec = np.empty((len(block), 11 + c), dtype="<f4")
-            for name, cols in _GSB_FIELDS:
-                rec[:, cols] = getattr(block, name)
-            _pwrite(fd, rec, 16 + start * width)
-            prov = np.ascontiguousarray(block.source_index, dtype="<u4")
-            _pwrite(fd, prov, 16 + p * width + start * 12)
-            start += len(block)
+            def write(block: GaussianSet) -> None:
+                nonlocal p
+                # Slice assignment rounds float64 to f32 as astype does.
+                rec = np.empty((len(block), 11 + c), dtype="<f4")
+                for name, cols in _GSB_FIELDS:
+                    rec[:, cols] = getattr(block, name)
+                _pwrite(fd, rec, 16 + p * width)
+                prov.write(np.ascontiguousarray(block.source_index, dtype="<u4"))
+                p += len(block)
 
-        yield write
-    finally:
-        os.close(fd)
+            yield write
+            prov.seek(0)
+            offset = 16 + p * width
+            while chunk := prov.read(1 << 20):
+                _pwrite(fd, np.frombuffer(chunk, dtype=np.uint8), offset)
+                offset += len(chunk)
+            os.pwrite(fd, GSB_MAGIC + struct.pack("<II", p, c), 0)
+        finally:
+            os.close(fd)
 
 
 def write_gaussian_set(path, gs: GaussianSet) -> None:
-    with gaussian_block_writer(path, len(gs), gs.num_classes) as write:
+    with gaussian_block_writer(path, gs.num_classes) as write:
         write(gs)
 
 

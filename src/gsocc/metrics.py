@@ -12,13 +12,13 @@ within the threshold. TP/FP/FN are counted per class with np.bincount, and
 the per-class IoUs are averaged in ascending class order.
 
 Perc./Dist. find each mean's gt voxel by floor. The voxels are the Voronoi
-cells of their center lattice, so a mean in an occupied voxel has its
-nearest occupied center within the 2x2x2 block of that voxel and its
-neighbours on the mean's side: every other center is farther than the own
-one by at least voxel_size^2 in squared distance. Such means take the
-minimum over those <= 8 centers, computed with the KD-tree's center values
-and distance formula, so the result is bitwise the tree's; the KD-tree
-answers every other mean.
+cells of their center lattice, so a mean in an occupied voxel is nearest
+to its own center unless the floor put it on the wrong side of a face by
+rounding. A mean in an occupied voxel that is no nearer, per axis, to the
+neighbour center on its side than to its own takes the distance to its
+own center, computed with the KD-tree's center values and distance
+formula, so the result is bitwise the tree's; the KD-tree answers every
+other mean.
 """
 
 from __future__ import annotations
@@ -177,8 +177,8 @@ def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray):
     occupied (P,) tells whether a mean's containing voxel (by floor) is
     occupied; dist (P,) is its distance to the nearest occupied voxel
     center, bitwise what `cKDTree(centers).query(means)[0]` returns. A mean
-    in an occupied voxel takes the own-voxel route (see `init_quality`);
-    every other mean is queried in the KD-tree.
+    in an occupied voxel whose own center is nearest takes the own-voxel
+    route (see `init_quality`); every other mean is queried in the KD-tree.
     """
     origin = np.asarray(gt.origin, dtype=np.float64)
     vs = gt.voxel_size
@@ -191,38 +191,26 @@ def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray):
     strides = np.array([(dims[1] + 4) * (dims[2] + 4), dims[2] + 4, 1])
     centers = [origin[a] + (np.arange(-2, dims[a] + 2) + 0.5) * vs for a in range(3)]
     occupied = np.empty(len(means), dtype=bool)
+    own = np.empty(len(means), dtype=bool)
     dist = np.empty(len(means))
     for lo in range(0, len(means), _CHUNK):
-        p = np.ascontiguousarray(means[lo : lo + _CHUNK].T)
+        chunk = slice(lo, lo + _CHUNK)
+        p = np.ascontiguousarray(means[chunk].T)
         k = np.floor((p - origin[:, None]) / vs)
         k = (np.fmin(np.fmax(k, -1), dims[:, None]) + 2).astype(np.intp)
-        base = (k[0] * strides[0] + k[1] * strides[1]) + k[2]
-        occupied[lo : lo + _CHUNK] = flat[base]
-        # Per axis: squared offsets to the own center and to the neighbour
-        # center on the mean's side, and the flat step to that neighbour.
-        sq, step = [], []
+        occupied[chunk] = flat[(k[0] * strides[0] + k[1] * strides[1]) + k[2]]
+        own[chunk] = occupied[chunk]
+        # Per axis: the squared offset to the own center, which must be at
+        # most the one to the neighbour center on the mean's side.
+        sq = []
         for a in range(3):
             d = p[a] - centers[a][k[a]]
-            side = np.where(d >= 0, 1, -1)
-            e = p[a] - centers[a][k[a] + side]
-            sq.append((d * d, e * e))
-            step.append(side * strides[a])
-        # cKDTree's sum (dx*dx + dy*dy) + dz*dz over the 8 block centers,
-        # the own one first; a neighbour counts only if it is occupied.
-        best = None
-        for bx in (0, 1):
-            ix = base + step[0] if bx else base
-            for by in (0, 1):
-                ixy = ix + step[1] if by else ix
-                sxy = sq[0][bx] + sq[1][by]
-                for bz in (0, 1):
-                    cand = sxy + sq[2][bz]
-                    if best is None:
-                        best = cand
-                    else:
-                        np.minimum(best, cand, out=best, where=flat[ixy + step[2] if bz else ixy])
-        np.sqrt(best, out=dist[lo : lo + _CHUNK])
-    rest = ~occupied
+            e = p[a] - centers[a][k[a] + np.where(d >= 0, 1, -1)]
+            sq.append(d * d)
+            own[chunk] &= e * e >= sq[a]
+        # cKDTree's sum (dx*dx + dy*dy) + dz*dz.
+        np.sqrt((sq[0] + sq[1]) + sq[2], out=dist[chunk])
+    rest = ~own
     if rest.any():
         from scipy.spatial import cKDTree
 
@@ -241,17 +229,22 @@ def init_quality(gs, gt: OccupancyGrid):
 
     The voxels are the Voronoi cells of their center lattice. For a mean p
     in voxel q with offset d = p - c_q (|d_a| <= s/2 up to the rounding of
-    the floor, far below s^2; s the voxel size),
-    any center outside the 2x2x2 block of q and its neighbours on the side
-    of d (per axis the sign of d_a, + at 0) is farther from p than c_q by
-    at least s^2 in squared distance. So when q is occupied the nearest
-    occupied center lies in that block, and the minimum over its occupied,
-    in-grid centers is the answer. Those distances use the tree's centers
-    origin + (idx + 0.5) * voxel_size and cKDTree's own formula
-    sqrt((dx*dx + dy*dy) + dz*dz), so they equal the tree query bit for
-    bit. Every other mean goes to the KD-tree. Both routes fill one (P,)
-    array in input order, so the mean sums the same values in the same
-    order as one full tree query.
+    the floor, far below s^2; s the voxel size), any center outside the
+    2x2x2 block of q and its neighbours on the side of d (per axis the sign
+    of d_a, + at 0) is farther from p than c_q by at least s^2 in squared
+    distance. Each other center of the block differs from c_q on some axes,
+    where its squared offset is e_a*e_a, e = p - (the neighbour center),
+    in place of d_a*d_a. When q is occupied and e_a*e_a >= d_a*d_a on every
+    axis, the squared distance to every block center, summed as the tree
+    does, is at least the own one, since rounded addition is monotone; so
+    the own center is the nearest occupied one, bit for bit. Its distance
+    uses the tree's centers origin + (idx + 0.5) * voxel_size and
+    cKDTree's own formula sqrt((dx*dx + dy*dy) + dz*dz), so it equals the
+    tree query. Only a mean the floor put on the wrong side of a face by
+    rounding fails the test; it goes to the KD-tree with every mean outside
+    an occupied voxel. Both routes fill one (P,) array in input order, so
+    the mean sums the same values in the same order as one full tree
+    query.
     """
     occ = gt.labels != gt.empty_id
     if not occ.any():

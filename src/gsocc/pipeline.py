@@ -3,11 +3,15 @@ refine -> render -> metrics/losses, with every stage's artifact written to
 disk.
 
 Each stage is one `write_*` function, shared with the CLI subcommand of the
-same stage. Within run_pipeline, artifacts of a stage are written to
-<name>.partial and committed by rename when the stage completes, so a failed
-stage leaves its partial outputs behind for inspection. The stages after init
-consume the *reloaded* GSB of the stage before, which makes the standalone
-subcommands reproduce the pipeline's artifacts bitwise.
+same stage. The init stage (write_cast) casts each camera once and, in the
+same pass, writes the view's depth map, appends its Gaussians and adds its
+depth-loss terms; the render-depth, init and eval-loss subcommands each run
+the same cast_views and do only their own part. Within run_pipeline,
+artifacts of a stage are written to <name>.partial and committed by rename
+when the stage completes, so a failed stage leaves its partial outputs
+behind for inspection. The stages after init consume the *reloaded* GSB of
+the stage before, which makes the standalone subcommands reproduce the
+pipeline's artifacts bitwise.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, losses, metrics, synth
-from .core import MAX_MAGNITUDE, S_MIN, GaussianSet, VoxelGridSpec
+from .core import MAX_MAGNITUDE, S_MIN, DepthMap, GaussianSet, VoxelGridSpec
 from .errors import ConfigError, GsoccError, StageError
 from .initialize import init_gaussians
 from .losses import compute_loss_report
@@ -42,9 +46,8 @@ MAX_FIELD_BYTES = 1 << 30
 # Most pixels over all cameras of the rig accepted at config load (7x
 # dense-rig). Every pixel casts a ray and may become a Gaussian; a run's
 # peak memory grows by about 24 bytes per pixel (scripts/peak_memory.py,
-# 2-core VM), since the cast keeps only noisy depths and uint8 classes,
-# init streams its set to disk one view at a time and only the means stay
-# in memory after it.
+# 2-core VM), since init casts, writes and drops one camera at a time and
+# only the means stay in memory after it.
 MAX_RIG_PIXELS = 1 << 23
 
 # Most boxes in a generated scene accepted at config load. Each box is one
@@ -133,8 +136,9 @@ class PipelineConfig:
         if self.num_boxes > MAX_BOXES:
             raise ConfigError(f"num_boxes {self.num_boxes} is above the limit of {MAX_BOXES}")
         # SceneConfig checks the extents, ground_z and a negative num_boxes;
-        # the scene then checks that every generated box meets the extents.
-        synth.generate_scene(self.seed, self.scene_config())
+        # run_pipeline and gen-scene check the generated boxes against the
+        # extents when they generate the scene.
+        self.scene_config()
         if self.refine not in REFINE_MODES:
             raise ConfigError(f"refine mode must be one of {REFINE_MODES}")
         if self.grid_size <= 0 or self.voxel_size <= 0:
@@ -234,19 +238,20 @@ class PipelineConfig:
 
 
 class GroundTruthClassAttributes:
-    """Attribute provider that labels each pixel's Gaussian with the class
-    of the surface its ray hits, read from per-view (H, W) uint8 class maps
-    (0 for a miss, see cast_depths). Scale/rotation/opacity are constants."""
+    """Attribute provider of one view that labels each pixel's Gaussian with
+    the class of the surface its ray hits, read from the view's (H, W) uint8
+    class map (0 for a miss, see cast_views). Scale/rotation/opacity are
+    constants."""
 
-    def __init__(self, class_maps: list, scale: float, opacity: float, num_classes: int):
+    def __init__(self, classes: np.ndarray, scale: float, opacity: float, num_classes: int):
         self.num_classes = num_classes
         self.scale = float(scale)
         self.opacity = float(opacity)
-        self.class_maps = class_maps
+        self.classes = classes
 
     def __call__(self, view: int, rows: np.ndarray, cols: np.ndarray):
         n = len(rows)
-        cls = self.class_maps[view][rows, cols]
+        cls = self.classes[rows, cols]
         logits = np.zeros((n, self.num_classes))
         hit = cls > 0
         logits[np.flatnonzero(hit), cls[hit] - 1] = LOGIT_STRENGTH
@@ -299,18 +304,14 @@ def distinct_occupied_voxels(gs, spec: VoxelGridSpec) -> int:
 
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute all stages; returns the run summary dict."""
+    # A scene whose boxes miss the extents is rejected before --out exists.
+    scene = synth.generate_scene(config.seed, config.scene_config())
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    scene = _run_stage("gen-scene", out, lambda st: write_scene(config, st.path("scene.json")))
+    _run_stage("gen-scene", out, lambda st: _write_text(st.path("scene.json"), scene.to_json()))
     gt_grid = _run_stage("rasterize-gt", out, lambda st: write_gt(config, scene, st.path("gt.occ")))
-    depths, classes, depth_loss = _run_stage(
-        "render-depth", out, lambda st: write_depths(config, scene, st.path)
-    )
-    staged = _run_stage(
-        "init", out, lambda st: write_init(config, classes, depths, st.path("gaussians_init.gsb"))
-    )
-    del depths, classes
+    staged, depth_loss = _run_stage("init", out, lambda st: write_cast(config, scene, st.path))
     # After init the run holds no per-pixel array: only the three depth-loss
     # terms and the init set's f32-rounded means, read back from the
     # artifact with every row checked; the sample stage loads
@@ -385,40 +386,77 @@ def write_gt(config: PipelineConfig, scene, path):
     return grid
 
 
-def cast_depths(config: PipelineConfig, scene) -> tuple:
+@dataclass(frozen=True)
+class CastView:
+    """One camera's cast (see cast_views)."""
+
+    index: int
+    origin: np.ndarray
+    rays: np.ndarray  # (H*W, 3) unit rays through the pixel centers, row-major
+    clean: np.ndarray  # (H, W) noise-free along-ray depths, +inf for a miss
+    depth: DepthMap  # the clean depths with the config's seeded noise
+    classes: np.ndarray  # (H, W) uint8 class of the surface hit, 0 for a miss
+
+
+def cast_views(config: PipelineConfig, scene):
     """Cast every pixel ray of the rig once, one camera at a time in view
-    order: (the DepthMaps with the config's seeded noise, the (H, W) uint8
-    class maps, the losses.DepthLossBreakdown of the DepthMaps against the
-    noise-free depths, summed over views). No noise-free map outlives its
-    view."""
-    depths, classes = [], []
-    depth_loss = losses.DepthLossBreakdown(0.0, 0.0, 0.0)
+    order, and yield each camera's CastView. The render-depth, init and
+    eval-loss work of a view all reads its one cast; a view's arrays are
+    released once the caller has drawn the next view."""
     for view, cam in enumerate(config.cameras()):
-        hits, cls = synth.ray_hit_classes(scene, cam.origin, cam.pixel_rays())
+        rays = cam.pixel_rays()
+        hits, cls = synth.ray_hit_classes(scene, cam.origin, rays)
         clean = hits.reshape(cam.height, cam.width)
-        depths.append(synth.depth_map(scene.seed, view, clean, config.noise_std))
-        classes.append(cls.astype(np.uint8).reshape(clean.shape))
-        gt = synth.depth_map(scene.seed, view, clean)
-        depth_loss += losses.depth_uncertainty_loss(depths[-1], gt, config.alpha_unc)
-    return depths, classes, depth_loss
+        yield CastView(
+            view,
+            cam.origin,
+            rays,
+            clean,
+            synth.depth_map(scene.seed, view, clean, config.noise_std),
+            cls.astype(np.uint8).reshape(clean.shape),
+        )
 
 
-def write_depths(config: PipelineConfig, scene, path_for) -> tuple:
-    """Write view i's depth map of cast_depths to `path_for("depth_<iii>.dpm")`
-    and return what cast_depths returned."""
-    depths, classes, depth_loss = cast_depths(config, scene)
-    for i, dm in enumerate(depths):
-        formats.write_depth_map(path_for(f"depth_{i:03d}.dpm"), dm)
-    return depths, classes, depth_loss
+def write_depth(path_for, view: CastView) -> None:
+    """Write the depth map of `view` to `path_for("depth_<iii>.dpm")`."""
+    formats.write_depth_map(path_for(f"depth_{view.index:03d}.dpm"), view.depth)
 
 
-def write_init(config: PipelineConfig, class_maps: list, depths: list, path):
-    """Pixel-aligned Gaussians from `depths`, labelled from `class_maps`,
-    streamed to `path` view by view; returns the file's checked means."""
-    attrs = GroundTruthClassAttributes(
-        class_maps, config.gauss_scale, config.gauss_opacity, config.num_classes
+def view_depth_loss(config: PipelineConfig, scene, view: CastView) -> losses.DepthLossBreakdown:
+    """The depth-loss terms of `view`: its noisy depths against the clean ones."""
+    clean = synth.depth_map(scene.seed, view.index, view.clean)
+    return losses.depth_uncertainty_loss(view.depth, clean, config.alpha_unc)
+
+
+def write_gaussians(config: PipelineConfig, views, path) -> formats.GaussianFile:
+    """Pixel-aligned Gaussians of the CastViews `views`, placed along the
+    cast's rays, labelled from their class maps and streamed to `path`
+    view by view; returns the file's checked means."""
+    scale, opacity, c = config.gauss_scale, config.gauss_opacity, config.num_classes
+    inputs = (
+        (v.origin, v.rays, v.depth, GroundTruthClassAttributes(v.classes, scale, opacity, c))
+        for v in views
     )
-    return init_gaussians(config.cameras(), depths, attrs, path)
+    return init_gaussians(inputs, c, path)
+
+
+def write_cast(config: PipelineConfig, scene, path_for) -> tuple:
+    """The pipeline's init stage: one pass over cast_views that writes each
+    view's depth map, appends its Gaussians to
+    `path_for("gaussians_init.gsb")` and adds its depth-loss terms. Returns
+    (the init set's checked means, the losses.DepthLossBreakdown summed over
+    the views in view order)."""
+    total = losses.DepthLossBreakdown(0.0, 0.0, 0.0)
+
+    def views():
+        nonlocal total
+        for view in cast_views(config, scene):
+            write_depth(path_for, view)
+            total += view_depth_loss(config, scene, view)
+            yield view
+
+    init_set = write_gaussians(config, views(), path_for("gaussians_init.gsb"))
+    return init_set, total
 
 
 def write_sampled(config: PipelineConfig, gs, path) -> GaussianSet:
@@ -483,7 +521,7 @@ def write_metrics(config: PipelineConfig, pred, gt, gaussians, path) -> metrics.
 
 def write_losses(config: PipelineConfig, probs, gt, depth_loss, path):
     """Objectives on rendered `probs` against `gt`, with the depth terms
-    `depth_loss` that cast_depths returns."""
+    `depth_loss` summed over the views of cast_views."""
     report = compute_loss_report(
         probs.reshape(-1, probs.shape[-1]),
         gt.labels.reshape(-1),

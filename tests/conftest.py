@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gsocc.core import GaussianSet
-from gsocc.initialize import unproject_pixels
 
 # One (criterion number, passed, detail) entry per acceptance criterion;
 # printed by pytest_terminal_summary so the lines survive output capture.
@@ -34,15 +33,24 @@ def random_gaussian_set(rng, n, num_classes=3, lo=(-8.0, -8.0, -4.0), hi=(8.0, 8
     )
 
 
+def unproject_pixels(cam, rows, cols, depths):
+    """World positions mu = o + d * v of the rays through pixels (rows, cols)
+    of `cam`, with d >= 0 the along-ray distance in meters and v built for
+    these pixels alone by `CameraModel.ray_directions`: the reference for
+    the means init places along the rays of the cast."""
+    v = cam.ray_directions(rows, cols)
+    return cam.origin + np.asarray(depths, dtype=np.float64)[:, None] * v
+
+
 def init_oracle(cams, depths, attrs):
     """Per-view reference for initialize.init_gaussians: each view's valid
-    pixels unprojected and given their attributes on their own, in float64,
-    then concatenated in view order."""
+    pixels unprojected and given their attributes by that view's provider
+    in `attrs` on their own, in float64, then concatenated in view order."""
     views = []
-    for view, (cam, dm) in enumerate(zip(cams, depths)):
+    for view, (cam, dm, provider) in enumerate(zip(cams, depths, attrs)):
         rows, cols = np.nonzero(dm.valid)
         views.append((unproject_pixels(cam, rows, cols, dm.depth[dm.valid]),
-                      *attrs(view, rows, cols),
+                      *provider(view, rows, cols),
                       np.stack([np.full(len(rows), view), rows, cols], axis=1).astype(np.uint32)))
     return GaussianSet(*(np.concatenate(parts) for parts in zip(*views)))
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import gsocc
-from gsocc import formats, pipeline, synth
+from gsocc import formats, losses, pipeline, synth
 from gsocc.cli import main
-from gsocc.core import MAX_MAGNITUDE
+from gsocc.core import MAX_MAGNITUDE, CameraModel
 from gsocc.errors import ConfigError
 from gsocc.pipeline import (
     MAX_BOXES,
@@ -534,19 +534,82 @@ def test_pipeline_memory_per_rig_pixel(tmp_path, noise_std):
 
 def test_pixel_rays_cast_once_per_camera(tmp_path, monkeypatch):
     """Depth maps, init class maps and the noise-free loss depths share one
-    cast of every pixel ray."""
-    casts = []
-    cast = synth.ray_hit_classes
+    cast of every pixel ray, and init places its means along the cast's
+    rays: the init stage builds each camera's rays once."""
+    casts, rays, stage = [], [], [None]
+    cast, directions = synth.ray_hit_classes, CameraModel.ray_directions
+    run_stage = pipeline._run_stage
 
     def counted(scene, o, dirs):
         casts.append(len(dirs))
         return cast(scene, o, dirs)
 
+    def recorded(cam, rows, cols):
+        if stage[0] == "init":
+            rays.append(np.size(rows))
+        return directions(cam, rows, cols)
+
+    def staged(name, out_dir, fn):
+        stage[0] = name
+        return run_stage(name, out_dir, fn)
+
     monkeypatch.setattr(synth, "ray_hit_classes", counted)
+    monkeypatch.setattr(CameraModel, "ray_directions", recorded)
+    monkeypatch.setattr(pipeline, "_run_stage", staged)
     cfg = PipelineConfig(**{**SMALL_CONFIG, "noise_std": 0.05, "refine": "oracle-snap",
                             "out_dir": str(tmp_path / "run")})
     run_pipeline(cfg)
-    assert casts == [cam.height * cam.width for cam in cfg.cameras()]
+    pixels = [cam.height * cam.width for cam in cfg.cameras()]
+    assert casts == pixels
+    assert rays == pixels
+
+
+@pytest.mark.parametrize("command, calls", [
+    ("pipeline", 6), ("render-depth", 0), ("init", 0), ("eval-loss", 6),
+])
+def test_depth_loss_only_where_it_is_used(tmp_path, config_file, monkeypatch, command, calls):
+    """Only the pipeline and eval-loss sum the depth-loss terms, once per
+    camera; render-depth and init do none of that work."""
+    out = tmp_path / "run"
+    assert run(["pipeline", "--config", config_file, "--out", out]) == 0
+    counted = []
+    loss = losses.depth_uncertainty_loss
+
+    def counting(pred, gt, alpha_unc):
+        counted.append(1)
+        return loss(pred, gt, alpha_unc)
+
+    monkeypatch.setattr(losses, "depth_uncertainty_loss", counting)
+    new = tmp_path / "new"
+    argv = {
+        "pipeline": ["--out", new],
+        "render-depth": ["--scene", out / "scene.json", "--out", new],
+        "init": ["--scene", out / "scene.json", "--output", tmp_path / "init.gsb"],
+        "eval-loss": ["--gaussians", out / "gaussians_refined.gsb", "--scene",
+                      out / "scene.json", "--gt", out / "gt.occ", "--output", tmp_path / "l.json"],
+    }[command]
+    assert run([command, "--config", config_file, *argv]) == 0
+    assert len(counted) == calls
+
+
+def test_config_load_imports_no_numpy_random():
+    # Config load checks the scene config but generates no scene, so it
+    # does not pay the numpy.random import; gen-scene and run_pipeline do.
+    src = str(Path(gsocc.__file__).resolve().parents[1])
+    doc = {"seed": 7, "resolution": [384, 512], "voxel_size": 1.0, "ray_stride": 32,
+           "threads": 2}
+    code = (
+        "import json, sys\n"
+        "from gsocc.pipeline import PipelineConfig\n"
+        "PipelineConfig.from_dict(json.loads(sys.argv[1])).cameras()\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(doc)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_import_loads_no_scipy():

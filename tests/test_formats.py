@@ -12,6 +12,7 @@ from gsocc.core import DepthMap, GaussianSet, OccupancyGrid
 from gsocc.errors import ConfigError
 from gsocc.formats import (
     GSB_MAGIC,
+    gaussian_block_writer,
     read_depth_map,
     read_gaussian_means,
     read_gaussian_rows,
@@ -24,9 +25,9 @@ from gsocc.formats import (
 from gsocc.pipeline import (
     GroundTruthClassAttributes,
     PipelineConfig,
-    cast_depths,
-    write_depths,
-    write_init,
+    cast_views,
+    write_cast,
+    write_gaussians,
     write_scene,
 )
 from gsocc.sampling import sample_indices, sample_representatives
@@ -94,23 +95,41 @@ class TestGSB1:
         )
         assert path.read_bytes() == old
 
+    @pytest.mark.parametrize("blocks", [0, 2])
+    def test_failed_writer_leaves_no_readable_file(self, tmp_path, rng, blocks):
+        # The header is written only when the writer closes without an
+        # error, so a stage that fails after whole blocks leaves no file
+        # that reads as a smaller set, and no spooled provenance behind.
+        path = tmp_path / "set.gsb"
+        with pytest.raises(RuntimeError, match="stage failed"):
+            with gaussian_block_writer(path, 3) as write:
+                for _ in range(blocks):
+                    write(random_gaussian_set(rng, 5))
+                raise RuntimeError("stage failed")
+        assert list(tmp_path.iterdir()) == [path]
+        with pytest.raises(ConfigError, match="not a GSB1 file"):
+            read_gaussian_means(path)
+
     def test_pipeline_init_set_rewrites_identically(self, tmp_path):
         config = PipelineConfig.from_dict({"seed": 7, "resolution": [24, 32], "focal": 16.0})
         scene = write_scene(config, tmp_path / "scene.json")
-        depths, classes, _ = write_depths(config, scene, lambda name: tmp_path / name)
-        assert len(write_init(config, classes, depths, tmp_path / "init.gsb")) > 1000
-        write_gaussian_set(tmp_path / "again.gsb", read_gaussian_set(tmp_path / "init.gsb"))
-        assert (tmp_path / "again.gsb").read_bytes() == (tmp_path / "init.gsb").read_bytes()
+        init_set, _ = write_cast(config, scene, lambda name: tmp_path / name)
+        assert len(init_set) > 1000
+        path = tmp_path / "gaussians_init.gsb"
+        write_gaussian_set(tmp_path / "again.gsb", read_gaussian_set(path))
+        assert (tmp_path / "again.gsb").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_streamed_init_equals_whole_set_written(self, tmp_path, workers):
         config = PipelineConfig.from_dict(
             {"seed": 7, "resolution": [24, 32], "focal": 16.0, "threads": workers})
-        depths, classes, _ = cast_depths(config, write_scene(config, tmp_path / "scene.json"))
-        streamed = write_init(config, classes, depths, tmp_path / "streamed.gsb")
-        attrs = GroundTruthClassAttributes(
-            classes, config.gauss_scale, config.gauss_opacity, config.num_classes)
-        gs = init_oracle(config.cameras(), depths, attrs)
+        views = list(cast_views(config, write_scene(config, tmp_path / "scene.json")))
+        streamed = write_gaussians(config, views, tmp_path / "streamed.gsb")
+        attrs = [GroundTruthClassAttributes(v.classes, config.gauss_scale, config.gauss_opacity,
+                                            config.num_classes) for v in views]
+        # The oracle builds the rays of the valid pixels again; init reads
+        # the cast's rays, and the bytes must not tell the two apart.
+        gs = init_oracle(config.cameras(), [v.depth for v in views], attrs)
         write_gaussian_set(tmp_path / "whole.gsb", gs)
         assert (tmp_path / "streamed.gsb").read_bytes() == (tmp_path / "whole.gsb").read_bytes()
         np.testing.assert_array_equal(streamed.means, gs.means.astype(np.float32))

@@ -6,10 +6,10 @@ import pytest
 from gsocc.core import CameraModel, DepthMap
 from gsocc.errors import ShapeError
 from gsocc.formats import read_gaussian_set
-from gsocc.initialize import init_gaussians, unproject_pixels
+from gsocc.initialize import init_gaussians
 from gsocc.synth import look_rotation
 
-from conftest import init_oracle
+from conftest import init_oracle, unproject_pixels
 
 
 def make_camera(rng=None, height=8, width=10):
@@ -86,9 +86,10 @@ class PixelAttributes:
 
 
 def init_set(path, cams, depths, attrs=ATTRS):
-    """The set init_gaussians streams to `path`, read back whole; its
-    returned means are the file's."""
-    means = init_gaussians(cams, depths, attrs, path).means
+    """The set init_gaussians streams to `path` from each camera's pixel
+    rays, read back whole; its returned means are the file's."""
+    views = ((cam.origin, cam.pixel_rays(), dm, attrs) for cam, dm in zip(cams, depths))
+    means = init_gaussians(views, attrs.num_classes, path).means
     gs = read_gaussian_set(path)
     assert np.array_equal(means, gs.means)
     return gs
@@ -184,12 +185,6 @@ class TestInitGaussians:
         assert len(gs) == 2 * 12 * 16
         np.testing.assert_allclose(gs.means[:, 2], plane_z, atol=1e-3)
 
-    def test_shape_mismatch_raises(self, tmp_path, rng):
-        cam = make_camera(rng)
-        dm = DepthMap(depth=np.ones((3, 3)), uncertainty=np.ones((3, 3)))
-        with pytest.raises(ShapeError):
-            init_gaussians([cam], [dm], ATTRS, tmp_path / "init.gsb")
-
     def test_bit_identical_across_runs(self, tmp_path, rng):
         # Five views; the middle one has no return at all, so its block of
         # the file is empty and the next view starts right after the view
@@ -204,7 +199,7 @@ class TestInitGaussians:
             cams.append(cam)
             dms.append(DepthMap(depth=depth, uncertainty=np.full(depth.shape, 0.01)))
         attrs = PixelAttributes()
-        want = init_oracle(cams, dms, attrs)
+        want = init_oracle(cams, dms, [attrs] * len(cams))
         assert 2 not in want.source_index[:, 0]
         fields = ("means", "scales", "rotations", "opacities", "semantics")
         for run in (1, 2):
@@ -223,4 +218,4 @@ class TestInitGaussians:
         wide = ConstantAttributes(scale=np.ones(4), rotation=np.array([1.0, 0, 0, 0]),
                                   opacity=0.5, logits=np.zeros(3))
         with pytest.raises(ShapeError, match="scales"):
-            init_gaussians([cam], [dm], wide, tmp_path / "init.gsb")
+            init_set(tmp_path / "init.gsb", [cam], [dm], wide)

@@ -349,7 +349,7 @@ def lattice_means(rng, grid, n, f32=False):
 
 def assert_matches_tree(means, grid):
     """The own-voxel route and the tree agree bit for bit, per mean and in
-    the mean; returns how many means took the own-voxel route."""
+    the mean; returns how many means lie in an occupied voxel."""
     occ = grid.labels != grid.empty_id
     centers = grid.origin + (np.argwhere(occ) + 0.5) * grid.voxel_size
     want = cKDTree(centers).query(means)[0]  # the full tree query

@@ -6,7 +6,6 @@ import pytest
 from scipy.spatial import cKDTree
 
 from gsocc.errors import ConfigError
-from gsocc.initialize import unproject_pixels
 from gsocc.synth import (
     Box,
     SceneConfig,
@@ -18,6 +17,8 @@ from gsocc.synth import (
     render_depth_maps,
     surround_rig,
 )
+
+from conftest import unproject_pixels
 
 
 def oriented_box_contains_oracle(box, p):
