@@ -45,11 +45,11 @@ def derive():
         reduction_pct = 100.0 * (1.0 - len(sampled) / len(init_set))
 
         refined = formats.read_gaussian_set(out / "gaussians_refined.gsb")
-        gt, _, _ = formats.read_occupancy(out / "gt.occ")
-        field = render_grid_bruteforce(
+        gt = formats.read_occupancy(out / "gt.occ", cfg.num_classes)
+        pred = render_grid_bruteforce(
             refined, cfg.grid_dims(), np.asarray(cfg.extents_min), cfg.voxel_size
         )
-        iou, miou, _ = metrics.iou_miou(field.labels, gt.labels, gt.empty_id)
+        iou, miou, _ = metrics.iou_miou(pred.labels, gt.labels, gt.empty_id)
 
     doc = {
         "density_bias": {

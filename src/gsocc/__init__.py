@@ -19,7 +19,7 @@ from .attention import AttentionWeights, TokenSet, alternating_block, scaled_dot
 from .initialize import AttributeProvider, init_gaussians
 from .sampling import sample_representatives, splitmix64, voxel_keys
 from .refine import OffsetBasis, default_basis, refine_positions
-from .render import SemanticOccupancyField, render_grid, render_grid_bruteforce
+from .render import render_grid, render_grid_bruteforce
 from .losses import (
     LossReport,
     compute_loss_report,
@@ -48,7 +48,6 @@ __all__ = [
     "PipelineConfig",
     "SceneConfig",
     "SceneSpec",
-    "SemanticOccupancyField",
     "TokenSet",
     "VoxelGridSpec",
     "alternating_block",

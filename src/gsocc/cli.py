@@ -7,9 +7,12 @@ Every subcommand is a pure function of its inputs plus the declared seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import formats, losses, pipeline, synth
 from .errors import ConfigError, GsoccError, StageError, UndefinedMetricError
@@ -46,6 +49,22 @@ def _read_scene(path, config: PipelineConfig) -> synth.SceneSpec:
         return synth.SceneSpec.from_json(Path(path).read_text(), config.num_classes)
     except OSError as e:
         raise ConfigError(f"cannot read scene {path}: {e}") from e
+
+
+def _read_grid(path, config: PipelineConfig) -> formats.OccupancyGrid:
+    """The OCC1 grid at `path`, which must lie on the config's voxel grid;
+    it takes the config's float64 origin and voxel size, which
+    run_pipeline's own grids hold."""
+    grid = formats.read_occupancy(path, config.num_classes)
+    origin = np.asarray(config.extents_min, dtype=np.float64)
+    # OCC1 stores the origin and voxel size as f32.
+    stored = (config.grid_dims(), *origin.astype(np.float32), np.float32(config.voxel_size))
+    if (grid.dims, *grid.origin, grid.voxel_size) != stored:
+        raise ConfigError(
+            f"{path}: not the config's grid of {config.grid_dims()} voxels of"
+            f" {config.voxel_size} m from {config.extents_min}"
+        )
+    return dataclasses.replace(grid, origin=origin, voxel_size=float(config.voxel_size))
 
 
 def _emit(doc: dict):
@@ -105,8 +124,8 @@ def cmd_render(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = _load_config(args)
-    pred, _, _ = formats.read_occupancy(args.pred)
-    gt, _, _ = formats.read_occupancy(args.gt)
+    pred = _read_grid(args.pred, cfg)
+    gt = _read_grid(args.gt, cfg)
     gaussians = formats.read_gaussian_means(args.gaussians) if args.gaussians else None
     pipeline.write_metrics(cfg, pred, gt, gaussians, args.output)
     return 0
@@ -115,13 +134,13 @@ def cmd_metrics(args) -> int:
 def cmd_eval_loss(args) -> int:
     cfg = _load_config(args)
     scene = _read_scene(args.scene, cfg)
-    gt, _, _ = formats.read_occupancy(args.gt)
-    field = pipeline.render_field(cfg, formats.read_gaussian_set(args.gaussians))
+    gt = _read_grid(args.gt, cfg)
+    pred = pipeline.render_field(cfg, formats.read_gaussian_set(args.gaussians))
     depth_loss = sum(
         (pipeline.view_depth_loss(cfg, scene, v) for v in pipeline.cast_views(cfg, scene)),
         losses.DepthLossBreakdown(0.0, 0.0, 0.0),
     )
-    pipeline.write_losses(cfg, field.probs, gt, depth_loss, args.output)
+    pipeline.write_losses(cfg, pred.probs, gt, depth_loss, args.output)
     return 0
 
 

@@ -206,23 +206,29 @@ class DepthMap:
 
 @dataclass(frozen=True)
 class OccupancyGrid:
-    """Dense labeled voxel volume. Label `empty_id` marks free space."""
+    """Dense labeled voxel volume. Label `empty_id` marks free space; `probs`,
+    when given, holds each voxel's probabilities [empty; C classes]."""
 
-    dims: tuple          # (X, Y, Z) voxel counts
     origin: np.ndarray   # (3,) min corner, meters
     voxel_size: float
     labels: np.ndarray   # (X, Y, Z) small ints
     empty_id: int = 0
+    probs: np.ndarray | None = None  # (X, Y, Z, C+1)
 
     def __post_init__(self):
-        if self.labels.shape != tuple(self.dims):
-            raise ShapeError(
-                f"labels shape {self.labels.shape} does not match dims {self.dims}"
-            )
+        if self.labels.ndim != 3:
+            raise ShapeError(f"labels must be (X, Y, Z), got {self.labels.shape}")
+        if self.probs is not None and self.probs.shape[:-1] != self.labels.shape:
+            raise ShapeError(f"probs {self.probs.shape} do not match labels {self.labels.shape}")
         if not (np.isfinite(self.voxel_size) and self.voxel_size > 0):
             raise ValueError("voxel_size must be finite and positive")
         if not np.isfinite(self.origin).all():
             raise ValueError("origin must be finite")
+
+    @property
+    def dims(self) -> tuple:
+        """(X, Y, Z) voxel counts."""
+        return self.labels.shape
 
 
 @dataclass(frozen=True)

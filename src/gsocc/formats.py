@@ -26,12 +26,18 @@ float64 array converted straight from the f32 records; `read_gaussian_means`
 checks every row in chunks of _ROWS but keeps only the means (a
 `GaussianFile`); `read_gaussian_rows` loads only the rows it is given.
 
+`read_occupancy(path, num_classes)` returns one core.OccupancyGrid: the
+labels, the f32 origin and voxel size widened to float64, and the f32
+probabilities as its `probs` when has_probs is 1 (None otherwise).
+
 Readers raise ConfigError naming the file when its length differs from
-what the header implies, its class count C lies outside [1, 255] (class
-ids are u8 labels), an OCC1 grid dimension is 0, or its content breaks the invariants of the type it
-is read into: GaussianSet.validate(), the DepthMap and OccupancyGrid
-checks, and for OCC1 also has_probs in {0, 1}, every label and the empty
-id in [0, C], and probabilities finite in [0, 1]. No reader returns NaN.
+what the header implies, a GSB1 class count C lies outside [1, 255]
+(class ids are u8 labels), an OCC1 class count is not the caller's
+`num_classes`, an OCC1 grid dimension is 0, or its content breaks the
+invariants of the type it is read into: GaussianSet.validate(), the
+DepthMap and OccupancyGrid checks, and for OCC1 also has_probs in {0, 1},
+every label and the empty id in [0, C], and probabilities finite in
+[0, 1]. No reader returns NaN.
 """
 
 from __future__ import annotations
@@ -281,37 +287,36 @@ def write_occupancy(path, grid: OccupancyGrid, num_classes: int, probs=None) -> 
             f.write(np.ascontiguousarray(probs, dtype="<f4").tobytes())
 
 
-def read_occupancy(path):
-    """Read an OCC1 file -> (OccupancyGrid, num_classes, probs-or-None)."""
+def read_occupancy(path, num_classes: int) -> OccupancyGrid:
+    """Read an OCC1 file of `num_classes` classes into an OccupancyGrid,
+    with the f32 probabilities attached when the file holds them."""
     with open(path, "rb") as f:
         if f.read(4) != OCC_MAGIC:
             raise ConfigError(f"{path}: not an OCC1 file")
-        x, y, z, ox, oy, oz, voxel_size, num_classes, empty_id, has_probs = _unpack(
+        x, y, z, ox, oy, oz, voxel_size, c, empty_id, has_probs = _unpack(
             f, path, "<IIIffffIIB"
         )
-        _check_classes(path, num_classes)
+        if c != num_classes:
+            raise ConfigError(f"{path}: class count {c} is not num_classes {num_classes}")
         if 0 in (x, y, z):
             raise ConfigError(f"{path}: grid dimensions {x}x{y}x{z} must all be >= 1")
         if has_probs > 1:
             raise ConfigError(f"{path}: has_probs flag {has_probs} is neither 0 nor 1")
-        n = x * y * z * (num_classes + 1)
+        n = x * y * z * (c + 1)
         _check_payload(f, path, x * y * z + (n * 4 if has_probs else 0))
         labels = np.frombuffer(f.read(x * y * z), dtype=np.uint8).reshape(x, y, z)
         probs = None
         if has_probs:
-            probs = np.frombuffer(f.read(n * 4), dtype="<f4").reshape(
-                x, y, z, num_classes + 1
-            )
-    if empty_id > num_classes or (labels > num_classes).any():
-        raise ConfigError(f"{path}: a label or the empty id exceeds the class count {num_classes}")
+            probs = np.frombuffer(f.read(n * 4), dtype="<f4").reshape(x, y, z, c + 1)
+    if empty_id > c or (labels > c).any():
+        raise ConfigError(f"{path}: a label or the empty id exceeds the class count {c}")
     if probs is not None and not ((probs >= 0) & (probs <= 1)).all():
         raise ConfigError(f"{path}: probabilities must be finite and lie in [0, 1]")
     with _invalid_content(path):
-        grid = OccupancyGrid(
-            dims=(x, y, z),
+        return OccupancyGrid(
             origin=np.array([ox, oy, oz]),
             voxel_size=float(voxel_size),
             labels=labels.copy(),
             empty_id=empty_id,
+            probs=probs,
         )
-    return grid, num_classes, probs

@@ -6,7 +6,9 @@ RayIoU casts a ray through every stride-th pixel center of every camera and
 marches all of them in lockstep through the predicted and ground-truth
 grids: one Amanatides-Woo voxel traversal advances every active ray as rows
 of (R, 3) arrays, and a ray leaves the active set once both grids have a
-hit or it leaves the box. Per ray, the first non-empty hits are compared: a
+hit or it leaves the box. A ray starts in the cell it enters, so an origin
+on a voxel plane starts on the side the ray moves to, and a ray that only
+touches the box hits nothing. Per ray, the first non-empty hits are compared: a
 per-class true positive requires matching classes and a hit-distance gap
 within the threshold. TP/FP/FN are counted per class with np.bincount, and
 the per-class IoUs are averaged in ascending class order.
@@ -67,8 +69,13 @@ def first_hits(label_grids, origin, voxel_size, o, v, empty):
     g labelled `empty[g]`. All rays take Amanatides-Woo steps together;
     a ray leaves the active set once every grid has a hit or it leaves the
     box. Returns (inside, t, label): inside is (R,) bool, true for rays that
-    meet the box; t (G, R) is the entry distance of the hit voxel (NaN for
-    no hit) and label (G, R) its label (-1 for no hit).
+    run a positive length through the box (t0 < t1 in the slab test; a ray
+    that only touches it, at its origin or elsewhere, hits nothing); t (G, R)
+    is the entry distance of the hit voxel (NaN for no hit) and label (G, R)
+    its label (-1 for no hit). The march starts in the cell the ray enters:
+    per axis, with q the entry point in voxel units, floor(q) for a
+    direction component >= 0 and ceil(q) - 1 for a negative one, clipped to
+    the grid.
     """
     lo = np.asarray(origin, dtype=np.float64)
     dims = np.asarray(label_grids[0].shape)
@@ -91,13 +98,15 @@ def first_hits(label_grids, origin, voxel_size, o, v, empty):
         t0 = np.where(ta > t0, ta, t0)
         t1 = np.where(tb < t1, tb, t1)
         inside &= moving[:, a] | ((lo[a] <= o[:, a]) & (o[:, a] < hi[a]))
-    inside &= t0 <= t1
+    inside &= t0 < t1
 
     ray = np.flatnonzero(inside)
     o, v, v_safe, moving, t1 = o[ray], v[ray], v_safe[ray], moving[ray], t1[ray]
     t_entry = t0[ray]
-    p = o + t_entry[:, None] * v
-    idx = np.clip(((p - lo) / voxel_size).astype(np.int64), 0, dims - 1)
+    # The start cell is the one the ray enters: on a voxel plane, the cell
+    # below it for a negative direction component.
+    q = (o + t_entry[:, None] * v - lo) / voxel_size
+    idx = np.clip(np.where(v < 0, np.ceil(q) - 1, np.floor(q)), 0, dims - 1).astype(np.int64)
     step = np.sign(v).astype(np.int64)
     boundary = lo + (idx + (v > 0)) * voxel_size
     t_max = np.where(moving, (boundary - o) / v_safe, np.inf)

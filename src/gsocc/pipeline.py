@@ -26,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, losses, metrics, synth
-from .core import MAX_MAGNITUDE, S_MIN, DepthMap, GaussianSet, VoxelGridSpec
+from .core import MAX_MAGNITUDE, S_MIN, DepthMap, GaussianSet, OccupancyGrid, VoxelGridSpec
 from .errors import ConfigError, GsoccError, StageError
 from .initialize import init_gaussians
 from .losses import compute_loss_report
 from .refine import SurfaceSnapWeights, default_basis, refine_positions, zero_weights
-from .render import render_grid
+from .render import CUTOFF, render_grid
 from .sampling import sample_representatives, voxel_keys, OUT_OF_BOUNDS
 
 LOGIT_STRENGTH = 12.0
@@ -168,6 +168,10 @@ class PipelineConfig:
             raise ConfigError("gauss_opacity must lie in [0, 1]")
         if self.gauss_scale < S_MIN:
             raise ConfigError(f"gauss_scale must be finite and >= s_min={S_MIN}")
+        # A box wider than the grid puts every Gaussian in every voxel.
+        span = min(hi - lo for lo, hi in zip(self.extents_min, self.extents_max))
+        if 2 * CUTOFF * self.gauss_scale > span:
+            raise ConfigError(f"gauss_scale {self.gauss_scale}: 3-sigma box wider than {span:g} m")
         if not 1 <= self.num_classes <= formats.MAX_CLASSES:
             raise ConfigError(f"num_classes must lie in [1, {formats.MAX_CLASSES}]")
         if not 1 <= self.ground_class <= self.num_classes or any(
@@ -329,18 +333,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
         lambda st: write_refined(config, sampled, scene, st.path("gaussians_refined.gsb")),
     )
     refined = formats.read_gaussian_set(out / "gaussians_refined.gsb")
-    field = _run_stage("render", out, lambda st: write_render(config, refined, st.path("pred.occ")))
+    pred = _run_stage("render", out, lambda st: write_render(config, refined, st.path("pred.occ")))
     report = _run_stage(
         "metrics",
         out,
-        lambda st: write_metrics(
-            config, field.to_grid(), gt_grid, init_set, st.path("metrics.json")
-        ),
+        lambda st: write_metrics(config, pred, gt_grid, init_set, st.path("metrics.json")),
     )
     loss_report = _run_stage(
         "eval-loss",
         out,
-        lambda st: write_losses(config, field.probs, gt_grid, depth_loss, st.path("losses.json")),
+        lambda st: write_losses(config, pred.probs, gt_grid, depth_loss, st.path("losses.json")),
     )
     summary = {
         "initial_count": len(init_set),
@@ -482,9 +484,10 @@ def write_refined(config: PipelineConfig, gs: GaussianSet, scene, path) -> Gauss
     return refined
 
 
-def render_field(config: PipelineConfig, gs: GaussianSet):
-    """The float64 field of `gs` on the config's voxel grid. Raises
-    ConfigError when `gs` holds other than `config.num_classes` classes."""
+def render_field(config: PipelineConfig, gs: GaussianSet) -> OccupancyGrid:
+    """The grid of `gs` rendered on the config's voxel grid, with its float64
+    probabilities. Raises ConfigError when `gs` holds other than
+    `config.num_classes` classes."""
     if gs.num_classes != config.num_classes:
         raise ConfigError(
             f"the Gaussian set holds {gs.num_classes} classes, but num_classes is"
@@ -494,15 +497,12 @@ def render_field(config: PipelineConfig, gs: GaussianSet):
     return render_grid(gs, config.grid_dims(), origin, config.voxel_size)
 
 
-def write_render(config: PipelineConfig, gs: GaussianSet, path):
-    field = render_field(config, gs)
+def write_render(config: PipelineConfig, gs: GaussianSet, path) -> OccupancyGrid:
+    grid = render_field(config, gs)
     formats.write_occupancy(
-        path,
-        field.to_grid(),
-        config.num_classes,
-        probs=field.probs if config.dump_probs else None,
+        path, grid, config.num_classes, probs=grid.probs if config.dump_probs else None
     )
-    return field
+    return grid
 
 
 def write_metrics(config: PipelineConfig, pred, gt, gaussians, path) -> metrics.MetricReport:

@@ -7,7 +7,11 @@ are the posterior-weighted average of softmaxed per-Gaussian logits, where
 the posterior weight uses the fully normalized density
 p = phi / ((2 pi)^(3/2) sx sy sz) so that broad and narrow primitives are
 weighted scale-awarely. The per-voxel output vector is
-[1 - alpha; alpha * e] over (empty + C classes).
+[1 - alpha; alpha * e] over (empty + C classes). render_grid and
+render_grid_bruteforce return it as the `probs` of a core.OccupancyGrid
+whose labels are each voxel's first most probable channel, bit for bit
+probs.argmax(axis=-1), taken with a running strict > over the contiguous
+channels before they are interleaved.
 
 Occupancy is evaluated at voxel centers, one sample per voxel. The product
 is accumulated in log space (sum of log1p(-a * phi)) for stability with many
@@ -44,8 +48,6 @@ m^2 formula over the whole grid, one Gaussian at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import GaussianSet, OccupancyGrid, quaternion_to_matrices
@@ -69,40 +71,14 @@ def softmax_logits(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class SemanticOccupancyField:
-    """Per-voxel probability vectors [empty; C classes] plus argmax labels."""
-
-    probs: np.ndarray   # (X, Y, Z, C+1) float64
-    labels: np.ndarray  # (X, Y, Z) uint8, 0 = empty, 1..C = classes
-    origin: np.ndarray
-    voxel_size: float
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return 1.0 - self.probs[..., 0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.probs.shape[-1] - 1
-
-    def to_grid(self) -> OccupancyGrid:
-        return OccupancyGrid(
-            dims=self.labels.shape,
-            origin=np.asarray(self.origin, dtype=np.float64),
-            voxel_size=self.voxel_size,
-            labels=self.labels,
-            empty_id=0,
-        )
-
-
 def _axis_centers(origin, voxel_size, dims):
     return [origin[a] + (np.arange(dims[a]) + 0.5) * voxel_size for a in range(3)]
 
 
 def _finalize(log_keep, sem_num, sem_den, origin, voxel_size):
-    """The field from the accumulators; the class-major (C, X, Y, Z)
-    numerator `sem_num` is overwritten with the class channels."""
+    """The labelled grid with its probabilities from the accumulators, which
+    it overwrites: the class-major (C, X, Y, Z) numerator `sem_num` with the
+    class channels, `log_keep` with scratch values."""
     alpha = -np.expm1(log_keep)
     c = len(sem_num)
     covered = sem_den > 0
@@ -113,23 +89,23 @@ def _finalize(log_keep, sem_num, sem_den, origin, voxel_size):
         np.divide(num, sem_den, out=num, where=covered)
         np.copyto(num, 1.0 / c, where=uncovered)
         num *= alpha
+    # Labels before the interleave: a running strict > over the contiguous
+    # channels keeps the first maximum, as probs.argmax(axis=-1) does. The
+    # running maximum takes the memory of log_keep, which is no longer read.
+    best = np.subtract(1.0, alpha, out=log_keep)
+    labels = np.zeros(alpha.shape, dtype=np.uint8)
+    for k, num in enumerate(sem_num, 1):
+        np.copyto(labels, k, where=num > best)
+        np.maximum(best, num, out=best)
     # probs is the only (X, Y, Z, C)-sized result: the empty channel, then
     # the class channels, interleaved once.
     probs = np.empty(alpha.shape + (c + 1,))
     probs[..., 0] = 1.0 - alpha
     probs[..., 1:] = np.moveaxis(sem_num, 0, -1)
-    labels = probs.argmax(axis=-1).astype(np.uint8)
-    return SemanticOccupancyField(
-        probs=probs,
-        labels=labels,
-        origin=np.asarray(origin, dtype=np.float64),
-        voxel_size=float(voxel_size),
-    )
+    return OccupancyGrid(origin=origin, voxel_size=float(voxel_size), labels=labels, probs=probs)
 
 
-def render_grid(
-    gs: GaussianSet, dims, origin, voxel_size: float
-) -> SemanticOccupancyField:
+def render_grid(gs: GaussianSet, dims, origin, voxel_size: float) -> OccupancyGrid:
     """Render with per-Gaussian 3-sigma bounding-box culling."""
     dims = tuple(int(d) for d in dims)
     origin = np.asarray(origin, dtype=np.float64)
@@ -223,9 +199,7 @@ def _box_pairs(gs, rots, los, ext, idx, axes, dims):
     return idx.take(k), base.take(k) + offsets.take(j), m2.reshape(-1).take(j * b + k)
 
 
-def render_grid_bruteforce(
-    gs: GaussianSet, dims, origin, voxel_size: float
-) -> SemanticOccupancyField:
+def render_grid_bruteforce(gs: GaussianSet, dims, origin, voxel_size: float) -> OccupancyGrid:
     """All-pairs reference renderer: every Gaussian against every voxel
     center, with the same cutoff and the same m^2 formula. Oracle for the
     culled path."""

@@ -264,9 +264,7 @@ def rasterize_gt_grid(scene: SceneSpec, dims, origin, voxel_size: float) -> Occu
         inside = box.contains((origin + (idx + 0.5) * voxel_size).reshape(-1, 3))
         box_labels = labels[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
         box_labels[inside.reshape(box_labels.shape)] = box.class_id
-    return OccupancyGrid(
-        dims=dims, origin=origin, voxel_size=float(voxel_size), labels=labels, empty_id=0
-    )
+    return OccupancyGrid(origin=origin, voxel_size=float(voxel_size), labels=labels)
 
 
 # Slack on the cosine of a box's bounding cone, relative to |w| |d|: keeps

@@ -57,7 +57,7 @@ def test_criterion_1_normalization(rng):
         gs = random_gaussian_set(rng, n, num_classes=3, lo=(-4, -4, -4), hi=(4, 4, 4))
         field = render_grid(gs, (16, 16, 16), np.array([-4.0, -4.0, -4.0]), 0.5)
         worst_sum = max(worst_sum, float(np.abs(field.probs.sum(axis=-1) - 1.0).max()))
-        alpha = field.alpha
+        alpha = 1.0 - field.probs[..., 0]
         assert (alpha >= 0.0).all() and (alpha <= 1.0).all()
     elapsed = time.perf_counter() - t0
     report(
@@ -188,8 +188,7 @@ def test_criterion_6_loss_oracles(rng):
 
 def test_criterion_7_metric_oracles(rng):
     labels = rng.integers(0, 4, size=(16, 16, 8)).astype(np.uint8)
-    grid = OccupancyGrid(dims=(16, 16, 8), origin=np.array([-4.0, -4.0, -2.0]),
-                         voxel_size=0.5, labels=labels)
+    grid = OccupancyGrid(origin=np.array([-4.0, -4.0, -2.0]), voxel_size=0.5, labels=labels)
     iou, miou, _ = iou_miou(labels, labels)
     from gsocc.core import CameraModel
 
@@ -201,8 +200,7 @@ def test_criterion_7_metric_oracles(rng):
 
     sparse = (rng.random((32, 32, 16)) < 0.01).astype(np.uint8) * 2
     sparse[3, 3, 3] = 2
-    gt32 = OccupancyGrid(dims=(32, 32, 16), origin=np.array([-8.0, -8.0, -4.0]),
-                         voxel_size=0.5, labels=sparse)
+    gt32 = OccupancyGrid(origin=np.array([-8.0, -8.0, -4.0]), voxel_size=0.5, labels=sparse)
     gs = random_gaussian_set(rng, 1000, lo=(-9, -9, -5), hi=(9, 9, 5))
     perc, dist = init_quality(gs, gt32)
     centers = gt32.origin + (np.argwhere(sparse != 0) + 0.5) * 0.5

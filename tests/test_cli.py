@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -66,9 +67,16 @@ REPRODUCED_ARTIFACTS = [
      ["losses.json"]),
 ]
 
-# (id suffix, config overrides): SMALL_CONFIG itself, and with seeded depth
-# noise and the scene-reading refine mode.
-REPRODUCTION_CONFIGS = [("", {}), ("-noisy", {"noise_std": 0.05, "refine": "oracle-snap"})]
+# (id suffix, config overrides): SMALL_CONFIG itself, with seeded depth noise
+# and the scene-reading refine mode, and on 0.1 m voxels, a size f32 does
+# not hold: OCC1 stores the origin and voxel size as f32, and the ground
+# plane lies on a voxel plane.
+REPRODUCTION_CONFIGS = [
+    ("", {}),
+    ("-noisy", {"noise_std": 0.05, "refine": "oracle-snap"}),
+    ("-0.1m", {"seed": 3, "num_boxes": 0, "extents_min": [-3.2, -3.2, -2.4],
+               "extents_max": [3.2, 3.2, 0.8], "voxel_size": 0.1, "grid_size": 0.1}),
+]
 
 
 def _box(**fields):
@@ -268,6 +276,7 @@ class TestErrors:
             ("num_boxes", MAX_BOXES + 1),
             # magnitudes beyond MAX_MAGNITUDE, an int among them
             ("gauss_scale", 1e300),
+            ("gauss_scale", 1e6),  # a 3-sigma box far wider than the extents
             ("noise_std", 1e300),
             ("cam_height", 1e300),
             ("alpha_unc", 1e308),
@@ -325,18 +334,24 @@ class TestErrors:
                     "--output", tmp_path / "pred.occ"]) == 2
         assert not (tmp_path / "pred.occ").exists()
 
-    @pytest.mark.parametrize("command, classes", [
-        ("render", 8), ("render --dump-probs", 3), ("eval-loss", 8), ("eval-loss", 3),
+    @pytest.mark.parametrize("command, classes, gt_classes", [
+        pytest.param("render", 8, 4, id="render-8"),
+        pytest.param("render --dump-probs", 3, 4, id="render --dump-probs-3"),
+        pytest.param("eval-loss", 8, 4, id="eval-loss-8"),
+        pytest.param("eval-loss", 3, 4, id="eval-loss-3"),
+        pytest.param("eval-loss", 4, 8, id="eval-loss-gt-8"),
     ])
     def test_class_count_other_than_config_exit_2(self, tmp_path, config_file, rng,
-                                                  command, classes):
+                                                  command, classes, gt_classes):
+        """A Gaussian set, or an eval-loss --gt, of other than the config's 4
+        classes."""
         from gsocc.formats import write_gaussian_set
         from conftest import random_gaussian_set
 
         write_gaussian_set(tmp_path / "g.gsb", random_gaussian_set(rng, 4, num_classes=classes))
         argv = command.split()
         if command == "eval-loss":
-            cfg = PipelineConfig(**SMALL_CONFIG)
+            cfg = PipelineConfig(**{**SMALL_CONFIG, "num_classes": gt_classes})
             pipeline.write_gt(cfg, pipeline.write_scene(cfg, tmp_path / "scene.json"),
                               tmp_path / "gt.occ")
             argv += ["--scene", tmp_path / "scene.json", "--gt", tmp_path / "gt.occ"]
@@ -367,15 +382,16 @@ class TestErrors:
         assert e.value.code == 2
 
     def test_undefined_metric_exit_4(self, tmp_path, config_file, rng):
-        # a gt grid with no occupied voxel makes Perc./Dist. undefined
+        # a gt grid with no occupied voxel makes Perc./Dist. undefined; the
+        # grids lie on the default config's grid, which metrics reads them onto
         from gsocc.core import OccupancyGrid
         from gsocc.formats import write_gaussian_set, write_occupancy
         from conftest import random_gaussian_set
 
-        empty = OccupancyGrid(dims=(4, 4, 4), origin=np.zeros(3), voxel_size=0.5,
-                              labels=np.zeros((4, 4, 4), dtype=np.uint8))
-        write_occupancy(tmp_path / "gt.occ", empty, num_classes=3)
-        write_occupancy(tmp_path / "pred.occ", empty, num_classes=3)
+        empty = OccupancyGrid(origin=np.array([-16.0, -16.0, -4.0]), voxel_size=0.5,
+                              labels=np.zeros((64, 64, 16), dtype=np.uint8))
+        write_occupancy(tmp_path / "gt.occ", empty, num_classes=4)
+        write_occupancy(tmp_path / "pred.occ", empty, num_classes=4)
         write_gaussian_set(tmp_path / "g.gsb", random_gaussian_set(rng, 4))
         rc = run(["metrics", "--pred", tmp_path / "pred.occ", "--gt", tmp_path / "gt.occ",
                   "--gaussians", tmp_path / "g.gsb"])
@@ -384,6 +400,27 @@ class TestErrors:
         rc = run(["metrics", "--pred", tmp_path / "pred.occ", "--gt", tmp_path / "gt.occ",
                   "--output", tmp_path / "metrics.json"])
         assert rc == 4 and not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--pred", "--gt"])
+    @pytest.mark.parametrize("damage", [
+        {"labels": np.zeros((64, 64, 15), dtype=np.uint8)},
+        {"origin": np.array([-16.0, -16.0, -3.5])},
+        {"voxel_size": 0.25},
+    ], ids=["dims", "origin", "voxel-size"])
+    def test_grid_off_the_config_grid_exit_2(self, tmp_path, flag, damage):
+        """metrics reads --pred and --gt onto the default config's grid; one
+        with other dims, origin or voxel size is rejected before any metric."""
+        from gsocc.core import OccupancyGrid
+        from gsocc.formats import write_occupancy
+
+        empty = OccupancyGrid(origin=np.array([-16.0, -16.0, -4.0]), voxel_size=0.5,
+                              labels=np.zeros((64, 64, 16), dtype=np.uint8))
+        for name in ("pred", "gt"):
+            grid = dataclasses.replace(empty, **damage) if f"--{name}" == flag else empty
+            write_occupancy(tmp_path / f"{name}.occ", grid, num_classes=4)
+        rc = run(["metrics", "--pred", tmp_path / "pred.occ", "--gt", tmp_path / "gt.occ",
+                  "--output", tmp_path / "metrics.json"])
+        assert rc == 2 and not (tmp_path / "metrics.json").exists()
 
     def test_stage_failure_exit_code_and_partials(self, tmp_path, config_file):
         out = tmp_path / "run"

@@ -76,9 +76,14 @@ class TestTypes:
         assert dm.valid.tolist() == [[True, False]]
 
     def test_occupancy_grid_shape_checked(self):
-        with pytest.raises(ShapeError):
-            OccupancyGrid(dims=(2, 2, 2), origin=np.zeros(3), voxel_size=0.5,
-                          labels=np.zeros((2, 2, 3), dtype=np.uint8))
+        labels = np.zeros((2, 2, 3), dtype=np.uint8)
+        grid = OccupancyGrid(origin=np.zeros(3), voxel_size=0.5, labels=labels,
+                             probs=np.zeros((2, 2, 3, 5)))
+        assert grid.dims == (2, 2, 3)
+        for labels, probs in ((labels, np.zeros((2, 2, 2, 5))), (labels, np.zeros((2, 2, 3))),
+                              (labels[0], None)):
+            with pytest.raises(ShapeError):
+                OccupancyGrid(origin=np.zeros(3), voxel_size=0.5, labels=labels, probs=probs)
 
     def test_voxel_grid_spec_dims(self):
         spec = VoxelGridSpec(

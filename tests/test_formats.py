@@ -178,15 +178,15 @@ class TestDPM1:
 class TestOCC1:
     def grid(self, rng):
         labels = rng.integers(0, 4, size=(5, 4, 3)).astype(np.uint8)
-        return OccupancyGrid(dims=(5, 4, 3), origin=np.array([-1.0, 0.0, 2.0]),
-                             voxel_size=0.5, labels=labels, empty_id=0)
+        return OccupancyGrid(origin=np.array([-1.0, 0.0, 2.0]), voxel_size=0.5, labels=labels,
+                             empty_id=0)
 
     def test_roundtrip_labels_only(self, tmp_path, rng):
         grid = self.grid(rng)
         path = tmp_path / "g.occ"
         write_occupancy(path, grid, num_classes=3)
-        back, c, probs = read_occupancy(path)
-        assert c == 3 and probs is None
+        back = read_occupancy(path, 3)
+        assert back.probs is None
         assert back.dims == (5, 4, 3)
         assert back.voxel_size == 0.5
         np.testing.assert_array_equal(back.labels, grid.labels)
@@ -197,8 +197,15 @@ class TestOCC1:
         probs = rng.dirichlet(np.ones(4), size=(5, 4, 3))
         path = tmp_path / "g.occ"
         write_occupancy(path, grid, num_classes=3, probs=probs)
-        _, _, back = read_occupancy(path)
+        back = read_occupancy(path, 3).probs
         np.testing.assert_array_equal(back, probs.astype(np.float32))
+
+    @pytest.mark.parametrize("num_classes", [2, 4, 255])
+    def test_other_class_count_rejected(self, tmp_path, rng, num_classes):
+        path = tmp_path / "g.occ"
+        write_occupancy(path, self.grid(rng), num_classes=3)
+        with pytest.raises(ConfigError, match=f"class count 3 is not num_classes {num_classes}"):
+            read_occupancy(path, num_classes)
 
     def test_prob_shape_validated(self, tmp_path, rng):
         grid = self.grid(rng)
@@ -209,7 +216,7 @@ class TestOCC1:
 
 def _occ_with_probs(path, rng):
     labels = rng.integers(0, 3, size=(4, 4, 2)).astype(np.uint8)
-    grid = OccupancyGrid(dims=(4, 4, 2), origin=np.zeros(3), voxel_size=0.5, labels=labels)
+    grid = OccupancyGrid(origin=np.zeros(3), voxel_size=0.5, labels=labels)
     write_occupancy(path, grid, num_classes=2, probs=rng.dirichlet(np.ones(3), size=(4, 4, 2)))
 
 
@@ -219,7 +226,8 @@ WRITERS = {
         path, DepthMap(depth=rng.uniform(1, 5, size=(3, 4)), uncertainty=np.ones((3, 4)))),
     "occ": _occ_with_probs,
 }
-READERS = {"gsb": read_gaussian_set, "dpm": read_depth_map, "occ": read_occupancy}
+READERS = {"gsb": read_gaussian_set, "dpm": read_depth_map,
+           "occ": lambda path: read_occupancy(path, 2)}
 
 
 # Values a GSB record can hold that no Gaussian may have: (field, value).
@@ -312,15 +320,24 @@ def _valid_file(fmt: str, seed: int, path) -> None:
         write_depth_map(path, DepthMap(depth=depth, uncertainty=np.full(depth.shape, 0.05)))
     else:
         dims, c = tuple(int(d) for d in rng.integers(1, 4, size=3)), int(rng.integers(1, 4))
-        grid = OccupancyGrid(dims=dims, origin=rng.uniform(-9, 9, size=3), voxel_size=0.5,
+        grid = OccupancyGrid(origin=rng.uniform(-9, 9, size=3), voxel_size=0.5,
                              labels=rng.integers(0, c + 1, size=dims).astype(np.uint8))
         probs = rng.dirichlet(np.ones(c + 1), size=dims) if fmt == "occ-probs" else None
         write_occupancy(path, grid, num_classes=c, probs=probs)
 
 
+def _occ_classes(path) -> int:
+    """The class count in the header of the OCC1 file at `path`."""
+    return struct.unpack_from("<I", path.read_bytes(), 32)[0]
+
+
 def _damage_reader(fmt: str, path):
     """The reader the damage test calls for `fmt`. The GSB1 rows reader asks
-    for the last row of the undamaged file at `path`, then the first."""
+    for the last row of the undamaged file at `path`, then the first; the
+    OCC1 reader asks for the class count of the undamaged file."""
+    if fmt.startswith("occ"):
+        c = _occ_classes(path)
+        return lambda p: read_occupancy(p, c)
     if fmt == "gsb-means":
         return read_gaussian_means
     if fmt == "gsb-rows":
@@ -329,8 +346,9 @@ def _damage_reader(fmt: str, path):
     return READERS[fmt[:3]]
 
 
-def _assert_valid_read(fmt: str, result) -> None:
-    """What a reader returns must hold its type's invariants, with no NaN."""
+def _assert_valid_read(fmt: str, result, c=None) -> None:
+    """What a reader returns must hold its type's invariants, with no NaN;
+    an OCC1 grid those of `c` classes."""
     if fmt == "gsb-means":
         assert result.means.shape == (len(result), 3) and np.isfinite(result.means).all()
         assert 1 <= result.num_classes <= 255
@@ -341,8 +359,7 @@ def _assert_valid_read(fmt: str, result) -> None:
         assert ((result.depth >= 0) | (result.depth == np.inf)).all()
         assert (np.isfinite(result.uncertainty) & (result.uncertainty > 0)).all()
     else:
-        grid, c, probs = result
-        assert 1 <= c <= 255
+        grid, probs = result, result.probs
         assert np.isfinite(grid.origin).all()
         assert np.isfinite(grid.voxel_size) and grid.voxel_size > 0
         assert grid.empty_id <= c and (grid.labels <= c).all()
@@ -366,7 +383,8 @@ def test_damaged_file_reads_valid_or_raises_config_error(fmt, seed, data):
         path = Path(tmp) / "f.bin"
         _valid_file(fmt, seed, path)
         read = _damage_reader(fmt, path)
-        _assert_valid_read(fmt, read(path))
+        c = _occ_classes(path) if fmt.startswith("occ") else None
+        _assert_valid_read(fmt, read(path), c)
         raw = bytearray(path.read_bytes())
         for _ in range(data.draw(st.integers(1, 3), label="damages")):
             damage = data.draw(st.sampled_from(["truncate", "extend", "flip"]), label="damage")
@@ -382,6 +400,6 @@ def test_damaged_file_reads_valid_or_raises_config_error(fmt, seed, data):
             result = read(path)
         except ConfigError:
             return
-        _assert_valid_read(fmt, result)
+        _assert_valid_read(fmt, result, c)
         if fmt == "gsb-means":
             np.testing.assert_array_equal(result.means, read_gaussian_set(path).means)

@@ -22,8 +22,8 @@ from conftest import random_gaussian_set
 
 def grid_of(labels, origin=(0.0, 0.0, 0.0), voxel_size=1.0):
     labels = np.asarray(labels, dtype=np.uint8)
-    return OccupancyGrid(dims=labels.shape, origin=np.asarray(origin, dtype=np.float64),
-                         voxel_size=voxel_size, labels=labels, empty_id=0)
+    return OccupancyGrid(origin=np.asarray(origin, dtype=np.float64), voxel_size=voxel_size,
+                         labels=labels, empty_id=0)
 
 
 def iou_set_oracle(pred, gt):
@@ -43,7 +43,9 @@ def iou_set_oracle(pred, gt):
 
 def first_hit_enumeration_oracle(grid, o, v, empty=None):
     """Independent first-hit: slab-test every voxel whose label is not
-    `empty` (default: the grid's empty label), min entry t."""
+    `empty` (default: the grid's empty label), min entry t. A voxel whose
+    slab interval ends at t1 <= 0 lies behind the origin, or the origin only
+    touches it, so the ray does not enter it."""
     best = None
     occ = np.argwhere(grid.labels != (grid.empty_id if empty is None else empty))
     for idx in occ:
@@ -61,7 +63,7 @@ def first_hit_enumeration_oracle(grid, o, v, empty=None):
                 if ta > tb:
                     ta, tb = tb, ta
                 t0, t1 = max(t0, ta), min(t1, tb)
-        if not ok or t0 > t1:
+        if not ok or t0 > t1 or t1 <= 0:
             continue
         if best is None or t0 < best[0]:
             best = (t0, int(grid.labels[tuple(idx)]))
@@ -261,6 +263,32 @@ class TestRayIoU:
                         assert abs(t[g, r] - want[0]) <= 1e-9
         assert 0 < hit < compared and missed_box > 0 and started_inside > 0
 
+    def test_first_hits_from_voxel_corners_match_enumeration_oracle(self):
+        """Ray origins on voxel corners, inside and outside the box, with
+        zero direction components: the march starts in the cell the ray
+        enters, and a ray that only touches a voxel at its origin does not
+        hit it."""
+        rng = np.random.default_rng(20261019)
+        hit = 0
+        for _ in range(200):
+            dims = tuple(int(d) for d in rng.integers(2, 7, size=3))
+            voxel_size = float(rng.choice([0.25, 0.5, 1.0]))
+            origin = voxel_size * rng.integers(-4, 5, size=3)
+            grid = grid_of(np.where(rng.random(dims) < 0.15, rng.integers(1, 4, size=dims), 0),
+                           origin, voxel_size)
+            o = origin + voxel_size * rng.integers(-1, np.asarray(dims) + 2, size=(30, 3))
+            v = rng.normal(size=(30, 3))
+            v[rng.random((30, 3)) < 0.2] = 0.0
+            v[~v.any(axis=1), 2] = -1.0
+            _, t, lab = first_hits([grid.labels], origin, voxel_size, o, v, [0])
+            for r in range(len(o)):
+                want = first_hit_enumeration_oracle(grid, o[r], v[r])
+                if want is None:
+                    assert lab[0, r] == -1 and np.isnan(t[0, r])
+                else:
+                    hit += 1
+                    assert lab[0, r] == want[1] and abs(t[0, r] - want[0]) <= 1e-9
+        assert 0 < hit < 6000
 
     def test_first_hits_depend_on_transparency_not_label_values(self, rng):
         """Shifting every label and the empty label by the same amount (to

@@ -189,7 +189,15 @@ class TestRenderGrid:
                       [0.5, 0.5], [[1.0, 1.0]] * 2)
         field = render_grid(gs, self.DIMS, self.ORIGIN, self.VOX)
         np.testing.assert_allclose(field.probs[4, 4, 2], [0.25, 0.375, 0.375], atol=1e-12)
-        assert field.labels[4, 4, 2] in (1, 2)
+        # Exact ties take the first channel, as argmax does: the two classes
+        # here, and the empty channel against one class at alpha = 0.5.
+        half = render_grid(make_set(center, [0.2, 0.2, 0.2], IDENT_Q, [0.5], [[0.0]]),
+                           self.DIMS, self.ORIGIN, self.VOX)
+        assert half.probs[4, 4, 2].tolist() == [0.5, 0.5]
+        assert field.labels[4, 4, 2] == 1 and half.labels[4, 4, 2] == 0
+        for f in (field, half):
+            assert f.labels.dtype == np.uint8
+            np.testing.assert_array_equal(f.labels, f.probs.argmax(axis=-1))
 
     def test_matches_bruteforce_oracle(self, rng):
         for trial in range(3):
@@ -209,8 +217,8 @@ class TestRenderGrid:
     def test_alpha_monotone_in_gaussians(self, rng):
         gs = random_gaussian_set(rng, 60, lo=(-2, -2, -1), hi=(2, 2, 1))
         sub = gs.take(np.arange(40))
-        a_small = render_grid(sub, self.DIMS, self.ORIGIN, self.VOX).alpha
-        a_big = render_grid(gs, self.DIMS, self.ORIGIN, self.VOX).alpha
+        a_small = 1.0 - render_grid(sub, self.DIMS, self.ORIGIN, self.VOX).probs[..., 0]
+        a_big = 1.0 - render_grid(gs, self.DIMS, self.ORIGIN, self.VOX).probs[..., 0]
         assert (a_big >= a_small - 1e-12).all()
 
     def test_order_invariance(self, rng):
@@ -256,7 +264,7 @@ def test_field_does_not_depend_on_pair_budget(rng, monkeypatch, make_set):
     monkeypatch.setattr(render, "_PAIR_BUDGET", 64)
     chunked = render_grid(gs, *grid)
     assert np.array_equal(chunked.probs, whole.probs)
-    assert whole.alpha.max() > 0.0
+    assert whole.probs[..., 0].min() < 1.0
     brute = render_grid_bruteforce(gs, *grid)
     np.testing.assert_allclose(chunked.probs, brute.probs, rtol=0, atol=1e-12)
     # The brute-force loop adds the same log1p(-a * phi) terms in the same

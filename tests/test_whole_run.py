@@ -7,11 +7,10 @@ warnings as errors. Three outcomes are accepted: a ConfigError before
 (exit 4), which the README documents for a run with no Gaussian, ray or
 occupied voxel in the grid.
 
-Two bounds are left out because a run at them takes seconds, not
-milliseconds: `num_boxes` at MAX_BOXES, and a `gauss_scale` far beyond the
-extents, which puts every Gaussian in every voxel. Config load of both is
-tested in test_cli.py. For the same reason a draw of 255 classes renders
-on 2 m voxels.
+One bound is left out because a run at it takes seconds, not
+milliseconds: `num_boxes` at MAX_BOXES, whose config load is tested in
+test_cli.py. For the same reason a draw of 255 classes renders on 2 m
+voxels.
 """
 
 import math
@@ -46,7 +45,7 @@ FIELDS = {
     "cam_height": (0.5, 0.0, -3.0, MAX_MAGNITUDE),
     "pitch_deg": (12.0, 0.0, 89.0, 180.0, -90.0),
     "noise_std": (0.0, 0.05, MAX_MAGNITUDE),
-    "gauss_scale": (0.3, S_MIN, 4.0),
+    "gauss_scale": (0.3, S_MIN, 4.0, 1e6),
     "gauss_opacity": (0.9, 0.0, 1.0),
     "grid_size": (0.5, 1e-3, 32.0),
     "refine": ("zero", "oracle-snap"),
