@@ -49,7 +49,7 @@ def derive():
         pred = render_grid_bruteforce(
             refined, cfg.grid_dims(), np.asarray(cfg.extents_min), cfg.voxel_size
         )
-        iou, miou, _ = metrics.iou_miou(pred.labels, gt.labels, gt.empty_id)
+        iou, miou, _ = metrics.iou_miou(pred.labels, gt.labels)
 
     doc = {
         "density_bias": {

@@ -28,7 +28,7 @@ from .losses import (
     lovasz_softmax_loss,
 )
 from .metrics import MetricReport, evaluate, init_quality, iou_miou, ray_iou
-from .synth import SceneConfig, SceneSpec, generate_scene, rasterize_gt_grid, render_depth_maps
+from .synth import SceneSpec, generate_scene, rasterize_gt_grid, render_depth_maps
 from .pipeline import PipelineConfig, run_pipeline
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "OccupancyGrid",
     "OffsetBasis",
     "PipelineConfig",
-    "SceneConfig",
     "SceneSpec",
     "TokenSet",
     "VoxelGridSpec",

@@ -206,13 +206,13 @@ class DepthMap:
 
 @dataclass(frozen=True)
 class OccupancyGrid:
-    """Dense labeled voxel volume. Label `empty_id` marks free space; `probs`,
-    when given, holds each voxel's probabilities [empty; C classes]."""
+    """Dense labeled voxel volume. Label 0 marks free space and labels 1..C
+    the classes; `probs`, when given, holds each voxel's probabilities
+    [empty; C classes]."""
 
     origin: np.ndarray   # (3,) min corner, meters
     voxel_size: float
     labels: np.ndarray   # (X, Y, Z) small ints
-    empty_id: int = 0
     probs: np.ndarray | None = None  # (X, Y, Z, C+1)
 
     def __post_init__(self):

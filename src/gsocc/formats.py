@@ -13,7 +13,7 @@ All binary formats are little-endian:
 
   OCC1 (occupancy grid):
     4-byte magic b"OCC1", u32 X, u32 Y, u32 Z, f32 origin x/y/z,
-    f32 voxel_size, u32 class count C, u32 empty id, u8 has_probs,
+    f32 voxel_size, u32 class count C, u32 empty id (always 0), u8 has_probs,
     u8 labels in (X, Y, Z) C-order, then optionally f32 probabilities
     of shape (X, Y, Z, C+1) when has_probs is 1.
 
@@ -33,11 +33,11 @@ probabilities as its `probs` when has_probs is 1 (None otherwise).
 Readers raise ConfigError naming the file when its length differs from
 what the header implies, a GSB1 class count C lies outside [1, 255]
 (class ids are u8 labels), an OCC1 class count is not the caller's
-`num_classes`, an OCC1 grid dimension is 0, or its content breaks the
-invariants of the type it is read into: GaussianSet.validate(), the
-DepthMap and OccupancyGrid checks, and for OCC1 also has_probs in {0, 1},
-every label and the empty id in [0, C], and probabilities finite in
-[0, 1]. No reader returns NaN.
+`num_classes`, an OCC1 grid dimension is 0, an OCC1 empty id is not 0
+(label 0 is the only empty label), or its content breaks the invariants
+of the type it is read into: GaussianSet.validate(), the DepthMap and
+OccupancyGrid checks, and for OCC1 also has_probs in {0, 1}, every label
+in [0, C], and probabilities finite in [0, 1]. No reader returns NaN.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def write_occupancy(path, grid: OccupancyGrid, num_classes: int, probs=None) -> 
         f.write(struct.pack("<III", x, y, z))
         f.write(np.asarray(grid.origin, dtype="<f4").tobytes())
         f.write(struct.pack("<f", grid.voxel_size))
-        f.write(struct.pack("<IIB", num_classes, grid.empty_id, 1 if probs is not None else 0))
+        f.write(struct.pack("<IIB", num_classes, 0, 1 if probs is not None else 0))
         f.write(np.ascontiguousarray(grid.labels, dtype=np.uint8).tobytes())
         if probs is not None:
             if probs.shape != (x, y, z, num_classes + 1):
@@ -293,13 +293,15 @@ def read_occupancy(path, num_classes: int) -> OccupancyGrid:
     with open(path, "rb") as f:
         if f.read(4) != OCC_MAGIC:
             raise ConfigError(f"{path}: not an OCC1 file")
-        x, y, z, ox, oy, oz, voxel_size, c, empty_id, has_probs = _unpack(
+        x, y, z, ox, oy, oz, voxel_size, c, empty, has_probs = _unpack(
             f, path, "<IIIffffIIB"
         )
         if c != num_classes:
             raise ConfigError(f"{path}: class count {c} is not num_classes {num_classes}")
         if 0 in (x, y, z):
             raise ConfigError(f"{path}: grid dimensions {x}x{y}x{z} must all be >= 1")
+        if empty != 0:
+            raise ConfigError(f"{path}: empty id {empty} is not 0")
         if has_probs > 1:
             raise ConfigError(f"{path}: has_probs flag {has_probs} is neither 0 nor 1")
         n = x * y * z * (c + 1)
@@ -308,8 +310,8 @@ def read_occupancy(path, num_classes: int) -> OccupancyGrid:
         probs = None
         if has_probs:
             probs = np.frombuffer(f.read(n * 4), dtype="<f4").reshape(x, y, z, c + 1)
-    if empty_id > c or (labels > c).any():
-        raise ConfigError(f"{path}: a label or the empty id exceeds the class count {c}")
+    if (labels > c).any():
+        raise ConfigError(f"{path}: a label exceeds the class count {c}")
     if probs is not None and not ((probs >= 0) & (probs <= 1)).all():
         raise ConfigError(f"{path}: probabilities must be finite and lie in [0, 1]")
     with _invalid_content(path):
@@ -317,6 +319,5 @@ def read_occupancy(path, num_classes: int) -> OccupancyGrid:
             origin=np.array([ox, oy, oz]),
             voxel_size=float(voxel_size),
             labels=labels.copy(),
-            empty_id=empty_id,
             probs=probs,
         )

@@ -34,8 +34,9 @@ from .core import OccupancyGrid
 from .errors import ShapeError, UndefinedMetricError
 
 
-def iou_miou(pred: np.ndarray, gt: np.ndarray, empty_id: int = 0):
-    """Binary occupied-vs-empty IoU plus per-class IoU and their mean.
+def iou_miou(pred: np.ndarray, gt: np.ndarray):
+    """Binary occupied-vs-empty IoU plus per-class IoU and their mean; label
+    0 is empty.
 
     mIoU averages the classes present in gt; per-class values come back as
     {class: iou}. Raises UndefinedMetricError when gt has no occupied
@@ -47,8 +48,8 @@ def iou_miou(pred: np.ndarray, gt: np.ndarray, empty_id: int = 0):
         raise ShapeError(f"pred {pred.shape} vs gt {gt.shape}")
     pred = pred.reshape(-1)
     gt = gt.reshape(-1)
-    pred_occ = pred != empty_id
-    gt_occ = gt != empty_id
+    pred_occ = pred != 0
+    gt_occ = gt != 0
     if not gt_occ.any():
         raise UndefinedMetricError("ground truth grid has no occupied voxel")
     iou = int(np.count_nonzero(pred_occ & gt_occ)) / int(np.count_nonzero(pred_occ | gt_occ))
@@ -60,13 +61,13 @@ def iou_miou(pred: np.ndarray, gt: np.ndarray, empty_id: int = 0):
     return iou, float(np.mean(list(per_class.values()))), per_class
 
 
-def first_hits(label_grids, origin, voxel_size, o, v, empty):
+def first_hits(label_grids, origin, voxel_size, o, v):
     """First non-empty voxel of every ray in each of several label grids.
 
     `label_grids` are G (X, Y, Z) label volumes sharing one geometry (min
     corner `origin`, cubic voxels of `voxel_size`); `o` and `v` are (R, 3)
-    ray origins and directions; the march passes through the voxels of grid
-    g labelled `empty[g]`. All rays take Amanatides-Woo steps together;
+    ray origins and directions; the march passes through the voxels
+    labelled 0. All rays take Amanatides-Woo steps together;
     a ray leaves the active set once every grid has a hit or it leaves the
     box. Returns (inside, t, label): inside is (R,) bool, true for rays that
     run a positive length through the box (t0 < t1 in the slab test; a ray
@@ -116,10 +117,10 @@ def first_hits(label_grids, origin, voxel_size, o, v, empty):
     lab_hit = np.full(t_hit.shape, -1, dtype=np.int64)
     while ray.size:
         done = np.ones(ray.size, dtype=bool)
-        for g, (labels, e) in enumerate(zip(label_grids, empty)):
+        for g, labels in enumerate(label_grids):
             pending = lab_hit[g, ray] < 0
             lab = labels[idx[:, 0], idx[:, 1], idx[:, 2]]
-            new = pending & (lab != e)
+            new = pending & (lab != 0)
             lab_hit[g, ray[new]] = lab[new]
             t_hit[g, ray[new]] = t_entry[new]
             done &= new | ~pending
@@ -158,7 +159,6 @@ def ray_iou(
         pred.voxel_size,
         np.concatenate([np.empty((0, 3)), *origins]),
         np.concatenate([np.empty((0, 3)), *dirs]),
-        [pred.empty_id, gt.empty_id],
     )
     if not inside.any():
         raise UndefinedMetricError("no rays intersect the grid")
@@ -255,7 +255,7 @@ def init_quality(gs, gt: OccupancyGrid):
     the mean sums the same values in the same order as one full tree
     query.
     """
-    occ = gt.labels != gt.empty_id
+    occ = gt.labels != 0
     if not occ.any():
         raise UndefinedMetricError("ground truth grid has no occupied voxel")
     if len(gs) == 0:
@@ -293,7 +293,7 @@ def evaluate(
     """IoU, mIoU and RayIoU of `pred` against `gt` in one report, plus
     Perc./Dist. of the means of `gaussians` when it is given. Raises
     UndefinedMetricError when `gt` has no occupied voxel."""
-    iou, miou, per_class = iou_miou(pred.labels, gt.labels, gt.empty_id)
+    iou, miou, per_class = iou_miou(pred.labels, gt.labels)
     ray_per = ray_iou(pred, gt, cams, thresholds=thresholds, stride=stride)
     rayiou = float(np.mean(list(ray_per.values())))
     perc = dist = None

@@ -33,6 +33,7 @@ from .losses import compute_loss_report
 from .refine import SurfaceSnapWeights, default_basis, refine_positions, zero_weights
 from .render import CUTOFF, render_grid
 from .sampling import sample_representatives, voxel_keys, OUT_OF_BOUNDS
+from .synth import MAX_BOXES
 
 LOGIT_STRENGTH = 12.0
 
@@ -49,10 +50,6 @@ MAX_FIELD_BYTES = 1 << 30
 # 2-core VM), since init casts, writes and drops one camera at a time and
 # only the means stay in memory after it.
 MAX_RIG_PIXELS = 1 << 23
-
-# Most boxes in a generated scene accepted at config load. Each box is one
-# slab test per camera ray in the depth cast and one pass of the GT raster.
-MAX_BOXES = 1 << 10
 
 # Entries each tuple field must hold: an exact count, or None for at least one.
 _TUPLE_LENGTHS = {
@@ -75,7 +72,7 @@ def _fits(value, kind: type) -> bool:
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    # synthetic scene
+    # synthetic scene (synth.generate_scene)
     num_boxes: int = 6
     box_classes: tuple = (2, 3, 4)
     num_classes: int = 4
@@ -135,10 +132,18 @@ class PipelineConfig:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.num_boxes > MAX_BOXES:
             raise ConfigError(f"num_boxes {self.num_boxes} is above the limit of {MAX_BOXES}")
-        # SceneConfig checks the extents, ground_z and a negative num_boxes;
         # run_pipeline and gen-scene check the generated boxes against the
-        # extents when they generate the scene.
-        self.scene_config()
+        # extents when they generate the scene. The ground plane must lie
+        # below the top face, so the ground truth holds its voxel layer.
+        lo, hi = self.extents_min, self.extents_max
+        if not all(a < b for a, b in zip(lo, hi)):
+            raise ConfigError("scene extents must have positive volume on all axes")
+        if not lo[2] <= self.ground_z < hi[2]:
+            raise ConfigError(
+                f"ground_z {self.ground_z} must lie in [{lo[2]:g}, {hi[2]:g}), the z extents"
+            )
+        if self.num_boxes < 0:
+            raise ConfigError("num_boxes must be >= 0")
         if self.refine not in REFINE_MODES:
             raise ConfigError(f"refine mode must be one of {REFINE_MODES}")
         if self.grid_size <= 0 or self.voxel_size <= 0:
@@ -196,6 +201,8 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(doc).__name__}")
         names = {f.name for f in dataclasses.fields(PipelineConfig)}
         unknown = set(doc) - names
         if unknown:
@@ -207,23 +214,8 @@ class PipelineConfig:
 
     # derived geometry -----------------------------------------------------
 
-    def scene_config(self) -> synth.SceneConfig:
-        return synth.SceneConfig(
-            num_boxes=self.num_boxes,
-            box_classes=self.box_classes,
-            ground_z=self.ground_z,
-            ground_class=self.ground_class,
-            extents_min=self.extents_min,
-            extents_max=self.extents_max,
-        )
-
     def cameras(self) -> list:
-        return synth.surround_rig(
-            resolution=self.resolution,
-            focal=self.focal,
-            height=self.cam_height,
-            pitch_deg=self.pitch_deg,
-        )
+        return synth.surround_rig(self)
 
     def grid_dims(self) -> tuple:
         lo = np.asarray(self.extents_min)
@@ -309,7 +301,7 @@ def distinct_occupied_voxels(gs, spec: VoxelGridSpec) -> int:
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute all stages; returns the run summary dict."""
     # A scene whose boxes miss the extents is rejected before --out exists.
-    scene = synth.generate_scene(config.seed, config.scene_config())
+    scene = synth.generate_scene(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -376,7 +368,7 @@ def _write_text(path, text: str) -> None:
 
 
 def write_scene(config: PipelineConfig, path) -> synth.SceneSpec:
-    scene = synth.generate_scene(config.seed, config.scene_config())
+    scene = synth.generate_scene(config)
     _write_text(path, scene.to_json())
     return scene
 

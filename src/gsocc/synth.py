@@ -5,6 +5,11 @@ let the whole pipeline be verified end-to-end on a desk. Everything is a
 pure function of (seed, config, cameras): box placement uses a seeded
 generator, and depth noise is drawn per view from a spawned seed sequence
 so no execution schedule can change results.
+
+`generate_scene` and `surround_rig` take a pipeline.PipelineConfig, which
+declares and checks the scene and rig parameters; they read them as
+attributes and keep no defaults of their own. A scene read from JSON is
+checked here, and holds at most MAX_BOXES boxes, as a generated one does.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ import numpy as np
 from .core import MAX_MAGNITUDE, CameraModel, DepthMap, OccupancyGrid
 from .errors import ConfigError
 
+# Most boxes in a scene, generated or read. Each box is one slab test per
+# camera ray in the depth cast and one pass of the GT raster.
+MAX_BOXES = 1 << 10
 
 @dataclass(frozen=True)
 class Box:
@@ -122,11 +130,13 @@ class SceneSpec:
         """Parse a document of the form to_json writes. Raises ConfigError
         for one that is not an object with exactly to_json's keys (each box
         too), a number that is not finite or of magnitude above
-        MAX_MAGNITUDE, a seed outside [0, 2**64), a half extent <= 0, or a
-        class id outside [1, num_classes]."""
+        MAX_MAGNITUDE, a seed outside [0, 2**64), more than MAX_BOXES
+        boxes, a half extent <= 0, or a class id outside [1, num_classes]."""
         doc = _scene_object(json.loads(text), _SCENE_KEYS, "scene")
         if not isinstance(doc["boxes"], list):
             raise ConfigError("scene boxes must be a list")
+        if len(doc["boxes"]) > MAX_BOXES:
+            raise ConfigError(f"scene holds {len(doc['boxes'])} boxes; the limit is {MAX_BOXES}")
         boxes = []
         for b in doc["boxes"]:
             b = _scene_object(b, _BOX_KEYS, "scene box")
@@ -190,37 +200,11 @@ CENTER_RADIUS = (4.0, 13.0)
 HALF_EXTENT_RANGE = (0.5, 2.0)
 
 
-@dataclass(frozen=True)
-class SceneConfig:
-    """Box count, classes, ground plane and extents of a generated scene.
-    The ground plane must lie in the z extents: below the top face, so the
-    ground truth holds its voxel layer."""
-
-    num_boxes: int = 6
-    box_classes: tuple = (2, 3, 4)
-    ground_z: float = -2.0
-    ground_class: int = 1
-    extents_min: tuple = (-16.0, -16.0, -4.0)
-    extents_max: tuple = (16.0, 16.0, 4.0)
-
-    def __post_init__(self):
-        lo = np.asarray(self.extents_min, dtype=np.float64)
-        hi = np.asarray(self.extents_max, dtype=np.float64)
-        if not (lo < hi).all():
-            raise ConfigError("scene extents must have positive volume on all axes")
-        if not lo[2] <= self.ground_z < hi[2]:
-            raise ConfigError(
-                f"ground_z {self.ground_z} must lie in [{lo[2]:g}, {hi[2]:g}), the z extents"
-            )
-        if self.num_boxes < 0:
-            raise ConfigError("num_boxes must be >= 0")
-        if not self.box_classes:
-            raise ConfigError("box_classes must name at least one class")
-
-
-def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
-    """Seeded placement of boxes resting on the ground plane."""
-    rng = np.random.default_rng(seed)
+def generate_scene(config) -> SceneSpec:
+    """Seeded placement of `config.num_boxes` boxes resting on the ground
+    plane, drawn from `config.seed`; reads the box classes, ground plane and
+    extents of `config`, a pipeline.PipelineConfig."""
+    rng = np.random.default_rng(config.seed)
     boxes = []
     for _ in range(config.num_boxes):
         radius = rng.uniform(*CENTER_RADIUS)
@@ -233,7 +217,7 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneSpec:
         )
         boxes.append(Box(center=center, half_extents=he, yaw=yaw, class_id=cls))
     return SceneSpec(
-        seed=seed,
+        seed=config.seed,
         boxes=tuple(boxes),
         ground_z=config.ground_z,
         ground_class=config.ground_class,
@@ -367,16 +351,13 @@ def look_rotation(forward: np.ndarray, up=(0.0, 0.0, 1.0)) -> np.ndarray:
     return np.stack([r, d, f], axis=1)
 
 
-def surround_rig(
-    resolution=(48, 64),
-    focal: float = 32.0,
-    height: float = 0.5,
-    pitch_deg: float = 12.0,
-) -> list:
-    """Six-camera surround rig at (0, 0, height), yaw-spaced at 60 degrees,
-    pitched down."""
-    h, w = resolution
-    pitch = np.deg2rad(pitch_deg)
+def surround_rig(config) -> list:
+    """Six-camera surround rig of `config` (a pipeline.PipelineConfig):
+    cameras of `config.resolution` pixels and `config.focal` at
+    (0, 0, config.cam_height), yaw-spaced at 60 degrees, pitched down by
+    `config.pitch_deg`."""
+    h, w = config.resolution
+    pitch = np.deg2rad(config.pitch_deg)
     cams = []
     for k in range(6):
         yaw = k * np.pi / 3.0
@@ -385,14 +366,14 @@ def surround_rig(
         )
         cams.append(
             CameraModel(
-                fx=focal,
-                fy=focal,
+                fx=config.focal,
+                fy=config.focal,
                 cx=w / 2.0,
                 cy=h / 2.0,
                 height=h,
                 width=w,
                 rotation=look_rotation(f),
-                translation=np.array([0.0, 0.0, height]),
+                translation=np.array([0.0, 0.0, config.cam_height]),
             )
         )
     return cams

@@ -113,6 +113,7 @@ SCENE_DAMAGE = {
     "ground-z-1e300": lambda doc: {**doc, "ground_z": 1e300},
     "half-extent-1e300": _box(half_extents=[1e300, 1.0, 1.0]),
     "yaw-int-beyond-bound": _box(yaw=10**7),
+    "too-many-boxes": lambda doc: {**doc, "boxes": doc["boxes"][:1] * (MAX_BOXES + 1)},
 }
 
 
@@ -220,6 +221,13 @@ class TestErrors:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"not_a_field": 1}))
         assert run(["pipeline", "--config", bad, "--out", tmp_path / "x"]) == 2
+
+    @pytest.mark.parametrize("doc", ["[]", "null", "5"])
+    def test_config_not_an_object_exit_2(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        assert run(["gen-scene", "--config", bad, "--scene", tmp_path / "s.json"]) == 2
+        assert not (tmp_path / "s.json").exists()
 
     def test_invalid_refine_mode_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -366,7 +374,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("damage", sorted(SCENE_DAMAGE))
     def test_bad_scene_file_exit_2(self, tmp_path, config_file, damage):
-        doc = json.loads(synth.generate_scene(7).to_json())
+        doc = json.loads(synth.generate_scene(PipelineConfig(seed=7)).to_json())
         text = json.dumps(SCENE_DAMAGE[damage](doc))
         with pytest.raises(ConfigError):
             synth.SceneSpec.from_json(text, num_classes=PipelineConfig().num_classes)
@@ -493,7 +501,7 @@ def test_box_count_limit_at_load():
 def test_value_at_the_magnitude_bound_loads():
     # Config and scene load only: nothing is run.
     assert PipelineConfig.from_dict({"cam_height": 10**6}).cam_height == MAX_MAGNITUDE
-    doc = json.loads(synth.generate_scene(7).to_json())
+    doc = json.loads(synth.generate_scene(PipelineConfig(seed=7)).to_json())
     doc["boxes"][0]["yaw"] = -MAX_MAGNITUDE
     scene = synth.SceneSpec.from_json(json.dumps(doc), PipelineConfig().num_classes)
     assert scene.boxes[0].yaw == -MAX_MAGNITUDE

@@ -178,8 +178,7 @@ class TestDPM1:
 class TestOCC1:
     def grid(self, rng):
         labels = rng.integers(0, 4, size=(5, 4, 3)).astype(np.uint8)
-        return OccupancyGrid(origin=np.array([-1.0, 0.0, 2.0]), voxel_size=0.5, labels=labels,
-                             empty_id=0)
+        return OccupancyGrid(origin=np.array([-1.0, 0.0, 2.0]), voxel_size=0.5, labels=labels)
 
     def test_roundtrip_labels_only(self, tmp_path, rng):
         grid = self.grid(rng)
@@ -278,6 +277,7 @@ OUT_OF_RANGE_PATCHES = {
     "occ-voxel-size-nan": ("occ", 28, struct.pack("<f", np.nan)),
     "occ-voxel-size-inf": ("occ", 28, struct.pack("<f", np.inf)),
     "occ-empty-id-above-classes": ("occ", 36, struct.pack("<I", 3)),
+    "occ-empty-id-1": ("occ", 36, struct.pack("<I", 1)),
     "occ-has-probs-2": ("occ", 40, b"\x02"),
     "occ-label-above-classes": ("occ", 41, b"\x03"),
     "occ-prob-nan": ("occ", 41 + 32, struct.pack("<f", np.nan)),
@@ -362,7 +362,7 @@ def _assert_valid_read(fmt: str, result, c=None) -> None:
         grid, probs = result, result.probs
         assert np.isfinite(grid.origin).all()
         assert np.isfinite(grid.voxel_size) and grid.voxel_size > 0
-        assert grid.empty_id <= c and (grid.labels <= c).all()
+        assert (grid.labels <= c).all()
         if probs is not None:
             assert probs.shape == (*grid.dims, c + 1)
             assert ((probs >= 0) & (probs <= 1)).all()

@@ -23,7 +23,7 @@ from conftest import random_gaussian_set
 def grid_of(labels, origin=(0.0, 0.0, 0.0), voxel_size=1.0):
     labels = np.asarray(labels, dtype=np.uint8)
     return OccupancyGrid(origin=np.asarray(origin, dtype=np.float64), voxel_size=voxel_size,
-                         labels=labels, empty_id=0)
+                         labels=labels)
 
 
 def iou_set_oracle(pred, gt):
@@ -41,13 +41,12 @@ def iou_set_oracle(pred, gt):
     return binary, sum(per_class.values()) / len(per_class), per_class
 
 
-def first_hit_enumeration_oracle(grid, o, v, empty=None):
-    """Independent first-hit: slab-test every voxel whose label is not
-    `empty` (default: the grid's empty label), min entry t. A voxel whose
-    slab interval ends at t1 <= 0 lies behind the origin, or the origin only
-    touches it, so the ray does not enter it."""
+def first_hit_enumeration_oracle(grid, o, v):
+    """Independent first-hit: slab-test every voxel whose label is not 0,
+    min entry t. A voxel whose slab interval ends at t1 <= 0 lies behind the
+    origin, or the origin only touches it, so the ray does not enter it."""
     best = None
-    occ = np.argwhere(grid.labels != (grid.empty_id if empty is None else empty))
+    occ = np.argwhere(grid.labels != 0)
     for idx in occ:
         lo = np.asarray(grid.origin) + idx * grid.voxel_size
         hi = lo + grid.voxel_size
@@ -222,25 +221,24 @@ class TestRayIoU:
         gt = self.make_scene_grid()
         o = np.array([[0.5, 3.5, 3.5]])
         v = np.array([[1.0, 0.0, 0.0]])
-        inside, t, lab = first_hits([gt.labels], gt.origin, gt.voxel_size, o, v, [0])
+        inside, t, lab = first_hits([gt.labels], gt.origin, gt.voxel_size, o, v)
         # first non-empty voxel along +x at row (3,3) is x-index 6, entered at t = 5.5
         assert inside[0] and (t[0, 0], lab[0, 0]) == (5.5, 1)
 
     def test_first_hits_match_enumeration_oracle(self, rng):
         """Random small grids and rays, origins inside and outside the box,
-        zero and axis-aligned direction components, two grids with different
-        empty labels: per ray and grid the march agrees with the oracle."""
+        zero and axis-aligned direction components, two grids marched
+        together: per ray and grid the march agrees with the oracle."""
         compared = hit = missed_box = started_inside = 0
         for _ in range(40):
             dims = tuple(int(d) for d in rng.integers(2, 9, size=3))
             voxel_size = float(rng.choice([0.25, 0.3, 0.5, 1.0]))
             origin = rng.uniform(-2.0, 2.0, size=3)
             extent = np.asarray(dims) * voxel_size
-            empty = [0, 5]
             grids = [
-                grid_of(np.where(rng.random(dims) < 0.12, rng.integers(1, 4, size=dims), e),
+                grid_of(np.where(rng.random(dims) < 0.12, rng.integers(1, 4, size=dims), 0),
                         origin, voxel_size)
-                for e in empty
+                for _ in range(2)
             ]
             o = origin + rng.uniform(-0.5, 1.5, size=(30, 3)) * extent
             v = origin + rng.uniform(0.0, 1.0, size=(30, 3)) * extent - o
@@ -248,12 +246,12 @@ class TestRayIoU:
             v[rng.random((30, 3)) < 0.2] = 0.0
             v[:5] = np.eye(3)[rng.integers(0, 3, size=5)] * rng.choice([-1.0, 1.0], size=(5, 1))
             v[~v.any(axis=1), 2] = -1.0
-            inside, t, lab = first_hits([g.labels for g in grids], origin, voxel_size, o, v, empty)
+            inside, t, lab = first_hits([g.labels for g in grids], origin, voxel_size, o, v)
             missed_box += int(np.count_nonzero(~inside))
             started_inside += int(np.count_nonzero(((o > origin) & (o < origin + extent)).all(1)))
             for r in range(len(o)):
                 for g, grid in enumerate(grids):
-                    want = first_hit_enumeration_oracle(grid, o[r], v[r], empty[g])
+                    want = first_hit_enumeration_oracle(grid, o[r], v[r])
                     compared += 1
                     if want is None:
                         assert lab[g, r] == -1 and np.isnan(t[g, r])
@@ -280,7 +278,7 @@ class TestRayIoU:
             v = rng.normal(size=(30, 3))
             v[rng.random((30, 3)) < 0.2] = 0.0
             v[~v.any(axis=1), 2] = -1.0
-            _, t, lab = first_hits([grid.labels], origin, voxel_size, o, v, [0])
+            _, t, lab = first_hits([grid.labels], origin, voxel_size, o, v)
             for r in range(len(o)):
                 want = first_hit_enumeration_oracle(grid, o[r], v[r])
                 if want is None:
@@ -291,18 +289,19 @@ class TestRayIoU:
         assert 0 < hit < 6000
 
     def test_first_hits_depend_on_transparency_not_label_values(self, rng):
-        """Shifting every label and the empty label by the same amount (to
-        negative labels, to int8's lowest values, to uint8 labels up to 255)
-        shifts the hit labels and changes nothing else."""
+        """Shifting every non-empty label by the same amount (to negative
+        labels below the no-hit value -1, to int8's lowest values, to uint8
+        labels up to 255) while 0 stays empty shifts the hit labels and
+        changes nothing else."""
         dims, origin, voxel_size = (6, 5, 4), np.zeros(3), 0.5
         base = (rng.random(dims) < 0.3) * rng.integers(1, 4, size=dims)
         o = rng.uniform(-0.5, 3.5, size=(200, 3))
         v = rng.normal(size=(200, 3))
-        want_in, want_t, want_lab = first_hits([base], origin, voxel_size, o, v, [0])
+        want_in, want_t, want_lab = first_hits([base], origin, voxel_size, o, v)
         assert (want_lab >= 0).any()
-        for shift, dtype in ((-3, np.int64), (-128, np.int8), (252, np.uint8)):
-            labels = (base + shift).astype(dtype)
-            inside, t, lab = first_hits([labels], origin, voxel_size, o, v, [shift])
+        for shift, dtype in ((-5, np.int64), (-129, np.int8), (252, np.uint8)):
+            labels = np.where(base > 0, base + shift, 0).astype(dtype)
+            inside, t, lab = first_hits([labels], origin, voxel_size, o, v)
             assert np.array_equal(inside, want_in)
             assert np.array_equal(t, want_t, equal_nan=True)
             assert np.array_equal(lab, np.where(want_lab >= 0, want_lab + shift, -1))
@@ -378,7 +377,7 @@ def lattice_means(rng, grid, n, f32=False):
 def assert_matches_tree(means, grid):
     """The own-voxel route and the tree agree bit for bit, per mean and in
     the mean; returns how many means lie in an occupied voxel."""
-    occ = grid.labels != grid.empty_id
+    occ = grid.labels != 0
     centers = grid.origin + (np.argwhere(occ) + 0.5) * grid.voxel_size
     want = cKDTree(centers).query(means)[0]  # the full tree query
     occupied, got = _nearest_occupied(means, grid, occ)

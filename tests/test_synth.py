@@ -6,16 +6,15 @@ import pytest
 from scipy.spatial import cKDTree
 
 from gsocc.errors import ConfigError
+from gsocc.pipeline import PipelineConfig
 from gsocc.synth import (
     Box,
-    SceneConfig,
     SceneSpec,
     generate_scene,
     nearest_surface_points,
     rasterize_gt_grid,
     ray_hit_classes,
     render_depth_maps,
-    surround_rig,
 )
 
 from conftest import unproject_pixels
@@ -64,32 +63,32 @@ def slab_intersect_oracle(box, o, v):
 
 class TestGenerateScene:
     def test_same_seed_byte_identical(self):
-        a = generate_scene(123).to_json()
-        b = generate_scene(123).to_json()
+        a = generate_scene(PipelineConfig(seed=123)).to_json()
+        b = generate_scene(PipelineConfig(seed=123)).to_json()
         assert a == b
 
     def test_zero_boxes_gives_ground_only(self):
-        scene = generate_scene(5, SceneConfig(num_boxes=0))
+        scene = generate_scene(PipelineConfig(seed=5, num_boxes=0))
         assert scene.boxes == ()
 
     def test_hundred_seeds_within_extents(self):
-        cfg = SceneConfig()
+        cfg = PipelineConfig()
         lo = np.asarray(cfg.extents_min)
         hi = np.asarray(cfg.extents_max)
         for seed in range(100):
-            scene = generate_scene(seed, cfg)
+            scene = generate_scene(PipelineConfig(seed=seed))
             for box in scene.boxes:
                 assert (box.center >= lo).all() and (box.center <= hi).all()
                 assert box.class_id in cfg.box_classes
 
     def test_json_roundtrip(self):
-        scene = generate_scene(9)
+        scene = generate_scene(PipelineConfig(seed=9))
         again = SceneSpec.from_json(scene.to_json(), num_classes=4)
         assert again.to_json() == scene.to_json()
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigError):
-            SceneConfig(extents_min=(0, 0, 0), extents_max=(0, 1, 1))
+        with pytest.raises(ConfigError, match="positive volume"):
+            PipelineConfig(extents_min=(0, 0, 0), extents_max=(0, 1, 1))
 
 
 class TestRasterize:
@@ -187,16 +186,17 @@ class TestDepthMaps:
         assert center_depth == 5.0
 
     def test_sky_pixels_are_sentinel(self):
-        scene = generate_scene(3)
-        cams = surround_rig(resolution=(24, 32), focal=16.0, height=0.5, pitch_deg=0.0)
+        scene = generate_scene(PipelineConfig(seed=3))
+        cams = PipelineConfig(resolution=(24, 32), focal=16.0, pitch_deg=0.0).cameras()
         dms = render_depth_maps(scene, cams, 0.0)
         assert any(not dm.valid.all() for dm in dms)
         for dm in dms:
             assert np.isinf(dm.depth[~dm.valid]).all()
 
     def test_matches_bruteforce_intersector(self, rng):
-        scene = generate_scene(17)
-        cam = surround_rig(resolution=(12, 16), focal=8.0, height=0.4, pitch_deg=15.0)[2]
+        scene = generate_scene(PipelineConfig(seed=17))
+        cam = PipelineConfig(resolution=(12, 16), focal=8.0, cam_height=0.4,
+                             pitch_deg=15.0).cameras()[2]
         dm = render_depth_maps(scene, [cam], 0.0)[0]
         for row in range(0, cam.height, 3):
             for col in range(0, cam.width, 5):
@@ -214,8 +214,8 @@ class TestDepthMaps:
                     assert dm.depth[row, col] == pytest.approx(best, abs=1e-6)
 
     def test_noise_is_seeded_and_deterministic(self):
-        scene = generate_scene(11)
-        cams = surround_rig(resolution=(12, 16), focal=8.0)
+        scene = generate_scene(PipelineConfig(seed=11))
+        cams = PipelineConfig(resolution=(12, 16), focal=8.0).cameras()
         a = render_depth_maps(scene, cams, noise_std=0.05)
         b = render_depth_maps(scene, cams, noise_std=0.05)
         for da, db in zip(a, b):
@@ -223,8 +223,8 @@ class TestDepthMaps:
             assert (da.uncertainty == 0.05).all()
 
     def test_noiseless_outputs_bitwise_deterministic(self):
-        scene = generate_scene(11)
-        cams = surround_rig(resolution=(12, 16), focal=8.0)
+        scene = generate_scene(PipelineConfig(seed=11))
+        cams = PipelineConfig(resolution=(12, 16), focal=8.0).cameras()
         a = render_depth_maps(scene, cams, 0.0)
         b = render_depth_maps(scene, cams, 0.0)
         for da, db in zip(a, b):
@@ -239,9 +239,9 @@ class TestConsistency:
         origin = np.array([-16.0, -16.0, -4.0])
         bound = math.sqrt(3) / 2 * 0.5 + 1e-12
         for seed in (0, 1, 2, 42):
-            scene = generate_scene(seed)
+            scene = generate_scene(PipelineConfig(seed=seed))
             grid = rasterize_gt_grid(scene, dims, origin, 0.5)
-            cams = surround_rig(resolution=(48, 64), focal=96.0, height=0.5, pitch_deg=30.0)
+            cams = PipelineConfig(focal=96.0, pitch_deg=30.0).cameras()
             depths = render_depth_maps(scene, cams, 0.0)
             centers = origin + (np.argwhere(grid.labels != 0) + 0.5) * 0.5
             tree = cKDTree(centers)
@@ -315,7 +315,7 @@ class TestConeCull:
     def test_seeded_random_scenes_and_origins(self, rng):
         hits = 0
         for seed in range(12):
-            scene = generate_scene(seed)
+            scene = generate_scene(PipelineConfig(seed=seed))
             dirs = random_dirs(rng, 3000)
             origins = [rng.uniform([-3, -3, -1], [3, 3, 1.5]) for _ in range(3)]
             origins.append(scene.boxes[0].center)  # inside a box
@@ -326,8 +326,8 @@ class TestConeCull:
 
     def test_camera_pixel_rays(self):
         for seed in (3, 7, 11):
-            scene = generate_scene(seed)
-            for cam in surround_rig(resolution=(48, 64), focal=32.0):
+            scene = generate_scene(PipelineConfig(seed=seed))
+            for cam in PipelineConfig().cameras():
                 self.assert_same_as_full_cast(scene, cam.origin, cam.pixel_rays())
 
     def test_boxes_behind_straddling_and_around_the_origin(self, rng):
@@ -446,7 +446,7 @@ class TestConeCull:
         assert depth[5] == 2.0 and cls[5] == 1
 
     def test_non_unit_and_zero_directions(self, rng):
-        scene = generate_scene(5)
+        scene = generate_scene(PipelineConfig(seed=5))
         dirs = random_dirs(rng, 3000) * 10.0 ** rng.uniform(-3, 3, size=(3000, 1))
         dirs[::97] = 0.0
         for o in (np.array([0.0, 0.0, 0.5]), scene.boxes[1].center):
@@ -474,7 +474,7 @@ def test_subnormal_direction_component_casts_like_zero(axis):
         for o in ([0.2, -0.3, 0.1], [5.0, 0.5, 0.2], [0.5, 6.0, -3.0], [0.0, 0.0, 0.5]):
             o = np.asarray(o)
             np.testing.assert_array_equal(box.ray_hits(o, tiny), box.ray_hits(o, zeroed))
-            for scene in (generate_scene(7), scene_of(box, ground_z=-1.0)):
+            for scene in (generate_scene(PipelineConfig(seed=7)), scene_of(box, ground_z=-1.0)):
                 for got, want in zip(ray_hit_classes(scene, o, tiny),
                                      ray_hit_classes(scene, o, zeroed)):
                     np.testing.assert_array_equal(got, want)

@@ -10,7 +10,9 @@ occupied voxel in the grid.
 One bound is left out because a run at it takes seconds, not
 milliseconds: `num_boxes` at MAX_BOXES, whose config load is tested in
 test_cli.py. For the same reason a draw of 255 classes renders on 2 m
-voxels.
+voxels. The largest Gaussian box the default extents accept (gauss_scale
+1.3, a 7.8 m 3-sigma box in 8 m of z) loads only with the default extents,
+so it also runs as an explicit example.
 """
 
 import math
@@ -18,7 +20,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsocc.core import MAX_MAGNITUDE, S_MIN
@@ -45,7 +47,7 @@ FIELDS = {
     "cam_height": (0.5, 0.0, -3.0, MAX_MAGNITUDE),
     "pitch_deg": (12.0, 0.0, 89.0, 180.0, -90.0),
     "noise_std": (0.0, 0.05, MAX_MAGNITUDE),
-    "gauss_scale": (0.3, S_MIN, 4.0, 1e6),
+    "gauss_scale": (0.3, S_MIN, 1.3, 1e6),
     "gauss_opacity": (0.9, 0.0, 1.0),
     "grid_size": (0.5, 1e-3, 32.0),
     "refine": ("zero", "oracle-snap"),
@@ -81,6 +83,7 @@ config_docs = st.fixed_dictionaries(
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(config_docs)
+@example({"resolution": (16, 24), "gauss_scale": 1.3})
 def test_every_loaded_config_runs_or_fails_as_documented(doc):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
