@@ -100,7 +100,9 @@ def cmd_sample(args) -> int:
         _emit(
             {
                 "input_count": len(gs),
-                "distinct_occupied_voxels": distinct_occupied_voxels(gs, cfg.sampling_spec()),
+                "distinct_occupied_voxels": distinct_occupied_voxels(
+                    gs, cfg.sampling_spec(), cfg.threads
+                ),
             }
         )
         return 0

@@ -29,6 +29,19 @@ ROTATION_TOL = 1e-6
 MAX_MAGNITUDE = 1e6
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of the (P, K) array `a`. The squares are
+    added left to right, one column at a time, which is the order numpy's
+    reduction takes for short rows: the result is np.linalg.norm(a, axis=1)
+    bit for bit (tested for K of 3 and 4), without numpy's slow reduction
+    over a short last axis."""
+    cols = np.asarray(a, dtype=np.float64).T
+    acc = cols[0] * cols[0]
+    for c in cols[1:]:
+        acc += c * c
+    return np.sqrt(acc, out=acc)
+
+
 def quaternion_to_matrices(q: np.ndarray) -> np.ndarray:
     """(P, 3, 3) rotation matrices of P unit quaternions in (w, x, y, z) order.
 
@@ -38,7 +51,7 @@ def quaternion_to_matrices(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != 4:
         raise ShapeError(f"quaternions must have shape (P, 4), got {q.shape}")
-    norm = np.linalg.norm(q, axis=1)
+    norm = row_norms(q)
     bad = ~(np.abs(norm - 1.0) <= ROTATION_TOL)
     if bad.any():
         raise InvalidRotationError(
@@ -110,7 +123,7 @@ class GaussianSet:
         """Check primitive invariants; raises on violation, NaN and inf included."""
         if len(self) == 0:
             return
-        norms = np.linalg.norm(self.rotations, axis=1)
+        norms = row_norms(self.rotations)
         bad = ~(np.abs(norms - 1.0) <= ROTATION_TOL)
         if bad.any():
             raise InvalidRotationError(
@@ -162,10 +175,15 @@ class CameraModel:
         """Unit world-space ray directions through the given pixel centers."""
         u = np.asarray(cols, dtype=np.float64) + 0.5
         v = np.asarray(rows, dtype=np.float64) + 0.5
-        d = np.stack(
-            [(u - self.cx) / self.fx, (v - self.cy) / self.fy, np.ones_like(u)], axis=-1
-        )
-        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        x = (u - self.cx) / self.fx
+        y = (v - self.cy) / self.fy
+        # The camera-frame direction (x, y, 1) over its norm; the norm's
+        # sum is ordered as np.linalg.norm's, so every bit is the same.
+        norm = np.sqrt((x * x + y * y) + 1.0)
+        d = np.empty(np.shape(x) + (3,))
+        np.divide(x, norm, out=d[..., 0])
+        np.divide(y, norm, out=d[..., 1])
+        np.divide(1.0, norm, out=d[..., 2])
         return d @ np.asarray(self.rotation, dtype=np.float64).T
 
     def pixel_rays(self, stride: int = 1) -> np.ndarray:

@@ -17,21 +17,36 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from .core import DepthMap
-from .errors import ShapeError, UndefinedMetricError
+from .errors import ConfigError, ShapeError, UndefinedMetricError
 
 PROB_CLAMP = 1e-7
 
 
-def cross_entropy_loss(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Mean -log(pred[gt]) over all voxels, probabilities clamped to
-    [1e-7, 1]."""
+def _rows_and_labels(pred: np.ndarray, gt: np.ndarray) -> tuple:
+    """(N, C) float64 predictions and (N,) labels of voxel-aligned `pred`
+    and `gt`; raises ConfigError unless every label lies in [0, C)."""
     pred = np.asarray(pred, dtype=np.float64).reshape(-1, np.asarray(pred).shape[-1])
     gt = np.asarray(gt).reshape(-1)
     if pred.shape[0] != gt.shape[0]:
         raise ShapeError(f"{pred.shape[0]} predictions vs {gt.shape[0]} labels")
-    sums = pred.sum(axis=1)
-    if np.abs(sums - 1.0).max(initial=0.0) > 1e-4:
-        raise ValueError("prediction rows must sum to 1 within 1e-4")
+    c = pred.shape[1]
+    if gt.size and not (gt.min() >= 0 and gt.max() < c):
+        raise ConfigError(f"labels must lie in [0, {c})")
+    return pred, gt
+
+
+def cross_entropy_loss(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Mean -log(pred[gt]) over all voxels, probabilities clamped to
+    [1e-7, 1]. Raises ConfigError unless every label lies in [0, C) and
+    every row sums to 1 within 1e-4 (a row with a NaN does not)."""
+    pred, gt = _rows_and_labels(pred, gt)
+    # Column adds: a reduction over the short last axis is slow.
+    dev = pred[:, 0].copy()
+    for col in pred.T[1:]:
+        dev += col
+    dev -= 1.0
+    if not (np.abs(dev, out=dev) <= 1e-4).all():
+        raise ConfigError("prediction rows must sum to 1 within 1e-4")
     if gt.shape[0] == 0:
         raise UndefinedMetricError("no voxels; cross-entropy mean undefined")
     picked = pred[np.arange(gt.shape[0]), gt.astype(np.int64)]
@@ -42,7 +57,9 @@ def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     """Lovasz-Softmax over classes present in gt.
 
     Per class: errors |1{gt=c} - pred_c| sorted descending, dotted with the
-    Jaccard-extension gradient; the per-class terms are averaged.
+    Jaccard-extension gradient; the per-class terms are averaged. Raises
+    ConfigError unless every label lies in [0, C) and every prediction of
+    a class present in gt is finite.
 
     Only the k non-zero errors are sorted. A stable descending sort of all
     n errors puts the zero ones last, in index order, and leaves the first k
@@ -55,10 +72,7 @@ def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     kernel's grouping of the non-zero products, so the loss is the full
     sort's bit for bit.
     """
-    pred = np.asarray(pred, dtype=np.float64).reshape(-1, np.asarray(pred).shape[-1])
-    gt = np.asarray(gt).reshape(-1)
-    if pred.shape[0] != gt.shape[0]:
-        raise ShapeError(f"{pred.shape[0]} predictions vs {gt.shape[0]} labels")
+    pred, gt = _rows_and_labels(pred, gt)
     if gt.size == 0:
         raise UndefinedMetricError("empty grid; Lovasz mean undefined")
     losses = []
@@ -74,6 +88,8 @@ def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
         sorted_errors = np.zeros_like(errors)
         grad = np.zeros_like(errors)
         sorted_errors[:k] = errors[order]
+        if not np.isfinite(sorted_errors[:k]).all():
+            raise ConfigError(f"class {c} predictions must be finite")
         grad[:k] = jaccard
         grad[1:k] -= jaccard[:-1]
         losses.append(float(sorted_errors @ grad))
@@ -119,11 +135,11 @@ def depth_uncertainty_loss(pred: DepthMap, gt: DepthMap, alpha_unc: float) -> De
         for axis in (0, 1):
             dp = np.diff(pred.depth, axis=axis)
             dg = np.diff(gt.depth, axis=axis)
-            ok = valid.take(range(1, valid.shape[axis]), axis=axis) & valid.take(
-                range(valid.shape[axis] - 1), axis=axis
-            )
-            base_sig = sig.take(range(sig.shape[axis] - 1), axis=axis)
-            grads.append((base_sig * (dp - dg))[ok])
+            # Views of a map without its last (head) or first (tail) line.
+            head = (slice(None),) * axis + (slice(None, -1),)
+            tail = (slice(None),) * axis + (slice(1, None),)
+            ok = valid[tail] & valid[head]
+            grads.append((sig[head] * (dp - dg))[ok])
         gradient = _rms(np.concatenate(grads))
     uncertainty = float(-alpha_unc * np.log(sig[valid]).mean()) if valid.any() else 0.0
     return DepthLossBreakdown(residual=residual, gradient=gradient, uncertainty=uncertainty)

@@ -32,7 +32,7 @@ from .initialize import init_gaussians
 from .losses import compute_loss_report
 from .refine import SurfaceSnapWeights, default_basis, refine_positions, zero_weights
 from .render import CUTOFF, render_grid
-from .sampling import sample_representatives, voxel_keys, OUT_OF_BOUNDS
+from .sampling import OUT_OF_BOUNDS, narrow_keys, sample_representatives, voxel_keys
 from .synth import MAX_BOXES
 
 LOGIT_STRENGTH = 12.0
@@ -46,7 +46,7 @@ MAX_FIELD_BYTES = 1 << 30
 
 # Most pixels over all cameras of the rig accepted at config load (7x
 # dense-rig). Every pixel casts a ray and may become a Gaussian; a run's
-# peak memory grows by about 24 bytes per pixel (scripts/peak_memory.py,
+# peak memory grows by about 23 bytes per pixel (scripts/peak_memory.py,
 # 2-core VM), since init casts, writes and drops one camera at a time and
 # only the means stay in memory after it.
 MAX_RIG_PIXELS = 1 << 23
@@ -290,12 +290,16 @@ def _run_stage(name, out_dir, fn):
     return result
 
 
-def distinct_occupied_voxels(gs, spec: VoxelGridSpec) -> int:
+def distinct_occupied_voxels(gs, spec: VoxelGridSpec, n_workers: int = 1) -> int:
     """Occupied voxels of `spec` among the means of `gs` (a GaussianSet or a
-    formats.GaussianFile)."""
-    keys = voxel_keys(gs.means, spec)
-    keys = keys[keys != OUT_OF_BOUNDS]
-    return int(np.unique(keys).size)
+    formats.GaussianFile), keyed on up to `n_workers` threads: the sorted
+    distinct keys, counted where neighbours differ."""
+    keys = voxel_keys(gs.means, spec, n_workers)
+    keys = narrow_keys(keys[keys != OUT_OF_BOUNDS], spec)
+    if keys.size == 0:
+        return 0
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -340,7 +344,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "initial_count": len(init_set),
         "sampled_count": len(sampled),
         "refined_count": len(refined),
-        "distinct_occupied_voxels": distinct_occupied_voxels(init_set, config.sampling_spec()),
+        "distinct_occupied_voxels": distinct_occupied_voxels(
+            init_set, config.sampling_spec(), config.threads
+        ),
         "iou": report.iou,
         "miou": report.miou,
         "rayiou": report.rayiou,

@@ -2,11 +2,14 @@
 
 Keys are collision-free linear indices over the bounded grid extents
 rather than a modular spatial hash; the scene volume is bounded, so
-injectivity is free and there is no collision handling. Grouping is
-sort-by-key on the 64-bit key array (numpy's stable integer argsort, a
-radix sort, is the performance path), and the per-group representative is
-drawn by a seeded splitmix64 mix so the result is a pure function of
-(input, spec, seed) regardless of worker count.
+injectivity is free and there is no collision handling. Grouping is a
+stable sort by key. The keys are sorted in the narrowest unsigned type
+that holds every cell index (`narrow_keys`), which keeps their order:
+numpy's stable argsort is a radix sort for types of 16 bits or fewer, so
+a grid of at most 65 536 cells sorts in linear time, and wider keys get
+its timsort. The per-group representative is drawn by a seeded splitmix64
+mix so the result is a pure function of (input, spec, seed) regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -46,7 +49,11 @@ def voxel_coords(means: np.ndarray, spec: VoxelGridSpec, where=True) -> np.ndarr
 
 
 def _chunk_keys(means: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
-    in_bounds = ((means >= spec.min_corner) & (means < spec.max_corner)).all(axis=1)
+    # Column by column: a reduction over the short last axis is slow.
+    in_bounds = np.ones(means.shape[0], dtype=bool)
+    for axis in range(3):
+        m = means[:, axis]
+        in_bounds &= (m >= spec.min_corner[axis]) & (m < spec.max_corner[axis])
     v = voxel_coords(means, spec, where=in_bounds[:, None]) - spec.v_min
     dy, dz = int(spec.dims[1]), int(spec.dims[2])
     lin = (v[:, 0] * dy + v[:, 1]) * dz + v[:, 2]
@@ -81,6 +88,12 @@ def voxel_keys(means: np.ndarray, spec: VoxelGridSpec, n_workers: int = 1) -> np
     return out
 
 
+def narrow_keys(keys: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
+    """In-bounds `keys` cast to the narrowest unsigned type that holds
+    every cell index of `spec`; values and order are unchanged."""
+    return keys.astype(np.min_scalar_type(spec.num_cells - 1))
+
+
 def sample_indices(
     means: np.ndarray, spec: VoxelGridSpec, seed: int, n_workers: int = 1
 ) -> np.ndarray:
@@ -95,14 +108,15 @@ def sample_indices(
     in_bounds = np.flatnonzero(keys != OUT_OF_BOUNDS)
     if in_bounds.size == 0:
         return in_bounds
-    keys = keys[in_bounds]
+    keys = narrow_keys(keys[in_bounds], spec)
     # Stable sort keeps global input order within each key group.
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     sorted_global = in_bounds[order]
     starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
     sizes = np.diff(np.concatenate((starts, [sorted_keys.size])))
-    draw = splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ sorted_keys[starts])
+    group_keys = sorted_keys[starts].astype(np.uint64)
+    draw = splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ group_keys)
     return sorted_global[starts + (draw % sizes.astype(np.uint64)).astype(np.int64)]
 
 

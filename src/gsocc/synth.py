@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_MAGNITUDE, CameraModel, DepthMap, OccupancyGrid
+from .core import MAX_MAGNITUDE, CameraModel, DepthMap, OccupancyGrid, row_norms
 from .errors import ConfigError
 
 # Most boxes in a scene, generated or read. Each box is one slab test per
@@ -279,7 +279,7 @@ def ray_hit_classes(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray):
     plane_hit = np.isfinite(t_plane) & (t_plane > 0)
     best[plane_hit] = t_plane[plane_hit]
     cls[plane_hit] = scene.ground_class
-    norms = np.linalg.norm(dirs, axis=1)
+    norms = row_norms(dirs)
     for box in scene.boxes:
         w = box.center - o
         dist = np.linalg.norm(w)

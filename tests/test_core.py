@@ -9,6 +9,7 @@ from gsocc.core import (
     OccupancyGrid,
     VoxelGridSpec,
     quaternion_to_matrices,
+    row_norms,
 )
 from gsocc.errors import ConfigError, InvalidRotationError, ShapeError
 
@@ -143,3 +144,60 @@ def test_batched_rotations_match_scalar_bitwise(rng):
 def test_public_names_resolve_once():
     assert len(gsocc.__all__) == len(set(gsocc.__all__))
     assert [name for name in gsocc.__all__ if not hasattr(gsocc, name)] == []
+
+
+def ray_directions_oracle(cam, rows, cols):
+    """The stacked camera-frame directions over np.linalg.norm, rotated:
+    the formula `CameraModel.ray_directions` must reproduce bit for bit."""
+    u = np.asarray(cols, dtype=np.float64) + 0.5
+    v = np.asarray(rows, dtype=np.float64) + 0.5
+    d = np.stack([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, np.ones_like(u)], axis=-1)
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    return d @ np.asarray(cam.rotation, dtype=np.float64).T
+
+
+def test_ray_directions_bitwise_the_stacked_norm(rng):
+    for q in random_unit_quaternions(rng, 12):
+        h, w = (int(n) for n in rng.integers(1, 40, size=2))
+        cam = CameraModel(
+            fx=float(rng.uniform(0.5, 500.0)), fy=float(rng.uniform(0.5, 500.0)),
+            cx=float(rng.uniform(-w, 2 * w)), cy=float(rng.uniform(-h, 2 * h)),
+            height=h, width=w, rotation=quaternion_to_matrices(q[None])[0],
+            translation=rng.uniform(-5, 5, size=3),
+        )
+        for stride in (1, 2, 3, 7):
+            rr, cc = np.mgrid[0:h:stride, 0:w:stride]
+            want = ray_directions_oracle(cam, rr.ravel(), cc.ravel())
+            assert np.array_equal(cam.pixel_rays(stride), want)
+        # Any array shape: here one (rows, cols) grid, and one pixel.
+        assert np.array_equal(cam.ray_directions(rr, cc), ray_directions_oracle(cam, rr, cc))
+        assert np.array_equal(cam.ray_directions(3, 4), ray_directions_oracle(cam, 3, 4))
+
+
+def test_validate_quaternion_norm_bounds(rng):
+    gs = GaussianSet(
+        means=np.zeros((3, 3)),
+        scales=np.ones((3, 3)),
+        rotations=random_unit_quaternions(rng, 3),
+        opacities=np.ones(3),
+        semantics=np.zeros((3, 2)),
+        source_index=np.zeros((3, 3), dtype=np.uint32),
+    )
+    for scale in (1 + 5e-7, 1 - 5e-7):
+        gs.rotations[1] = gs.rotations[0] * scale
+        gs.validate()
+    for bad in (1 + 2e-6, 1 - 2e-6, np.nan):
+        gs.rotations[1] = gs.rotations[0] * bad
+        with pytest.raises(InvalidRotationError):
+            gs.validate()
+    gs.rotations[1] = gs.rotations[0]
+    gs.rotations[1, 2] = np.nan
+    with pytest.raises(InvalidRotationError):
+        gs.validate()
+
+
+def test_row_norms_bitwise_np_linalg_norm(rng):
+    for shape in ((200_000, 3), (200_000, 4), (8_192, 4), (5, 3), (1, 4), (0, 3)):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        for arr in (a, np.asfortranarray(a)):
+            assert np.array_equal(row_norms(arr), np.linalg.norm(a, axis=1))

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from gsocc.core import DepthMap
-from gsocc.errors import UndefinedMetricError
+from gsocc.errors import GsoccError, UndefinedMetricError
 from gsocc.losses import (
     compute_loss_report,
     cross_entropy_loss,
@@ -106,11 +106,39 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy_loss(np.full((3, 2), 0.4), np.zeros(3, dtype=int))
 
+    def test_nan_and_inf_rows_rejected(self):
+        for bad in (np.nan, np.inf):
+            pred = np.array([[0.5, 0.5], [bad, 0.5], [0.25, 0.75]])
+            with pytest.raises(GsoccError, match="sum to 1"):
+                cross_entropy_loss(pred, np.array([0, 1, 1]))
+
+    def test_row_sum_tolerance(self):
+        gt = np.array([0, 1])
+        cross_entropy_loss(np.array([[0.5, 0.5], [0.5, 0.5 + 9e-5]]), gt)
+        with pytest.raises(ValueError, match="sum to 1"):
+            cross_entropy_loss(np.array([[0.5, 0.5], [0.5, 0.5 + 2e-4]]), gt)
+
     def test_nonnegative(self, rng):
         for _ in range(20):
             pred = rng.dirichlet(np.ones(3), size=12)
             gt = rng.integers(0, 3, size=12)
             assert cross_entropy_loss(pred, gt) >= 0.0
+
+
+@pytest.mark.parametrize("loss", [cross_entropy_loss, lovasz_softmax_loss])
+@pytest.mark.parametrize("label", [-1, -3, 2, 255])
+def test_labels_outside_the_classes_rejected(loss, label):
+    pred = np.full((2, 2), 0.5)
+    with pytest.raises(GsoccError, match=r"labels must lie in \[0, 2\)") as err:
+        loss(pred, np.array([0, label]))
+    assert isinstance(err.value, ValueError)
+
+
+def test_lovasz_rejects_nan_predictions_of_a_present_class():
+    pred = np.array([[0.5, 0.5], [np.nan, 0.5], [0.25, 0.75]])
+    with pytest.raises(GsoccError, match="finite") as err:
+        lovasz_softmax_loss(pred, np.array([0, 1, 1]))
+    assert isinstance(err.value, ValueError)
 
 
 class TestLovasz:

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import os
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from gsocc import sampling
 from gsocc.core import VoxelGridSpec
+from gsocc.pipeline import distinct_occupied_voxels
 from gsocc.sampling import (
     OUT_OF_BOUNDS,
+    narrow_keys,
     sample_representatives,
     splitmix64,
     voxel_coords,
@@ -209,3 +213,76 @@ class TestSampleRepresentatives:
         b = sample_representatives(gs, SPEC, seed=2)
         assert len(a) == len(b)
         assert not np.array_equal(a.means, b.means)
+
+
+# Grids of 256, 65 536, 65 537 and 2^33 cells: their keys narrow to uint8,
+# uint16, uint32 and uint64.
+WIDTH_SPECS = [
+    (VoxelGridSpec(np.zeros(3), np.array(hi), 1.0), dtype)
+    for hi, dtype in (
+        ((16.0, 16.0, 1.0), np.uint8),
+        ((256.0, 256.0, 1.0), np.uint16),
+        ((65537.0, 1.0, 1.0), np.uint32),
+        ((65536.0, 65536.0, 2.0), np.uint64),
+    )
+]
+
+
+def clustered_means(rng, spec, n):
+    """`n` means: half spread over the extents, half jittered around 40
+    points so that voxels hold several, and every tenth one outside."""
+    lo, hi = spec.min_corner, spec.max_corner
+    means = rng.uniform(lo, hi, size=(n, 3))
+    centers = rng.uniform(lo, hi, size=(40, 3))
+    half = n // 2
+    jitter = rng.uniform(-0.6, 0.6, size=(half, 3)) * spec.grid_size
+    means[:half] = np.clip(centers[rng.integers(0, 40, half)] + jitter, lo, np.nextafter(hi, lo))
+    means[::10] = hi + rng.uniform(0.0, 3.0, size=(len(means[::10]), 3))
+    return means
+
+
+def sample_indices_uint64_oracle(means, spec, seed):
+    """sample_indices with the stable sort made on the uint64 keys."""
+    keys = voxel_keys(means, spec)
+    rows = np.flatnonzero(keys != OUT_OF_BOUNDS)
+    if rows.size == 0:
+        return rows
+    keys = keys[rows]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys, sorted_rows = keys[order], rows[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    sizes = np.diff(np.r_[starts, sorted_keys.size]).astype(np.uint64)
+    draw = splitmix64(np.uint64(seed) ^ sorted_keys[starts])
+    return sorted_rows[starts + (draw % sizes).astype(np.int64)]
+
+
+class TestNarrowedKeySort:
+    def test_key_width_follows_the_cell_count(self):
+        for spec, dtype in WIDTH_SPECS:
+            keys = np.array([0, spec.num_cells - 1], dtype=np.uint64)
+            narrow = narrow_keys(keys, spec)
+            assert narrow.dtype == dtype
+            assert narrow.tolist() == keys.tolist()
+
+    def test_sample_indices_equal_the_uint64_sort(self, rng):
+        for spec, _ in WIDTH_SPECS:
+            for n in (1, 9, 5000):
+                means = clustered_means(rng, spec, n)
+                for seed in (0, 7, 2**64 - 1):
+                    got = sampling.sample_indices(means, spec, seed)
+                    assert np.array_equal(got, sample_indices_uint64_oracle(means, spec, seed))
+
+    def test_distinct_count_equals_np_unique(self, rng, monkeypatch):
+        # Small chunks so that two workers share the keying.
+        monkeypatch.setattr(sampling, "_KEY_ROWS", 512)
+        for spec, _ in WIDTH_SPECS:
+            means = clustered_means(rng, spec, 5000)
+            keys = voxel_keys(means, spec)
+            want = np.unique(keys[keys != OUT_OF_BOUNDS]).size
+            assert 0 < want < 4500
+            outside = np.tile(spec.max_corner, (7, 1))
+            for n_workers in (1, 2):
+                count = functools.partial(distinct_occupied_voxels, spec=spec, n_workers=n_workers)
+                assert count(SimpleNamespace(means=means)) == want
+                assert count(SimpleNamespace(means=np.empty((0, 3)))) == 0
+                assert count(SimpleNamespace(means=outside)) == 0

@@ -12,7 +12,9 @@ milliseconds: `num_boxes` at MAX_BOXES, whose config load is tested in
 test_cli.py. For the same reason a draw of 255 classes renders on 2 m
 voxels. The largest Gaussian box the default extents accept (gauss_scale
 1.3, a 7.8 m 3-sigma box in 8 m of z) loads only with the default extents,
-so it also runs as an explicit example.
+so it also runs as an explicit example. So do three grid sizes that, with
+the default extents, make sampling sort uint8, uint32 and uint64 keys; the
+default grid size sorts uint16 keys.
 """
 
 import math
@@ -49,7 +51,9 @@ FIELDS = {
     "noise_std": (0.0, 0.05, MAX_MAGNITUDE),
     "gauss_scale": (0.3, S_MIN, 1.3, 1e6),
     "gauss_opacity": (0.9, 0.0, 1.0),
-    "grid_size": (0.5, 1e-3, 32.0),
+    # Default extents: 65 536 cells, then about 8.2e12, 4, 524 288 and 128,
+    # so sampling sorts uint16, uint64, uint8, uint32 and uint8 keys.
+    "grid_size": (0.5, 1e-3, 32.0, 0.25, 4.0),
     "refine": ("zero", "oracle-snap"),
     "voxel_size": (0.5, 1.0, 2.0),
     "lambda_occ": (1.0, 0.0, MAX_MAGNITUDE),
@@ -84,6 +88,9 @@ config_docs = st.fixed_dictionaries(
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(config_docs)
 @example({"resolution": (16, 24), "gauss_scale": 1.3})
+@example({"resolution": (16, 24), "grid_size": 4.0})
+@example({"resolution": (16, 24), "grid_size": 0.25})
+@example({"resolution": (16, 24), "grid_size": 1e-3})
 def test_every_loaded_config_runs_or_fails_as_documented(doc):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
