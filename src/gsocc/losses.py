@@ -24,7 +24,8 @@ PROB_CLAMP = 1e-7
 
 def _rows_and_labels(pred: np.ndarray, gt: np.ndarray) -> tuple:
     """(N, C) float64 predictions and (N,) labels of voxel-aligned `pred`
-    and `gt`; raises ConfigError unless every label lies in [0, C)."""
+    and `gt`; raises ConfigError unless every label is a whole number in
+    [0, C)."""
     pred = np.asarray(pred, dtype=np.float64).reshape(-1, np.asarray(pred).shape[-1])
     gt = np.asarray(gt).reshape(-1)
     if pred.shape[0] != gt.shape[0]:
@@ -32,13 +33,16 @@ def _rows_and_labels(pred: np.ndarray, gt: np.ndarray) -> tuple:
     c = pred.shape[1]
     if gt.size and not (gt.min() >= 0 and gt.max() < c):
         raise ConfigError(f"labels must lie in [0, {c})")
+    # A float label such as 0.5 would index, and score, as class 0.
+    if gt.dtype.kind not in "biu" and not (gt % 1 == 0).all():
+        raise ConfigError("labels must be whole numbers")
     return pred, gt
 
 
 def cross_entropy_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean -log(pred[gt]) over all voxels, probabilities clamped to
-    [1e-7, 1]. Raises ConfigError unless every label lies in [0, C) and
-    every row sums to 1 within 1e-4 (a row with a NaN does not)."""
+    [1e-7, 1]. Raises ConfigError unless every label is a whole number in
+    [0, C) and every row sums to 1 within 1e-4 (a row with a NaN does not)."""
     pred, gt = _rows_and_labels(pred, gt)
     # Column adds: a reduction over the short last axis is slow.
     dev = pred[:, 0].copy()
@@ -53,13 +57,27 @@ def cross_entropy_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(-np.log(np.clip(picked, PROB_CLAMP, 1.0)).mean())
 
 
+def _stable_descending_order(e: np.ndarray) -> np.ndarray:
+    """np.argsort(-e, kind="stable") without the stable float sort, which is
+    a timsort. Its temporaries are freed when it returns."""
+    k = len(e)
+    first = np.argsort(-e)
+    ranked = e[first]
+    run = np.zeros(k, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=run[1:])
+    run *= k
+    run += first
+    run.sort()
+    return run % k
+
+
 def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     """Lovasz-Softmax over classes present in gt.
 
     Per class: errors |1{gt=c} - pred_c| sorted descending, dotted with the
     Jaccard-extension gradient; the per-class terms are averaged. Raises
-    ConfigError unless every label lies in [0, C) and every prediction of
-    a class present in gt is finite.
+    ConfigError unless every label is a whole number in [0, C) and every
+    prediction of a class present in gt is finite.
 
     Only the k non-zero errors are sorted. A stable descending sort of all
     n errors puts the zero ones last, in index order, and leaves the first k
@@ -71,6 +89,13 @@ def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     0 leaves a partial sum unchanged. Keeping the length keeps the BLAS
     kernel's grouping of the non-zero products, so the loss is the full
     sort's bit for bit.
+
+    The stable descending order of the non-zero errors comes from
+    _stable_descending_order: numpy's default (unstable) sort of the negated
+    errors, then a sort of unique int64 keys run * k + position, where run
+    numbers the runs of equal sorted values. Within a run the keys order the
+    errors by position, as a stable sort does, whichever way the first sort
+    broke the ties.
     """
     pred, gt = _rows_and_labels(pred, gt)
     if gt.size == 0:
@@ -78,15 +103,16 @@ def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     losses = []
     for c in np.unique(gt):
         fg = (gt == c).astype(np.float64)
-        errors = np.abs(fg - pred[:, int(c)])
+        errors = np.subtract(fg, pred[:, int(c)])
+        np.abs(errors, out=errors)
         nz = np.flatnonzero(errors)
-        order = nz[np.argsort(-errors[nz], kind="stable")]
+        order = nz[_stable_descending_order(errors[nz])]
         head = fg[order]
         gts = fg.sum()
         jaccard = 1.0 - (gts - head.cumsum()) / (gts + (1.0 - head).cumsum())
         k = len(order)
-        sorted_errors = np.zeros_like(errors)
-        grad = np.zeros_like(errors)
+        sorted_errors = np.zeros(len(errors))
+        grad = np.zeros(len(errors))
         sorted_errors[:k] = errors[order]
         if not np.isfinite(sorted_errors[:k]).all():
             raise ConfigError(f"class {c} predictions must be finite")

@@ -22,9 +22,17 @@ and is built from per-axis vectors rather than a matrix product: for the
 voxel-center offsets d_a along axis a, the terms p_a,k = (d_a * R_ak) / s_k
 are small vectors, and y_k = (p_0,k[x] + p_1,k[y]) + p_2,k[z] is one
 broadcast add, summed as m^2 = (y0^2 + y1^2) + y2^2. Only elementwise IEEE
-operations are used, so the field does not depend on the BLAS kernel. Where
-R has only 0 and +-1 entries (the identity, 180-degree turns), each y_k is
-exactly +-d_a / s_k.
+operations are used, so the field does not depend on the BLAS kernel.
+
+A term p_a,k is left out of y_k when R_ak is exactly 0 (or -0) for every
+Gaussian of the chunk; the others are added in the same order. A left-out
+term is d_a * 0 / s_k = +-0, and adding +-0 leaves a non-zero sum unchanged
+and can only flip the sign of a zero one, whose square is +0 either way, so
+m^2 keeps every bit. For axis-aligned Gaussians (every pipeline Gaussian has
+the identity rotation) each y_k then spans one grid axis, and m^2 takes one
+full-size broadcast add of small squares. Every row of a rotation has a
+non-zero entry, so every axis still enters some y_k: the +inf padding below
+still reaches m^2.
 
 The grid renderer evaluates each Gaussian only over its box: per axis, the
 voxel indices from floor to ceil of the exact 3-sigma axis bound
@@ -43,7 +51,7 @@ density sum, and one per class into the class-major (C, X, Y, Z) numerator.
 Every voxel thus sums its terms in Gaussian order with the same float
 operations as a per-Gaussian loop, and the field is bit-identical whatever
 the chunking. The all-pairs reference, render_grid_bruteforce, uses the same
-m^2 formula over the whole grid, one Gaussian at a time.
+m^2 formula over the whole grid, one Gaussian at a time, with all nine terms.
 """
 
 from __future__ import annotations
@@ -60,8 +68,9 @@ _DENSITY_NORM = (2.0 * np.pi) ** 1.5
 
 # Most padded (Gaussian, voxel) pairs render_grid evaluates at once: about
 # 24 bytes of working memory each (tracemalloc peak of one chunk), 1.5 MiB in
-# all. On the fine-grid benchmark render, 1 << 14 and 1 << 18 were both
-# slower.
+# all. On the fine-grid benchmark render, 1 << 14 was slower; 1 << 17 was
+# about 7% faster, but it raised peak RSS by about 1 MiB on fine-grid and
+# 1.3 MiB on dense-rig.
 _PAIR_BUDGET = 1 << 16
 
 
@@ -156,19 +165,24 @@ def _axis_terms(d, rots_a, scales):
     return d * rots_a.T[:, None, :] / scales.T[:, None, :]
 
 
-def _mahalanobis_sq(p):
+def _mahalanobis_sq(p, used):
     """(nx, ny, nz, B) m^2 = (y0^2 + y1^2) + y2^2 from the per-axis terms `p`
     (three (3, n_a, B) arrays from _axis_terms), with
-    y_k = (p0_k[x] + p1_k[y]) + p2_k[z]. The Gaussian axis is innermost, so
-    the inner loop of each broadcast add reads both operands contiguously."""
-    x, y, z = p[0][:, :, None, None], p[1][:, None, :, None], p[2][:, None, None]
-    m2 = np.add(x[0] + y[0], z[0])
-    m2 *= m2
-    yk = np.empty_like(m2)
-    for k in (1, 2):
-        np.add(x[k] + y[k], z[k], out=yk)
-        yk *= yk
-        m2 += yk
+    y_k = (p0_k[x] + p1_k[y]) + p2_k[z] summed over the axes a where the
+    (3, 3) mask `used[a, k]` is set. Each y_k spans only its axes; the
+    Gaussian axis is innermost, so the inner loop of each broadcast add reads
+    both operands contiguously."""
+    grid = (p[0][:, :, None, None], p[1][:, None, :, None], p[2][:, None, None])
+    full = (len(p[0][0]), len(p[1][0]), len(p[2][0]), p[0].shape[-1])
+    m2 = None
+    for k in range(3):
+        terms = [t[k] for t, keep in zip(grid, used[:, k]) if keep]
+        yk = terms[0]
+        for t in terms[1:]:
+            yk = yk + t
+        # In place unless yk is still a view of p, and once m2 spans the chunk.
+        yk = np.multiply(yk, yk, out=yk if len(terms) > 1 else None)
+        m2 = yk if m2 is None else np.add(m2, yk, out=m2 if m2.shape == full else None)
     return m2
 
 
@@ -178,6 +192,7 @@ def _box_pairs(gs, rots, los, ext, idx, axes, dims):
     ordered by Gaussian index. The chunk is one dense array over its largest
     box shape; voxels outside a Gaussian's own box get m^2 = inf."""
     shape = ext[idx].max(axis=0)
+    used = rots[idx].any(axis=0)
     p = []
     for a in range(3):
         steps = np.arange(shape[a])[:, None]
@@ -187,7 +202,7 @@ def _box_pairs(gs, rots, los, ext, idx, axes, dims):
         pa = _axis_terms(d, rots[idx, a], gs.scales[idx])
         pa[:, steps >= ext[idx, a]] = np.inf
         p.append(pa)
-    m2 = _mahalanobis_sq(p).reshape(-1, len(idx))
+    m2 = _mahalanobis_sq(p, used).reshape(-1, len(idx))
     # Pair numbers in the Gaussian-major (B, n) mask, so the pairs come out
     # in ascending Gaussian order.
     n, b = m2.shape
@@ -217,7 +232,7 @@ def render_grid_bruteforce(gs: GaussianSet, dims, origin, voxel_size: float) -> 
             # One Gaussian: B = 1, so m^2 comes out in flat voxel order.
             d = [(axes[a] - gs.means[i, a])[:, None] for a in range(3)]
             p = [_axis_terms(d[a], rots[i, a, None], gs.scales[i, None]) for a in range(3)]
-            m2 = _mahalanobis_sq(p).reshape(-1)
+            m2 = _mahalanobis_sq(p, np.ones((3, 3), dtype=bool)).reshape(-1)
             mask = m2 <= _CUTOFF_SQ
             if not mask.any():
                 continue

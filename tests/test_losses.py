@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from gsocc import losses
 from gsocc.core import DepthMap
 from gsocc.errors import GsoccError, UndefinedMetricError
 from gsocc.losses import (
@@ -134,6 +135,17 @@ def test_labels_outside_the_classes_rejected(loss, label):
     assert isinstance(err.value, ValueError)
 
 
+@pytest.mark.parametrize("loss", [cross_entropy_loss, lovasz_softmax_loss])
+@pytest.mark.parametrize("labels", [[0.5, 1.0], [0.0, 1.25], [1.0, 1e-300]])
+def test_labels_that_are_not_whole_numbers_rejected(loss, labels):
+    # Label 0.5 used to index, and score, as class 0.
+    pred = np.full((2, 2), 0.5)
+    with pytest.raises(GsoccError, match="whole numbers") as err:
+        loss(pred, np.array(labels))
+    assert isinstance(err.value, ValueError)
+    assert loss(pred, np.array([0.0, 1.0])) == loss(pred, np.array([0, 1]))
+
+
 def test_lovasz_rejects_nan_predictions_of_a_present_class():
     pred = np.array([[0.5, 0.5], [np.nan, 0.5], [0.25, 0.75]])
     with pytest.raises(GsoccError, match="finite") as err:
@@ -176,6 +188,32 @@ class TestLovasz:
             gt = r.integers(0, 3, size=500)
             pred[::3] = np.eye(3)[gt[::3]]
             assert lovasz_softmax_loss(pred, gt) == lovasz_full_sort(pred, gt)[0]
+
+    def test_ties_across_foreground_and_background_bitwise_the_full_sort(self, rng):
+        # Multiples of 1/8 make |1 - p| of a foreground row equal |0 - q| of
+        # a background row, so ties mix rows of both kinds, and their order
+        # moves the Jaccard gradient.
+        for n in (2, 9, 64, 1000, 5000):
+            for c in (2, 3, 5):
+                gt = rng.integers(0, c, size=n)
+                pred = rng.integers(0, 9, size=(n, c)) / 8.0
+                assert lovasz_softmax_loss(pred, gt) == lovasz_full_sort(pred, gt)[0]
+
+    def test_long_runs_of_equal_errors_bitwise_the_full_sort(self, rng):
+        # Four error values (1/8, 3/8, 5/8, 7/8), each held by about n / 4
+        # rows of either kind.
+        for n in (100, 4099, 30000):
+            for _ in range(4):
+                gt = rng.integers(0, 3, size=n)
+                pred = rng.choice([0.125, 0.375, 0.625, 0.875], size=(n, 3))
+                assert lovasz_softmax_loss(pred, gt) == lovasz_full_sort(pred, gt)[0]
+
+    def test_descending_order_is_the_stable_sort(self, rng):
+        for n in (1, 2, 3, 100, 5000):
+            for values in (np.arange(1, 9) / 8.0, rng.random(n) + 0.5, np.ones(1)):
+                e = rng.choice(values, n)
+                want = np.argsort(-e, kind="stable")
+                assert np.array_equal(losses._stable_descending_order(e), want)
 
     def test_per_class_term_bounded(self, rng):
         for _ in range(25):

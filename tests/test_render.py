@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import gsocc
 from gsocc import render
-from gsocc.core import S_MIN, GaussianSet
+from gsocc.core import S_MIN, GaussianSet, quaternion_to_matrices
 from gsocc.render import render_grid, render_grid_bruteforce
 
 from conftest import random_gaussian_set
@@ -294,6 +294,95 @@ def test_chunks_bound_the_padded_pair_count(rng, monkeypatch, make_set, budget):
     ext = chunks[0][0]
     assert np.array_equal(np.concatenate([idx for _, idx in chunks]),
                           np.flatnonzero(ext.all(axis=1)))
+
+
+_H = math.sqrt(0.5)
+# Quarter and half turns about each axis, each with both quaternion signs,
+# and the two cyclic axis permutations. Quarter turns leave entries of about
+# -2.2e-16 where the exact matrix has 0; the negated half turns give -0.0
+# entries; the permutations have exact 0 and 1 entries only.
+AXIS_ALIGNED_QUATS = np.array(
+    [[_H, _H, 0, 0], [_H, 0, _H, 0], [_H, 0, 0, _H], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+     [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, -0.5, -0.5]]
+)
+# Negated as 0 - q, so that their zero components stay +0.
+AXIS_ALIGNED_QUATS = np.concatenate([AXIS_ALIGNED_QUATS, 0.0 - AXIS_ALIGNED_QUATS, [IDENT_Q]])
+
+
+def nine_term_pairs(gs, dims, origin, voxel_size):
+    """(Gaussian, flat voxel index, m^2) of every pair with m^2 <= 9, in
+    Gaussian then voxel order, with m^2 built from all nine rotation terms:
+    y_k = ((d0 * R0k) / s_k + (d1 * R1k) / s_k) + (d2 * R2k) / s_k."""
+    rots = quaternion_to_matrices(gs.rotations)
+    centers = [origin[a] + (np.arange(dims[a]) + 0.5) * voxel_size for a in range(3)]
+    out = []
+    for i in range(len(gs)):
+        d = np.meshgrid(*(centers[a] - gs.means[i, a] for a in range(3)), indexing="ij")
+        r, s = rots[i], gs.scales[i]
+        y = [((d[0] * r[0, k]) / s[k] + (d[1] * r[1, k]) / s[k]) + (d[2] * r[2, k]) / s[k]
+             for k in range(3)]
+        m2 = ((y[0] * y[0] + y[1] * y[1]) + y[2] * y[2]).reshape(-1)
+        vox = np.flatnonzero(m2 <= 9.0)
+        out.append((np.full(len(vox), i), vox, m2[vox]))
+    return [np.concatenate(parts) for parts in zip(*out)]
+
+
+def render_recording_pairs(gs, grid, monkeypatch):
+    """render_grid(gs, *grid) and the (Gaussian, voxel, m^2) pairs and the
+    (3, 3) non-zero rotation mask of each chunk it evaluated."""
+    pairs, masks = [], []
+
+    def recording_box_pairs(gs, rots, los, ext, idx, axes, dims):
+        masks.append(rots[idx].any(axis=0))
+        pairs.append(box_pairs(gs, rots, los, ext, idx, axes, dims))
+        return pairs[-1]
+
+    box_pairs = render._box_pairs
+    with monkeypatch.context() as mp:
+        mp.setattr(render, "_box_pairs", recording_box_pairs)
+        field = render_grid(gs, *grid)
+    return field, [np.concatenate(parts) for parts in zip(*pairs)], masks
+
+
+def assert_bitwise_the_nine_term_render(gs, grid, monkeypatch):
+    field, pairs, masks = render_recording_pairs(gs, grid, monkeypatch)
+    for got, want in zip(pairs, nine_term_pairs(gs, *grid)):
+        assert np.array_equal(got, want)
+    brute = render_grid_bruteforce(gs, *grid)
+    assert np.array_equal(field.probs[..., 0], brute.probs[..., 0])
+    np.testing.assert_allclose(field.probs, brute.probs, rtol=0, atol=1e-12)
+    return masks
+
+
+def test_axis_aligned_rotations_render_bitwise_the_nine_terms(rng, monkeypatch):
+    n = 4 * len(AXIS_ALIGNED_QUATS)
+    gs = random_gaussian_set(rng, n, lo=(-2, -2, -1), hi=(2, 2, 1), scale_range=(0.05, 0.8))
+    gs.rotations[:] = AXIS_ALIGNED_QUATS[np.arange(n) % len(AXIS_ALIGNED_QUATS)]
+    grid = (TestRenderGrid.DIMS, TestRenderGrid.ORIGIN, TestRenderGrid.VOX)
+    rots = quaternion_to_matrices(gs.rotations)
+    assert (rots == 0).any() and np.signbit(rots[rots == 0]).any()
+    for budget in (64, render._PAIR_BUDGET):
+        monkeypatch.setattr(render, "_PAIR_BUDGET", budget)
+        assert_bitwise_the_nine_term_render(gs, grid, monkeypatch)
+        # One at a time, each Gaussian's chunk skips the terms its own zeros allow.
+        for i in range(len(AXIS_ALIGNED_QUATS)):
+            one = gs.take(np.array([i]))
+            masks = assert_bitwise_the_nine_term_render(one, grid, monkeypatch)
+            assert [m.tolist() for m in masks] == [(rots[i] != 0).tolist()]
+
+
+def test_mixed_rotation_chunks_render_bitwise_the_nine_terms(rng, monkeypatch):
+    # Runs of exactly axis-aligned Gaussians between generally rotated ones:
+    # under a 64-pair budget some chunks skip six terms and some skip none.
+    gs = random_gaussian_set(rng, 120, lo=(-2, -2, -1), hi=(2, 2, 1), scale_range=(0.05, 0.8))
+    exact = AXIS_ALIGNED_QUATS[3:8]  # half turns and a permutation: 0 and +-1 only
+    aligned = (np.arange(120) // 20) % 2 == 0
+    gs.rotations[aligned] = exact[rng.integers(0, len(exact), aligned.sum())]
+    monkeypatch.setattr(render, "_PAIR_BUDGET", 64)
+    grid = (TestRenderGrid.DIMS, TestRenderGrid.ORIGIN, TestRenderGrid.VOX)
+    masks = assert_bitwise_the_nine_term_render(gs, grid, monkeypatch)
+    used = [int(m.sum()) for m in masks]
+    assert 3 in used and 9 in used
 
 
 @st.composite

@@ -286,3 +286,17 @@ class TestNarrowedKeySort:
                 assert count(SimpleNamespace(means=means)) == want
                 assert count(SimpleNamespace(means=np.empty((0, 3)))) == 0
                 assert count(SimpleNamespace(means=outside)) == 0
+
+    def test_key_order_equals_the_stable_argsort(self, rng):
+        # Few distinct keys, so that most are duplicates, and pairs of keys
+        # that share their low 16 bits, so that a wide key's order is decided
+        # by a later digit.
+        for spec, dtype in WIDTH_SPECS:
+            top = spec.num_cells - 1
+            distinct = np.unique(np.r_[0, top, rng.integers(0, top, 24, endpoint=True)])
+            distinct = np.unique(np.r_[distinct, distinct | (top & ~0xFFFF)])
+            for n in (1, 2, 17, 5000):
+                keys = narrow_keys(rng.choice(distinct, n).astype(np.uint64), spec)
+                assert keys.dtype == dtype
+                got = sampling._stable_key_order(keys, spec)
+                assert np.array_equal(got, np.argsort(keys, kind="stable"))
