@@ -30,15 +30,16 @@ MAX_MAGNITUDE = 1e6
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of the (P, K) array `a`. The squares are
-    added left to right, one column at a time, which is the order numpy's
-    reduction takes for short rows: the result is np.linalg.norm(a, axis=1)
-    bit for bit (tested for K of 3 and 4), without numpy's slow reduction
-    over a short last axis."""
-    cols = np.asarray(a, dtype=np.float64).T
-    acc = cols[0] * cols[0]
+    """Euclidean norm of each row of the (P, K) array `a`, in float64. The
+    squares are added left to right, one column at a time, which is the
+    order numpy's reduction takes for short rows: the result is
+    np.linalg.norm(a, axis=1) bit for bit (tested for K of 3 and 4), without
+    numpy's slow reduction over a short last axis. Each column is widened to
+    float64 as it is squared."""
+    cols = np.asarray(a).T
+    acc = np.square(cols[0], dtype=np.float64)
     for c in cols[1:]:
-        acc += c * c
+        acc += np.square(c, dtype=np.float64)
     return np.sqrt(acc, out=acc)
 
 
@@ -121,21 +122,32 @@ class GaussianSet:
 
     def validate(self) -> None:
         """Check primitive invariants; raises on violation, NaN and inf included."""
-        if len(self) == 0:
-            return
-        norms = row_norms(self.rotations)
-        bad = ~(np.abs(norms - 1.0) <= ROTATION_TOL)
-        if bad.any():
-            raise InvalidRotationError(
-                f"{int(bad.sum())} rotation(s) deviate from unit norm beyond {ROTATION_TOL}"
-            )
-        for name, arr in (("means", self.means), ("semantic logits", self.semantics)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
-        if not ((self.opacities >= 0) & (self.opacities <= 1)).all():
-            raise ValueError("opacities must lie in [0, 1]")
-        if not ((self.scales >= S_MIN) & np.isfinite(self.scales)).all():
-            raise ValueError(f"scale components must be finite and >= s_min={S_MIN}")
+        check_gaussian_fields(
+            self.means, self.scales, self.rotations, self.opacities, self.semantics
+        )
+
+
+def check_gaussian_fields(means, scales, rotations, opacities, semantics) -> None:
+    """GaussianSet.validate() on the fields of a set, which may be float32:
+    unit-norm rotations (InvalidRotationError), then finite means and
+    semantic logits, opacities in [0, 1] and finite scales >= S_MIN
+    (ValueError). Float32 fields pass exactly when their float64 widening
+    does: the norms are taken in float64 and S_MIN is compared as float64."""
+    if len(means) == 0:
+        return
+    norms = row_norms(rotations)
+    bad = ~(np.abs(norms - 1.0) <= ROTATION_TOL)
+    if bad.any():
+        raise InvalidRotationError(
+            f"{int(bad.sum())} rotation(s) deviate from unit norm beyond {ROTATION_TOL}"
+        )
+    for name, arr in (("means", means), ("semantic logits", semantics)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+    if not ((opacities >= 0) & (opacities <= 1)).all():
+        raise ValueError("opacities must lie in [0, 1]")
+    if not ((scales >= np.float64(S_MIN)) & np.isfinite(scales)).all():
+        raise ValueError(f"scale components must be finite and >= s_min={S_MIN}")
 
 
 @dataclass(frozen=True)

@@ -28,3 +28,10 @@ class StageError(GsoccError, RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage '{stage}': {message}")
         self.stage = stage
+
+
+def entries_error(name: str, want, got: int) -> ConfigError:
+    """The ConfigError for a tuple setting `name` that holds `got` entries
+    where it must hold `want` of them (None: at least one)."""
+    need = f"{want} entries" if want else "at least one entry"
+    return ConfigError(f"{name} must hold {need}, got {got}")

@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DepthMap, GaussianSet, OccupancyGrid
+from .core import DepthMap, GaussianSet, OccupancyGrid, check_gaussian_fields
 from .errors import ConfigError
 
 GSB_MAGIC = b"GSB1\x00\x00\x00\x00"
@@ -191,6 +191,19 @@ def _gaussian_set(path, rec: np.ndarray, prov: np.ndarray) -> GaussianSet:
     return gs
 
 
+def _check_records(path, rec: np.ndarray) -> None:
+    """Raise ConfigError naming `path` unless the f32 GSB1 records `rec` hold
+    a valid Gaussian set: GaussianSet.validate()'s checks, in its order, on
+    the f32 fields, with the verdicts of their float64 widening."""
+    # Fields are checked as rows of the transposed records: over a field's
+    # (n, k) record columns numpy would loop k values at a time.
+    cols = np.ascontiguousarray(rec.T)
+    # A signaling NaN may raise the invalid flag where it is widened or
+    # compared; the checks reject it.
+    with _invalid_content(path), np.errstate(invalid="ignore"):
+        check_gaussian_fields(**{name: cols[c].T for name, c in _GSB_FIELDS})
+
+
 def read_gaussian_set(path) -> GaussianSet:
     with open(path, "rb") as f:
         p, c = _gsb_header(f, path)
@@ -217,13 +230,16 @@ class GaussianFile:
 
 def read_gaussian_means(path) -> GaussianFile:
     """The means of the GSB1 file `path`. Every row is read and checked as
-    read_gaussian_set checks it, one chunk of _ROWS rows at a time."""
+    read_gaussian_set checks it, one chunk of _ROWS rows at a time; only the
+    means are widened to float64."""
     with open(path, "rb") as f:
         p, c = _gsb_header(f, path)
         means = np.empty((p, 3))
         for lo in range(0, p, _ROWS):
             hi = min(lo + _ROWS, p)
-            means[lo:hi] = _gaussian_set(path, *_gsb_rows(f, p, c, lo, hi)).means
+            rec = _gsb_rows(f, p, c, lo, hi)[0]
+            _check_records(path, rec)
+            means[lo:hi] = rec[:, 0:3]
     return GaussianFile(Path(path), means, c)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import formats, losses, metrics, synth
 from .core import MAX_MAGNITUDE, S_MIN, DepthMap, GaussianSet, OccupancyGrid, VoxelGridSpec
-from .errors import ConfigError, GsoccError, StageError
+from .errors import ConfigError, GsoccError, StageError, entries_error
 from .initialize import init_gaussians
 from .losses import compute_loss_report
 from .refine import SurfaceSnapWeights, default_basis, refine_positions, zero_weights
@@ -121,9 +121,7 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must hold {kind.__name__} values, got {value!r}")
             want = _TUPLE_LENGTHS.get(f.name)
             if is_tuple and (len(value) != want if want else not value):
-                raise ConfigError(
-                    f"{f.name} must hold {want or 'at least one'} entries, got {len(value)}"
-                )
+                raise entries_error(f.name, want, len(value))
             if kind is float and not all(abs(v) <= MAX_MAGNITUDE for v in values):
                 raise ConfigError(
                     f"{f.name} must be finite with magnitude <= {MAX_MAGNITUDE:g}, got {value!r}"
@@ -165,10 +163,7 @@ class PipelineConfig:
             )
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.ray_stride < 1:
-            raise ConfigError("ray_stride must be >= 1")
-        if not all(t > 0 for t in self.ray_thresholds):
-            raise ConfigError("ray_thresholds must be finite positive meters")
+        metrics.check_ray_sampling(self.ray_thresholds, self.ray_stride)
         if not 0.0 <= self.gauss_opacity <= 1.0:
             raise ConfigError("gauss_opacity must lie in [0, 1]")
         if self.gauss_scale < S_MIN:

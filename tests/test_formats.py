@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsocc.core import DepthMap, GaussianSet, OccupancyGrid
-from gsocc.errors import ConfigError
+from gsocc.core import ROTATION_TOL, S_MIN, DepthMap, GaussianSet, OccupancyGrid
+from gsocc.errors import ConfigError, InvalidRotationError
 from gsocc.formats import (
     GSB_MAGIC,
     gaussian_block_writer,
@@ -403,3 +403,85 @@ def test_damaged_file_reads_valid_or_raises_config_error(fmt, seed, data):
         _assert_valid_read(fmt, result, c)
         if fmt == "gsb-means":
             np.testing.assert_array_equal(result.means, read_gaussian_set(path).means)
+
+
+def _f32_steps(x: float, n: int) -> np.float32:
+    """The float32 `n` representable steps from float32(x) (down for n < 0)."""
+    y = np.float32(x)
+    for _ in range(abs(n)):
+        y = np.nextafter(y, np.float32(np.inf if n > 0 else -np.inf))
+    return y
+
+
+# One GSB1 boundary file per case: {record column: f32 value} patches on
+# rows of a valid set, and whether read_gaussian_set accepts the result.
+# Columns: mean 0-2, scale 3-5, rotation 6-9 (w first), opacity 10, logits 11+.
+_SNAN = np.array([0x7FA00000], dtype=np.uint32).view(np.float32)[0]
+BOUNDARY_RECORDS = {
+    "scale-below-s-min": ({4: _f32_steps(S_MIN, -1)}, False),
+    "scale-at-f32-s-min": ({4: _f32_steps(S_MIN, 0)}, True),
+    "scale-above-s-min": ({4: _f32_steps(S_MIN, 1)}, True),
+    "opacity-one": ({10: np.float32(1.0)}, True),
+    "opacity-one-plus-ulp": ({10: _f32_steps(1.0, 1)}, False),
+    "opacity-zero": ({10: np.float32(0.0)}, True),
+    "opacity-negative-zero": ({10: np.float32(-0.0)}, True),
+    "opacity-below-zero": ({10: _f32_steps(0.0, -1)}, False),
+    **{
+        f"rotation-norm-1{'+' if n > 0 else '-'}{abs(n)}ulp": (
+            {6: _f32_steps(1.0, n), 7: np.float32(0.0), 8: np.float32(0.0), 9: np.float32(0.0)},
+            abs(float(_f32_steps(1.0, n)) - 1.0) <= ROTATION_TOL,
+        )
+        for n in (-17, -16, -9, -8, 8, 9)
+    },
+    **{
+        f"{kind}-in-column-{col}": ({col: value}, False)
+        for kind, value in (("nan", np.float32(np.nan)), ("snan", _SNAN),
+                            ("inf", np.float32(np.inf)), ("-inf", np.float32(-np.inf)))
+        for col in (0, 3, 6, 10, 12)
+    },
+    # Norm 1 + 1.013e-6 in float64, but 1 + 8 ulp (9.5e-7) if summed in f32.
+    "rotation-norm-outside-only-in-float64": (
+        dict(zip(range(6, 10), np.array([0.016505256295204163, 0.021785171702504158,
+                                         -0.9928101301193237, -0.11654636263847351],
+                                        dtype=np.float32))),
+        False,
+    ),
+    # Two faults: the reader must report the one validate() checks first.
+    "rotation-before-mean": ({6: np.float32(2.0), 1: np.float32(np.nan)}, False),
+    "mean-before-logit": ({11: np.float32(np.inf), 2: np.float32(np.nan)}, False),
+    "logit-before-opacity": ({10: np.float32(2.0), 11: np.float32(np.nan)}, False),
+    "opacity-before-scale": ({5: np.float32(0.0), 10: np.float32(-1.0)}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_RECORDS))
+def test_means_reader_agrees_with_set_reader_on_boundary_records(tmp_path, rng, case):
+    """read_gaussian_means checks the f32 records without widening them all;
+    on records at the edge of every check it accepts exactly what
+    read_gaussian_set accepts, with the same error and message, and returns
+    the same means."""
+    patches, valid = BOUNDARY_RECORDS[case]
+    gs = random_gaussian_set(rng, 40, num_classes=2)
+    rec = np.empty((len(gs), 13), dtype="<f4")
+    for cols, name in ((slice(0, 3), "means"), (slice(3, 6), "scales"), (slice(6, 10), "rotations"),
+                       (10, "opacities"), (slice(11, 13), "semantics")):
+        rec[:, cols] = getattr(gs, name)
+    for row in (0, 17, 39):
+        for col, value in patches.items():
+            rec[row, col] = value
+    path = tmp_path / "edge.gsb"
+    path.write_bytes(GSB_MAGIC + struct.pack("<II", len(gs), 2) + rec.tobytes()
+                     + np.zeros((len(gs), 3), dtype="<u4").tobytes())
+    outcomes = []
+    for read in (read_gaussian_set, read_gaussian_means):
+        try:
+            outcomes.append(read(path).means)
+        except ConfigError as e:
+            outcomes.append((type(e.__cause__), str(e)))
+    if valid:
+        assert outcomes[0].dtype == outcomes[1].dtype == np.float64
+        np.testing.assert_array_equal(outcomes[0], outcomes[1])
+        np.testing.assert_array_equal(outcomes[1], rec[:, 0:3])
+    else:
+        assert isinstance(outcomes[0], tuple) and outcomes[0] == outcomes[1]
+        assert outcomes[0][0] in (InvalidRotationError, ValueError)

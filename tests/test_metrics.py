@@ -5,16 +5,19 @@ import pytest
 from scipy.spatial import cKDTree
 
 from gsocc.core import CameraModel, OccupancyGrid
-from gsocc.errors import ShapeError, UndefinedMetricError
+from gsocc.errors import ConfigError, ShapeError, UndefinedMetricError
+from gsocc.formats import read_occupancy
 from gsocc.metrics import (
     _CHUNK,
     _nearest_occupied,
+    camera_rays,
     evaluate,
     first_hits,
     init_quality,
     iou_miou,
     ray_iou,
 )
+from gsocc.pipeline import PipelineConfig, run_pipeline
 from gsocc.synth import look_rotation
 
 from conftest import random_gaussian_set
@@ -305,6 +308,277 @@ class TestRayIoU:
             assert np.array_equal(inside, want_in)
             assert np.array_equal(t, want_t, equal_nan=True)
             assert np.array_equal(lab, np.where(want_lab >= 0, want_lab + shift, -1))
+
+
+def lockstep_march_oracle(label_grids, origin, voxel_size, o, v):
+    """The lockstep march first_hits ran before its bitmask grid, kept as the
+    reference it must match bit for bit: per-ray state in (R, 3) rows, an
+    argmin step, a gather from every grid, and the active rays compacted
+    after every step. One change: a grid counts as hit once it has a hit
+    (`found`), where the march took a negative label for no hit and let a
+    later voxel overwrite it."""
+    lo = np.asarray(origin, dtype=np.float64)
+    dims = np.asarray(label_grids[0].shape)
+    hi = lo + dims * voxel_size
+    o = np.asarray(o, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    moving = v != 0.0
+    v_safe = np.where(moving, v, 1.0)
+    t0 = np.zeros(len(v))
+    t1 = np.full(len(v), np.inf)
+    inside = np.ones(len(v), dtype=bool)
+    for a in range(3):
+        ta = np.where(moving[:, a], (lo[a] - o[:, a]) / v_safe[:, a], -np.inf)
+        tb = np.where(moving[:, a], (hi[a] - o[:, a]) / v_safe[:, a], np.inf)
+        swap = ta > tb
+        ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
+        t0 = np.where(ta > t0, ta, t0)
+        t1 = np.where(tb < t1, tb, t1)
+        inside &= moving[:, a] | ((lo[a] <= o[:, a]) & (o[:, a] < hi[a]))
+    inside &= t0 < t1
+
+    ray = np.flatnonzero(inside)
+    o, v, v_safe, moving, t1 = o[ray], v[ray], v_safe[ray], moving[ray], t1[ray]
+    t_entry = t0[ray]
+    q = (o + t_entry[:, None] * v - lo) / voxel_size
+    idx = np.clip(np.where(v < 0, np.ceil(q) - 1, np.floor(q)), 0, dims - 1).astype(np.int64)
+    step = np.sign(v).astype(np.int64)
+    boundary = lo + (idx + (v > 0)) * voxel_size
+    t_max = np.where(moving, (boundary - o) / v_safe, np.inf)
+    t_delta = np.where(moving, voxel_size / np.abs(v_safe), np.inf)
+
+    t_hit = np.full((len(label_grids), inside.size), np.nan)
+    lab_hit = np.full(t_hit.shape, -1, dtype=np.int64)
+    found = np.zeros(t_hit.shape, dtype=bool)
+    while ray.size:
+        done = np.ones(ray.size, dtype=bool)
+        for g, labels in enumerate(label_grids):
+            pending = ~found[g, ray]
+            lab = labels[idx[:, 0], idx[:, 1], idx[:, 2]]
+            new = pending & (lab != 0)
+            found[g, ray[new]] = True
+            lab_hit[g, ray[new]] = lab[new]
+            t_hit[g, ray[new]] = t_entry[new]
+            done &= new | ~pending
+        rows = np.arange(ray.size)
+        axis = np.argmin(t_max, axis=1)
+        t_entry = t_max[rows, axis]
+        nxt = idx[rows, axis] + step[rows, axis]
+        # A finite entry excludes a zero direction, which would never move.
+        keep = ~done & (t_entry <= t1) & np.isfinite(t_entry) & (0 <= nxt) & (nxt < dims[axis])
+        idx[rows, axis] = nxt
+        t_max[rows, axis] += t_delta[rows, axis]
+        ray, idx, step, t_max, t_delta, t1, t_entry = (
+            x[keep] for x in (ray, idx, step, t_max, t_delta, t1, t_entry)
+        )
+    return inside, t_hit, lab_hit
+
+
+def assert_march_bitwise(label_grids, origin, voxel_size, o, v):
+    """first_hits equals lockstep_march_oracle bit for bit: inside, t (as
+    uint64 views, so signed zeros count) and label. Returns first_hits'
+    result. The oracle overflows to inf for tiny direction components and
+    says so; first_hits must not."""
+    got = first_hits(label_grids, origin, voxel_size, o, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = lockstep_march_oracle(label_grids, origin, voxel_size, o, v)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+    assert np.array_equal(got[2], want[2])
+    return got
+
+
+def random_label_grids(rng, dims, n_grids, dtype):
+    """`n_grids` grids of `dims` with about a third of the voxels non-empty,
+    their labels drawn over the whole nonzero range of `dtype`."""
+    lo, hi = (1, 256) if dtype == np.uint8 else (-128, 128) if dtype == np.int8 else (-2**40, 2**40)
+    grids = []
+    for _ in range(n_grids):
+        labels = rng.integers(lo, hi, size=dims)
+        labels[labels == 0] = 1
+        grids.append(np.where(rng.random(dims) < 0.35, labels, 0).astype(dtype))
+    return grids
+
+
+def random_march_rays(rng, origin, voxel_size, dims, n):
+    """(o, v) of `n` rays: origins inside and outside the box, on voxel
+    planes (some axes) and on voxel corners (all axes), a few an ulp off a
+    plane; directions drawn at random, on the lattice (exact ties at voxel
+    edges and corners), along an axis, with zero, subnormal and tiny
+    components, and a few aimed past a box edge so that they only touch it."""
+    extent = np.asarray(dims) * voxel_size
+    o = origin + rng.uniform(-1.0, 2.0, size=(n, 3)) * extent
+    kind = rng.integers(0, 4, size=n)
+    o[kind == 0] = origin + rng.uniform(0.0, 1.0, size=(np.count_nonzero(kind == 0), 3)) * extent
+    lattice = origin + voxel_size * rng.integers(-2, np.asarray(dims) + 3, size=(n, 3))
+    on_plane = ((kind == 2)[:, None] & (rng.random((n, 3)) < 0.5)) | (kind == 3)[:, None]
+    o = np.where(on_plane, lattice, o)
+    off = rng.random((n, 3)) < 0.05
+    o[off] = np.nextafter(o[off], rng.choice([-np.inf, np.inf], size=np.count_nonzero(off)))
+
+    v = rng.normal(size=(n, 3))
+    dkind = rng.integers(0, 4, size=n)
+    v[dkind == 1] = rng.integers(-2, 3, size=(np.count_nonzero(dkind == 1), 3))
+    axes = np.flatnonzero(dkind == 2)
+    sign = rng.choice([-1.0, 1.0], size=(axes.size, 1))
+    v[axes] = np.eye(3)[rng.integers(0, 3, size=axes.size)] * sign
+    v[rng.random((n, 3)) < 0.15] = 0.0
+    tiny = rng.random((n, 3)) < 0.06
+    v[tiny] = rng.choice([5e-324, -5e-324, -2.5e-320, 1e-310, 1e-300, -1e-305],
+                         size=np.count_nonzero(tiny))
+    # Past an edge: from outside, through a point of a z-parallel box edge,
+    # in the xy direction that keeps to the outside of both of its faces.
+    touch = rng.random(n) < 0.05
+    corner = origin + extent * rng.integers(0, 2, size=(np.count_nonzero(touch), 3))
+    corner[:, 2] = origin[2] + rng.uniform(0.0, 1.0, size=len(corner)) * extent[2]
+    side = np.where(corner[:, :2] > origin[:2], 1.0, -1.0)
+    d = np.zeros((len(corner), 3))
+    d[:, 0] = rng.choice([-1.0, 1.0], size=len(corner))
+    d[:, 1] = -d[:, 0] * side[:, 0] * side[:, 1]
+    o[touch], v[touch] = corner - 0.5 * voxel_size * d, d
+    return o, v
+
+
+class TestBitmaskMarch:
+    """first_hits against lockstep_march_oracle, bit for bit."""
+
+    def test_rays_that_never_move_record_only_their_start_cell(self):
+        """A ray whose direction components are all zero or subnormal has
+        an exit distance of inf and reaches its next voxel plane at inf: it
+        records its start cell and stops there."""
+        labels = np.ones((5, 3, 3), dtype=np.uint8)
+        labels[2, 1, 1] = 0
+        o = np.array([[2.5, 1.5, 1.5], [2.5, 1.5, 1.5], [0.5, 0.5, 0.5]])
+        v = np.array([[5e-324, 0.0, 0.0], [-1e-310, 0.0, -5e-324], [2.5e-320, 0.0, 0.0]])
+        inside, t, lab = assert_march_bitwise([labels, labels[::-1]], np.zeros(3), 1.0, o, v)
+        assert inside.all() and list(lab[0]) == [-1, -1, 1] and t[0, 2] == 0.0
+        still = np.zeros((2, 3))
+        inside, t, lab = assert_march_bitwise([labels], np.zeros(3), 1.0, o[:2], still)
+        assert inside.all() and list(lab[0]) == [-1, -1]
+
+    def test_first_plane_behind_the_origin_at_minus_inf_ends_the_ray(self):
+        """An origin just past voxel plane 124 whose voxel coordinate rounds
+        below 124 starts in cell 123, with that plane 1.8e-15 behind it. With
+        a subnormal x component the plane is at -inf: the ray ends after its
+        start cell and records nothing in cell 124."""
+        origin, voxel_size = np.array([-36.243100771282236, 0.0, 0.0]), 1 / 3
+        labels = np.zeros((126, 2, 2), dtype=np.uint8)
+        labels[124:] = 2
+        o = np.array([[5.090232562051093, 0.5 * voxel_size, 0.5 * voxel_size]] * 2)
+        v = np.array([[5e-324, 0.0, 1.0], [5e-324, 0.0, 0.0]])
+        assert np.floor((o[0, 0] - origin[0]) / voxel_size) == 123
+        assert origin[0] + 124 * voxel_size < o[0, 0]
+        inside, _, lab = assert_march_bitwise([labels, labels], origin, voxel_size, o, v)
+        assert inside.all() and (lab == -1).all()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+    @pytest.mark.parametrize("n_grids", [1, 2, 7])
+    def test_random_rays_match_the_lockstep_march(self, n_grids, dtype):
+        rng = np.random.default_rng(1000 * n_grids + np.dtype(dtype).num)
+        hits = missed = ties = 0
+        for case in range(30):
+            dims = tuple(int(d) for d in rng.integers(1, 8, size=3))
+            voxel_size = float(rng.choice([0.25, 0.5, 1.0, 0.3]))
+            if case % 3:
+                origin = voxel_size * rng.integers(-4, 5, size=3).astype(np.float64)
+            else:
+                origin = rng.uniform(-3.0, 3.0, size=3)
+            grids = random_label_grids(rng, dims, n_grids, dtype)
+            o, v = random_march_rays(rng, origin, voxel_size, dims, 80)
+            inside, t, lab = assert_march_bitwise(grids, origin, voxel_size, o, v)
+            hits += int(np.count_nonzero(lab >= 0))
+            missed += int(np.count_nonzero(~inside))
+            ties += int(np.count_nonzero(np.abs(v[:, 0]) == np.abs(v[:, 1])))
+        assert hits > 0 and missed > 0 and ties > 0
+
+    def test_default_pipeline_grids_and_rig_rays(self, tmp_path):
+        """The default config's pred.occ and gt.occ, marched by the rays of
+        its stride-4 rig, as ray_iou marches them."""
+        config = PipelineConfig.from_dict({"seed": 7, "out_dir": str(tmp_path)})
+        run_pipeline(config)
+        pred = read_occupancy(tmp_path / "pred.occ", config.num_classes)
+        gt = read_occupancy(tmp_path / "gt.occ", config.num_classes)
+        o, v = camera_rays(config.cameras(), 4)
+        grids = [pred.labels, gt.labels]
+        _, _, lab = assert_march_bitwise(grids, pred.origin, pred.voxel_size, o, v)
+        assert (lab >= 0).all(axis=0).sum() > len(v) // 2
+
+    def test_negative_label_is_a_hit_in_every_grid(self):
+        """A negative label is a hit like any other non-empty one, also while
+        the ray marches on for another grid: a later voxel of that grid does
+        not overwrite it."""
+        first = np.zeros((4, 1, 1), dtype=np.int8)
+        first[3] = 5
+        second = np.array([-7, 0, -3, 0], dtype=np.int8).reshape(4, 1, 1)
+        o, v = np.array([[0.5, 0.5, 0.5]]), np.array([[1.0, 0.0, 0.0]])
+        _, t, lab = assert_march_bitwise([first, second], np.zeros(3), 1.0, o, v)
+        assert lab[:, 0].tolist() == [5, -7] and t[:, 0].tolist() == [2.5, 0.0]
+
+    @pytest.mark.parametrize("second", [(8, 8, 8), (2, 2, 2), (4, 4, 5), (4, 4)])
+    def test_grids_of_another_shape_rejected(self, second):
+        # A larger second grid used to be read as its sub-block, a smaller
+        # one to raise a bare IndexError.
+        first = np.zeros((4, 4, 4), dtype=np.uint8)
+        first[3, 3, 3] = 1
+        o, v = np.array([[0.5, 0.5, 0.5]]), np.array([[1.0, 1.0, 1.0]])
+        with pytest.raises(ShapeError, match="shape"):
+            first_hits([first, np.full(second, 2, dtype=np.uint8)], np.zeros(3), 1.0, o, v)
+
+    @pytest.mark.parametrize("bad", [(0, 1, np.nan), (0, 0, np.nan), (1, 2, np.inf), (1, 0, -np.inf)])
+    def test_non_finite_ray_rejected(self, bad):
+        # A NaN direction used to pass the slab test as inside, and its start
+        # cell wrapped to a real voxel or the ring: every ray read as a miss.
+        which, axis, value = bad
+        labels = np.ones((64, 64, 16), dtype=np.uint8)
+        rays = [np.array([[0.5, 0.5, 0.5]] * 2), np.array([[1.0, 0.5, 0.25]] * 2)]
+        rays[which][1, axis] = value
+        with pytest.raises(ValueError, match="finite"):
+            first_hits([labels, labels], np.zeros(3), 1.0, *rays)
+
+    def test_ray_iou_rejects_a_camera_with_nan_focal_length(self):
+        scene = TestRayIoU()
+        gt = scene.make_scene_grid()
+        cams = [dataclasses.replace(cam, fx=np.nan) for cam in scene.cams()]
+        with pytest.raises(ValueError, match="finite"):
+            ray_iou(gt, gt, cams)
+
+    @pytest.mark.parametrize("n_grids", [0, 8])
+    def test_one_to_seven_grids(self, n_grids):
+        grids = [np.ones((2, 2, 2), dtype=np.uint8)] * n_grids
+        o, v = np.array([[0.5, 0.5, 0.5]]), np.array([[1.0, 0.0, 0.0]])
+        with pytest.raises(ShapeError, match="1 to 7 grids"):
+            first_hits(grids, np.zeros(3), 1.0, o, v)
+
+
+class TestRaySampling:
+    """ray_iou and evaluate take the stride and thresholds PipelineConfig
+    takes, and reject the rest with its ConfigError."""
+
+    CASES = {
+        "stride-0": ({"stride": 0}, {"ray_stride": 0}),
+        "stride-negative": ({"stride": -1}, {"ray_stride": -1}),
+        "no-threshold": ({"thresholds": ()}, {"ray_thresholds": []}),
+        "threshold-zero": ({"thresholds": (1.0, 0.0)}, {"ray_thresholds": [1.0, 0.0]}),
+        "threshold-negative": ({"thresholds": (-2.0,)}, {"ray_thresholds": [-2.0]}),
+        "threshold-nan": ({"thresholds": (np.nan,)}, None),
+        "threshold-inf": ({"thresholds": (1.0, np.inf)}, None),
+    }
+
+    @pytest.mark.parametrize("score", ["ray_iou", "evaluate"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_as_the_config_rejects_it(self, case, score):
+        kwargs, field = self.CASES[case]
+        scene = TestRayIoU()
+        gt = scene.make_scene_grid()
+        with pytest.raises(ConfigError) as got:
+            {"ray_iou": ray_iou, "evaluate": evaluate}[score](gt, gt, scene.cams(), **kwargs)
+        if field is not None:
+            with pytest.raises(ConfigError) as want:
+                PipelineConfig.from_dict(field)
+            assert str(got.value) == str(want.value)
+        else:
+            assert str(got.value) == "ray_thresholds must be finite positive meters"
+
 
 class TestInitQuality:
     def test_center_placed_gaussians(self, rng):
