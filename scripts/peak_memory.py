@@ -2,11 +2,12 @@
 """Print the peak RSS of one pipeline run at each of several rig sizes, and
 how fast it grows per rig pixel.
 
-For each camera resolution it runs `run_pipeline` once on the benchmark's
-dense-rig config (seed 7, 1 m voxels, ray stride 32, 2 threads) in a fresh
-interpreter that imports this checkout's src/, and reads that process's
-`ru_maxrss`. BLAS is pinned to one thread, as in pipebench. The slope is the
-least-squares fit of peak bytes against rig pixels (six cameras each):
+For each camera resolution it runs `run_pipeline` once on the dense-rig
+workload config of `pipebench/run.py` (1 m voxels, ray stride 32, 2 threads)
+at seed 7, with the resolution replaced, in a fresh interpreter that imports
+this checkout's src/, and reads that process's `ru_maxrss`. BLAS is pinned
+to one thread, as in pipebench. The slope is the least-squares fit of peak
+bytes against rig pixels (six cameras each):
 
     python3 scripts/peak_memory.py
 """
@@ -19,9 +20,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+
+from artifact_digests import SEED, load_workloads  # noqa: E402
+
 SIZES = ((96, 128), (192, 256), (384, 512), (768, 512))
 CAMERAS = 6
-CONFIG = {"seed": 7, "voxel_size": 1.0, "ray_stride": 32, "threads": 2}
+CONFIG = {**load_workloads()["dense-rig"], "seed": SEED}
 
 CHILD = (
     "import json, resource, sys\n"

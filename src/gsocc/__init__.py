@@ -18,7 +18,7 @@ from .core import (
 from .attention import AttentionWeights, TokenSet, alternating_block, scaled_dot_attention
 from .initialize import AttributeProvider, init_gaussians
 from .sampling import sample_representatives, splitmix64, voxel_keys
-from .refine import OffsetBasis, default_basis, refine_positions
+from .refine import refine_positions
 from .render import render_grid, render_grid_bruteforce
 from .losses import (
     LossReport,
@@ -44,7 +44,6 @@ __all__ = [
     "LossReport",
     "MetricReport",
     "OccupancyGrid",
-    "OffsetBasis",
     "PipelineConfig",
     "SceneSpec",
     "TokenSet",
@@ -52,7 +51,6 @@ __all__ = [
     "alternating_block",
     "cross_entropy_loss",
     "compute_loss_report",
-    "default_basis",
     "depth_uncertainty_loss",
     "evaluate",
     "generate_scene",

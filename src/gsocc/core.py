@@ -169,8 +169,12 @@ class CameraModel:
     translation: np.ndarray  # (3,) camera origin in world, meters
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        intrinsics = (self.fx, self.fy, self.cx, self.cy)
+        if not (all(map(math.isfinite, intrinsics)) and self.fx > 0 and self.fy > 0):
+            raise ValueError(
+                f"intrinsics (fx, fy, cx, cy) = {intrinsics} must be finite, with"
+                " positive focal lengths"
+            )
         r = np.asarray(self.rotation, dtype=np.float64)
         if r.shape != (3, 3):
             raise ShapeError(f"rotation must be (3, 3), got {r.shape}")

@@ -168,14 +168,19 @@ def _gsb_header(f, path) -> tuple:
     return p, c
 
 
-def _gsb_rows(f, p: int, c: int, lo: int, hi: int) -> tuple:
-    """The f32 records and u32 provenance of rows [lo, hi) of the open GSB1
-    file `f` with `p` rows and `c` classes."""
+def _gsb_records(f, c: int, lo: int, hi: int) -> np.ndarray:
+    """The f32 records of rows [lo, hi) of the open GSB1 file `f` with `c`
+    classes."""
     width, n = 11 + c, hi - lo
     f.seek(16 + lo * width * 4)
-    rec = np.frombuffer(f.read(n * width * 4), dtype="<f4").reshape(n, width)
-    f.seek(16 + p * width * 4 + lo * 12)
-    return rec, np.frombuffer(f.read(n * 12), dtype="<u4").reshape(n, 3)
+    return np.frombuffer(f.read(n * width * 4), dtype="<f4").reshape(n, width)
+
+
+def _gsb_provenance(f, p: int, c: int, lo: int, hi: int) -> np.ndarray:
+    """The u32 provenance triples of rows [lo, hi) of the open GSB1 file `f`
+    with `p` rows and `c` classes."""
+    f.seek(16 + p * (11 + c) * 4 + lo * 12)
+    return np.frombuffer(f.read((hi - lo) * 12), dtype="<u4").reshape(hi - lo, 3)
 
 
 def _gaussian_set(path, rec: np.ndarray, prov: np.ndarray) -> GaussianSet:
@@ -207,7 +212,7 @@ def _check_records(path, rec: np.ndarray) -> None:
 def read_gaussian_set(path) -> GaussianSet:
     with open(path, "rb") as f:
         p, c = _gsb_header(f, path)
-        rec, prov = _gsb_rows(f, p, c, 0, p)
+        rec, prov = _gsb_records(f, c, 0, p), _gsb_provenance(f, p, c, 0, p)
     return _gaussian_set(path, rec, prov)
 
 
@@ -237,7 +242,7 @@ def read_gaussian_means(path) -> GaussianFile:
         means = np.empty((p, 3))
         for lo in range(0, p, _ROWS):
             hi = min(lo + _ROWS, p)
-            rec = _gsb_rows(f, p, c, lo, hi)[0]
+            rec = _gsb_records(f, c, lo, hi)
             _check_records(path, rec)
             means[lo:hi] = rec[:, 0:3]
     return GaussianFile(Path(path), means, c)
@@ -260,9 +265,9 @@ def read_gaussian_rows(path, rows) -> GaussianSet:
         for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             if a < b:
                 lo = k * _ROWS
-                chunk_rec, chunk_prov = _gsb_rows(f, p, c, lo, min(lo + _ROWS, p))
-                rec[order[a:b]] = chunk_rec[wanted[a:b] - lo]
-                prov[order[a:b]] = chunk_prov[wanted[a:b] - lo]
+                hi = min(lo + _ROWS, p)
+                rec[order[a:b]] = _gsb_records(f, c, lo, hi)[wanted[a:b] - lo]
+                prov[order[a:b]] = _gsb_provenance(f, p, c, lo, hi)[wanted[a:b] - lo]
     return _gaussian_set(path, rec, prov)
 
 

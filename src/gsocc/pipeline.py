@@ -30,7 +30,7 @@ from .core import MAX_MAGNITUDE, S_MIN, DepthMap, GaussianSet, OccupancyGrid, Vo
 from .errors import ConfigError, GsoccError, StageError, entries_error
 from .initialize import init_gaussians
 from .losses import compute_loss_report
-from .refine import SurfaceSnapWeights, default_basis, refine_positions, zero_weights
+from .refine import SurfaceSnapWeights, refine_positions
 from .render import CUTOFF, render_grid
 from .sampling import OUT_OF_BOUNDS, narrow_keys, sample_representatives, voxel_keys
 from .synth import MAX_BOXES
@@ -466,13 +466,14 @@ def write_sampled(config: PipelineConfig, gs, path) -> GaussianSet:
 
 def write_refined(config: PipelineConfig, gs: GaussianSet, scene, path) -> GaussianSet:
     """Refine per `config.refine`; oracle-snap needs the scene, zero ignores it."""
-    basis = default_basis(config.grid_size / 2.0)
+    delta_max = config.grid_size / 2.0
     if config.refine == "zero":
-        refined = refine_positions(gs, basis, zero_weights(gs, basis))
+        weights = np.zeros((len(gs), 6))
     else:
         if scene is None:
             raise ConfigError("refine mode oracle-snap needs a scene")
-        refined = refine_positions(gs, basis, SurfaceSnapWeights(scene)(gs, basis))
+        weights = SurfaceSnapWeights(scene)(gs, delta_max)
+    refined = refine_positions(gs, delta_max, weights)
     formats.write_gaussian_set(path, refined)
     return refined
 

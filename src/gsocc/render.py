@@ -59,6 +59,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import GaussianSet, OccupancyGrid, quaternion_to_matrices
+from .errors import ConfigError
 
 # Mahalanobis cutoff: contributions beyond 3 sigma are dropped exactly
 # (both here and in the brute-force reference).
@@ -72,6 +73,12 @@ _DENSITY_NORM = (2.0 * np.pi) ** 1.5
 # about 7% faster, but it raised peak RSS by about 1 MiB on fine-grid and
 # 1.3 MiB on dense-rig.
 _PAIR_BUDGET = 1 << 16
+
+# Most padded (Gaussian, voxel) pairs render_grid accepts in one call, about
+# 16 s at the 60 ns per pair of a 2-core VM. The seed-7 benchmark workloads
+# reach at most 5.0e6 (fine-grid). A set past it is rejected before any pair
+# is evaluated.
+MAX_RENDER_PAIRS = 1 << 28
 
 
 def softmax_logits(logits: np.ndarray) -> np.ndarray:
@@ -115,7 +122,8 @@ def _finalize(log_keep, sem_num, sem_den, origin, voxel_size):
 
 
 def render_grid(gs: GaussianSet, dims, origin, voxel_size: float) -> OccupancyGrid:
-    """Render with per-Gaussian 3-sigma bounding-box culling."""
+    """Render with per-Gaussian 3-sigma bounding-box culling. Raises
+    ConfigError when the boxes hold more than MAX_RENDER_PAIRS voxels in all."""
     dims = tuple(int(d) for d in dims)
     origin = np.asarray(origin, dtype=np.float64)
     c = gs.num_classes
@@ -131,6 +139,13 @@ def render_grid(gs: GaussianSet, dims, origin, voxel_size: float) -> OccupancyGr
         np.clip(los, 0, dims, out=los)
         np.clip(his, 0, dims, out=his)
         ext = his - los
+        # A box that misses the grid has an extent of 0 and adds no pair.
+        pairs = int(ext.prod(axis=1).sum())
+        if pairs > MAX_RENDER_PAIRS:
+            raise ConfigError(
+                f"the 3-sigma boxes of {len(gs)} Gaussians hold {pairs} (Gaussian, voxel)"
+                f" pairs; the render limit is {MAX_RENDER_PAIRS}"
+            )
         live = np.flatnonzero(ext.all(axis=1))
         axes = _axis_centers(origin, voxel_size, dims)
         # Class-major, so each class's softmax gather reads one row.

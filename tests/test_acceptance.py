@@ -21,7 +21,7 @@ from gsocc.core import DepthMap, OccupancyGrid, VoxelGridSpec
 from gsocc.losses import cross_entropy_loss, depth_uncertainty_loss, lovasz_softmax_loss
 from gsocc.metrics import init_quality, iou_miou, ray_iou
 from gsocc.pipeline import PipelineConfig, run_pipeline
-from gsocc.refine import default_basis, refine_positions, zero_weights
+from gsocc.refine import refine_positions
 from gsocc.render import render_grid, render_grid_bruteforce
 from gsocc.sampling import sample_representatives, voxel_keys, OUT_OF_BOUNDS
 from gsocc.synth import look_rotation
@@ -135,21 +135,24 @@ def test_criterion_4_density_bias_reduction(tmp_path):
 
 
 def test_criterion_5_refinement_algebra(rng):
-    basis = default_basis(0.25)
     gs = random_gaussian_set(rng, 1000)
-    out = refine_positions(gs, basis, zero_weights(gs, basis))
+    out = refine_positions(gs, 0.25, np.zeros((1000, 6)))
     exact_zero = np.array_equal(out.means, gs.means)
 
     w = rng.standard_normal((100_000, 6)) * 6.0
     big = random_gaussian_set(rng, 100_000)
-    moved = refine_positions(big, basis, w)
+    moved = refine_positions(big, 0.25, w)
     bounded = bool((np.abs(moved.means - big.means) < 0.25).all())
 
+    # The +/- axis rows of delta_max 0.25, in the weight order +x, -x, +y, -y, +z, -z.
+    rows = np.empty((6, 3))
+    rows[0::2] = np.eye(3) * 0.25
+    rows[1::2] = -np.eye(3) * 0.25
     sig = 1.0 / (1.0 + np.exp(-w[:500]))
     oracle = np.zeros((500, 3))
     for i in range(500):
         for k in range(6):
-            oracle[i] += sig[i, k] * basis.rows[k]
+            oracle[i] += sig[i, k] * rows[k]
     agree = float(np.abs((moved.means - big.means)[:500] - oracle).max())
     report(
         5,

@@ -368,6 +368,25 @@ class TestErrors:
                     "--output", out]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["render", "eval-loss"])
+    def test_render_work_beyond_the_pair_limit_exit_2(self, tmp_path, rng, command):
+        """5 000 Gaussians of scale 1e6 cover all 65 536 voxels of the default
+        grid each: 3.3e8 (Gaussian, voxel) pairs, over render's 2**28."""
+        from gsocc.formats import write_gaussian_set
+        from conftest import random_gaussian_set
+
+        gs = random_gaussian_set(rng, 5000, num_classes=4, scale_range=(1e6, 1e6))
+        write_gaussian_set(tmp_path / "g.gsb", gs)
+        argv = [command]
+        if command == "eval-loss":
+            cfg = PipelineConfig()
+            pipeline.write_gt(cfg, pipeline.write_scene(cfg, tmp_path / "scene.json"),
+                              tmp_path / "gt.occ")
+            argv += ["--scene", tmp_path / "scene.json", "--gt", tmp_path / "gt.occ"]
+        out = tmp_path / "pred.occ"
+        assert run([*argv, "--gaussians", tmp_path / "g.gsb", "--output", out]) == 2
+        assert not out.exists()
+
     def test_missing_scene_file_exit_2(self, tmp_path, config_file):
         assert run(["render-depth", "--config", config_file,
                     "--scene", tmp_path / "nope.json", "--out", tmp_path]) == 2

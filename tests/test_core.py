@@ -68,6 +68,14 @@ class TestTypes:
             CameraModel(fx=0, fy=10, cx=5, cy=5, height=10, width=10,
                         rotation=np.eye(3), translation=np.zeros(3))
 
+    @pytest.mark.parametrize("name", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_camera_rejects_non_finite_intrinsics(self, name, value):
+        intrinsics = {"fx": 10.0, "fy": 10.0, "cx": 5.0, "cy": 5.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            CameraModel(**intrinsics, height=10, width=10,
+                        rotation=np.eye(3), translation=np.zeros(3))
+
     def test_depth_map_rejects_nonpositive_uncertainty(self):
         with pytest.raises(ValueError):
             DepthMap(depth=np.ones((2, 2)), uncertainty=np.zeros((2, 2)))

@@ -538,8 +538,8 @@ class TestBitmaskMarch:
     def test_ray_iou_rejects_a_camera_with_nan_focal_length(self):
         scene = TestRayIoU()
         gt = scene.make_scene_grid()
-        cams = [dataclasses.replace(cam, fx=np.nan) for cam in scene.cams()]
         with pytest.raises(ValueError, match="finite"):
+            cams = [dataclasses.replace(cam, fx=np.nan) for cam in scene.cams()]
             ray_iou(gt, gt, cams)
 
     @pytest.mark.parametrize("n_grids", [0, 8])

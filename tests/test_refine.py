@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsocc.errors import ShapeError
-from gsocc.refine import OffsetBasis, SurfaceSnapWeights, default_basis, refine_positions, zero_weights
+from gsocc.refine import SurfaceSnapWeights, refine_positions
 from gsocc.synth import SceneSpec, nearest_surface_points
 
 from conftest import random_gaussian_set
@@ -14,61 +14,38 @@ def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
-class TestBasis:
-    def test_default_basis_pairs(self):
-        basis = default_basis(0.25)
-        assert basis.num_rows == 6
-        np.testing.assert_array_equal(basis.rows[1::2], -basis.rows[0::2])
-        assert (np.linalg.norm(basis.rows, axis=1) == 0.25).all()
-
-    def test_unpaired_rows_rejected(self):
-        rows = np.array([[0.25, 0, 0], [0, 0.25, 0]])
-        with pytest.raises(ValueError):
-            OffsetBasis(rows=rows, delta_max=0.25)
-
-    def test_oversized_rows_rejected(self):
-        rows = np.array([[0.5, 0, 0], [-0.5, 0, 0]])
-        with pytest.raises(ValueError):
-            OffsetBasis(rows=rows, delta_max=0.25)
-
-
 class TestRefinePositions:
-    def test_zero_weights_are_identity(self, rng):
+    def test_all_zero_weight_is_identity(self, rng):
         gs = random_gaussian_set(rng, 100)
-        basis = default_basis(0.25)
-        out = refine_positions(gs, basis, zero_weights(gs, basis))
+        out = refine_positions(gs, 0.25, np.zeros((100, 6)))
         np.testing.assert_array_equal(out.means, gs.means)
 
     def test_sigmoid_saturation_limits(self):
         gs = random_gaussian_set(np.random.default_rng(0), 1)
-        basis = default_basis(0.25)
         w = np.array([[30.0, -30.0, -30.0, -30.0, -30.0, -30.0]])
-        out = refine_positions(gs, basis, w)
+        out = refine_positions(gs, 0.25, w)
         delta = out.means[0] - gs.means[0]
         np.testing.assert_allclose(delta, [0.25, 0.0, 0.0], atol=1e-9)
 
     def test_matches_scalar_loop_oracle(self, rng):
         gs = random_gaussian_set(rng, 20)
-        rows = rng.uniform(-0.2, 0.2, size=(4, 3))
-        rows = np.concatenate([rows, -rows])[np.repeat(np.arange(4), 2) * 0 + np.arange(8)]
-        # interleave +/- pairs explicitly
-        paired = np.empty((8, 3))
-        paired[0::2] = rows[:4]
-        paired[1::2] = -rows[:4]
-        basis = OffsetBasis(rows=paired, delta_max=float(np.linalg.norm(paired, axis=1).max()))
-        w = rng.standard_normal((20, 8)) * 3
-        out = refine_positions(gs, basis, w)
+        delta_max = 0.3
+        # The +/- axis rows in the weight order +x, -x, +y, -y, +z, -z.
+        rows = np.empty((6, 3))
+        rows[0::2] = np.eye(3) * delta_max
+        rows[1::2] = -np.eye(3) * delta_max
+        w = rng.standard_normal((20, 6)) * 3
+        out = refine_positions(gs, delta_max, w)
         for i in range(20):
             expect = np.zeros(3)
-            for k in range(8):
-                expect += sigmoid(w[i, k]) * paired[k]
+            for k in range(6):
+                expect += sigmoid(w[i, k]) * rows[k]
             np.testing.assert_allclose(out.means[i] - gs.means[i], expect, atol=1e-9)
 
     def test_offset_bounded_by_delta_max(self, rng):
         gs = random_gaussian_set(rng, 2000)
-        basis = default_basis(0.25)
         w = rng.standard_normal((2000, 6)) * 5
-        out = refine_positions(gs, basis, w)
+        out = refine_positions(gs, 0.25, w)
         delta = np.abs(out.means - gs.means)
         assert (delta < 0.25).all()
 
@@ -76,15 +53,13 @@ class TestRefinePositions:
         # sigmoid saturates to exact 0/1 in float64 beyond |w| ~ 36, so the
         # open-interval bound closes at the floor; it must never overshoot.
         gs = random_gaussian_set(rng, 500)
-        basis = default_basis(0.25)
         w = rng.standard_normal((500, 6)) * 50
-        out = refine_positions(gs, basis, w)
+        out = refine_positions(gs, 0.25, w)
         assert (np.abs(out.means - gs.means) <= 0.25).all()
 
     def test_attributes_bit_identical(self, rng):
         gs = random_gaussian_set(rng, 50)
-        basis = default_basis(0.1)
-        out = refine_positions(gs, basis, rng.standard_normal((50, 6)))
+        out = refine_positions(gs, 0.1, rng.standard_normal((50, 6)))
         assert len(out) == len(gs)
         np.testing.assert_array_equal(out.scales, gs.scales)
         np.testing.assert_array_equal(out.rotations, gs.rotations)
@@ -95,9 +70,15 @@ class TestRefinePositions:
     def test_weight_count_mismatch_raises(self, rng):
         gs = random_gaussian_set(rng, 5)
         with pytest.raises(ShapeError):
-            refine_positions(gs, default_basis(0.25), np.zeros((5, 4)))
+            refine_positions(gs, 0.25, np.zeros((5, 4)))
         with pytest.raises(ShapeError):
-            refine_positions(gs, default_basis(0.25), np.zeros((4, 6)))
+            refine_positions(gs, 0.25, np.zeros((4, 6)))
+
+    @pytest.mark.parametrize("delta_max", [0.0, -0.25, math.nan, math.inf, -math.inf])
+    def test_delta_max_not_finite_and_positive_raises(self, rng, delta_max):
+        gs = random_gaussian_set(rng, 5)
+        with pytest.raises(ValueError, match="delta_max"):
+            refine_positions(gs, delta_max, np.zeros((5, 6)))
 
 
 class TestSurfaceSnap:
@@ -106,9 +87,8 @@ class TestSurfaceSnap:
                           extents_min=np.array([-8.0, -8.0, -4.0]),
                           extents_max=np.array([8.0, 8.0, 4.0]))
         gs = random_gaussian_set(rng, 60, lo=(-4, -4, -2.2), hi=(4, 4, -1.8))
-        basis = default_basis(0.25)
-        weights = SurfaceSnapWeights(scene)(gs, basis)
-        out = refine_positions(gs, basis, weights)
+        weights = SurfaceSnapWeights(scene)(gs, 0.25)
+        out = refine_positions(gs, 0.25, weights)
         before = np.linalg.norm(gs.means - nearest_surface_points(scene, gs.means), axis=1)
         after = np.linalg.norm(out.means - nearest_surface_points(scene, out.means), axis=1)
         assert (after <= before + 1e-9).all()

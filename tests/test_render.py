@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 import gsocc
 from gsocc import render
 from gsocc.core import S_MIN, GaussianSet, quaternion_to_matrices
+from gsocc.errors import ConfigError
 from gsocc.render import render_grid, render_grid_bruteforce
 
 from conftest import random_gaussian_set
@@ -294,6 +295,18 @@ def test_chunks_bound_the_padded_pair_count(rng, monkeypatch, make_set, budget):
     ext = chunks[0][0]
     assert np.array_equal(np.concatenate([idx for _, idx in chunks]),
                           np.flatnonzero(ext.all(axis=1)))
+
+
+def test_pair_limit_counts_box_voxels(rng, monkeypatch):
+    # Ten boxes of the whole 256-voxel grid and ten boxes outside it.
+    gs = random_gaussian_set(rng, 20, lo=(-2, -2, -1), hi=(2, 2, 1), scale_range=(3.0, 3.0))
+    gs.means[10:] += 40.0
+    grid = (TestRenderGrid.DIMS, TestRenderGrid.ORIGIN, TestRenderGrid.VOX)
+    monkeypatch.setattr(render, "MAX_RENDER_PAIRS", 2560)
+    render_grid(gs, *grid)
+    monkeypatch.setattr(render, "MAX_RENDER_PAIRS", 2559)
+    with pytest.raises(ConfigError, match="2560 .Gaussian, voxel. pairs"):
+        render_grid(gs, *grid)
 
 
 _H = math.sqrt(0.5)
