@@ -242,7 +242,9 @@ class DepthMap:
 class OccupancyGrid:
     """Dense labeled voxel volume. Label 0 marks free space and labels 1..C
     the classes; `probs`, when given, holds each voxel's probabilities
-    [empty; C classes]."""
+    [empty; C classes]. The renderers return `probs` as a strided view over
+    channel-major (C+1, X, Y, Z) memory, so each channel probs[..., k] is
+    contiguous; formats.read_occupancy returns a C-contiguous array."""
 
     origin: np.ndarray   # (3,) min corner, meters
     voxel_size: float

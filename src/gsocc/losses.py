@@ -21,6 +21,9 @@ from .errors import ConfigError, ShapeError, UndefinedMetricError
 
 PROB_CLAMP = 1e-7
 
+# Rows per block of the cross-entropy row-sum check: 512 KiB of float64.
+_ROWS = 1 << 16
+
 
 def _rows_and_labels(pred: np.ndarray, gt: np.ndarray) -> tuple:
     """(N, C) float64 predictions and (N,) labels of voxel-aligned `pred`
@@ -42,19 +45,30 @@ def _rows_and_labels(pred: np.ndarray, gt: np.ndarray) -> tuple:
 def cross_entropy_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean -log(pred[gt]) over all voxels, probabilities clamped to
     [1e-7, 1]. Raises ConfigError unless every label is a whole number in
-    [0, C) and every row sums to 1 within 1e-4 (a row with a NaN does not)."""
+    [0, C) and every row sums to 1 within 1e-4 (a row with a NaN does not).
+
+    The predictions are read a class column at a time, so a channel-major
+    view costs no copy: the row sums are checked in blocks of _ROWS rows,
+    and the picked probabilities are gathered into one n-length array."""
     pred, gt = _rows_and_labels(pred, gt)
-    # Column adds: a reduction over the short last axis is slow.
-    dev = pred[:, 0].copy()
-    for col in pred.T[1:]:
-        dev += col
-    dev -= 1.0
-    if not (np.abs(dev, out=dev) <= 1e-4).all():
-        raise ConfigError("prediction rows must sum to 1 within 1e-4")
-    if gt.shape[0] == 0:
+    n, c = pred.shape
+    for lo in range(0, n, _ROWS):
+        block = pred[lo : lo + _ROWS]
+        # Column adds: a reduction over the short last axis is slow.
+        dev = block[:, 0].copy()
+        for k in range(1, c):
+            dev += block[:, k]
+        dev -= 1.0
+        if not (np.abs(dev, out=dev) <= 1e-4).all():
+            raise ConfigError("prediction rows must sum to 1 within 1e-4")
+    if n == 0:
         raise UndefinedMetricError("no voxels; cross-entropy mean undefined")
-    picked = pred[np.arange(gt.shape[0]), gt.astype(np.int64)]
-    return float(-np.log(np.clip(picked, PROB_CLAMP, 1.0)).mean())
+    picked = np.empty(n)
+    for k in range(c):
+        np.copyto(picked, pred[:, k], where=gt == k)
+    np.clip(picked, PROB_CLAMP, 1.0, out=picked)
+    np.log(picked, out=picked)
+    return float(np.negative(picked, out=picked).mean())
 
 
 def _stable_descending_order(e: np.ndarray) -> np.ndarray:
@@ -96,23 +110,42 @@ def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     numbers the runs of equal sorted values. Within a run the keys order the
     errors by position, as a stable sort does, whichever way the first sort
     broke the ties.
+
+    The non-zero errors are found once for all classes: the row support is
+    the rows where pred[:, c] != 1{gt=c} for some present class c. Each class
+    reads its predictions and labels on that support only, in ascending row
+    order, so its non-zero errors keep their order, and |1 - p| (foreground)
+    or |p| (background) is |1{gt=c} - p| bit for bit. The foreground total
+    is the class's label count. The two n-length vectors of the dot are
+    shared by the classes; only the prefix the previous class wrote is
+    zeroed again.
     """
     pred, gt = _rows_and_labels(pred, gt)
     if gt.size == 0:
         raise UndefinedMetricError("empty grid; Lovasz mean undefined")
+    classes, counts = np.unique(gt, return_counts=True)
+    # A NaN prediction differs from every label, so its row is kept.
+    wrong = np.zeros(len(gt), dtype=bool)
+    for c in classes:
+        wrong |= pred[:, int(c)] != (gt == c)
+    rows = np.flatnonzero(wrong)
+    gt_rows = gt.take(rows)
+    sorted_errors = np.zeros(len(gt))
+    grad = np.zeros(len(gt))
+    k = 0
     losses = []
-    for c in np.unique(gt):
-        fg = (gt == c).astype(np.float64)
-        errors = np.subtract(fg, pred[:, int(c)])
+    for c, gts in zip(classes, counts.astype(np.float64)):
+        fg = gt_rows == c
+        errors = pred[:, int(c)].take(rows)
+        np.subtract(1.0, errors, out=errors, where=fg)
         np.abs(errors, out=errors)
         nz = np.flatnonzero(errors)
         order = nz[_stable_descending_order(errors[nz])]
-        head = fg[order]
-        gts = fg.sum()
+        head = fg[order].astype(np.float64)
         jaccard = 1.0 - (gts - head.cumsum()) / (gts + (1.0 - head).cumsum())
+        sorted_errors[:k] = 0.0
+        grad[:k] = 0.0
         k = len(order)
-        sorted_errors = np.zeros(len(errors))
-        grad = np.zeros(len(errors))
         sorted_errors[:k] = errors[order]
         if not np.isfinite(sorted_errors[:k]).all():
             raise ConfigError(f"class {c} predictions must be finite")

@@ -40,8 +40,11 @@ LOGIT_STRENGTH = 12.0
 REFINE_MODES = ("zero", "oracle-snap")
 
 # Largest rendered field accepted at config load: the (X, Y, Z, C+1) float64
-# probabilities render_grid returns (fine-grid's is 20 MiB). Rendering holds
-# about twice that at its peak.
+# probabilities render_grid returns (fine-grid's is 20 MiB). The render fills
+# the field in place and adds 12 bytes per voxel (the density sum, the labels
+# and three boolean masks), 1 + 1.5 / (C+1) times the field, plus the chunk
+# temporaries: its tracemalloc peak is 1.42x the field on the fine-grid
+# seed-7 set (4 classes), and 1.75x plus a few MiB at 1 class.
 MAX_FIELD_BYTES = 1 << 30
 
 # Most pixels over all cameras of the rig accepted at config load (7x
@@ -516,6 +519,8 @@ def write_metrics(config: PipelineConfig, pred, gt, gaussians, path) -> metrics.
 def write_losses(config: PipelineConfig, probs, gt, depth_loss, path):
     """Objectives on rendered `probs` against `gt`, with the depth terms
     `depth_loss` summed over the views of cast_views."""
+    # The render's probs are a view over channel-major memory, and so are
+    # these rows: the losses read them a class column at a time.
     report = compute_loss_report(
         probs.reshape(-1, probs.shape[-1]),
         gt.labels.reshape(-1),

@@ -10,8 +10,14 @@ weighted scale-awarely. The per-voxel output vector is
 [1 - alpha; alpha * e] over (empty + C classes). render_grid and
 render_grid_bruteforce return it as the `probs` of a core.OccupancyGrid
 whose labels are each voxel's first most probable channel, bit for bit
-probs.argmax(axis=-1), taken with a running strict > over the contiguous
-channels before they are interleaved.
+probs.argmax(axis=-1), taken with a running strict > over the channels.
+
+Both renderers accumulate into one channel-major (C+1, X, Y, Z) float64
+field, the log-occupancy sum in channel 0 and the class numerators in
+channels 1..C, plus an (X, Y, Z) density sum. The finalize step turns the
+field into the probabilities in place, so `probs` is
+np.moveaxis(field, 0, -1): an (X, Y, Z, C+1) view whose channels
+probs[..., k] are each contiguous, and no interleaved copy is made.
 
 Occupancy is evaluated at voxel centers, one sample per voxel. The product
 is accumulated in log space (sum of log1p(-a * phi)) for stability with many
@@ -46,8 +52,8 @@ a Gaussian's own box are +inf, so m^2 there is +inf and the cutoff test
 drops them. A chunk holds at most _PAIR_BUDGET such padded (Gaussian, voxel)
 pairs, which bounds the working memory; a Gaussian whose box alone is larger
 forms a chunk of its own. The kept pairs come out in ascending Gaussian order
-and are added with np.add.at: one call each for the log-occupancy and the
-density sum, and one per class into the class-major (C, X, Y, Z) numerator.
+and are added with np.add.at: one call each for the log-occupancy channel
+and the density sum, and one per class channel of the field.
 Every voxel thus sums its terms in Gaussian order with the same float
 operations as a per-Gaussian loop, and the field is bit-identical whatever
 the chunking. The all-pairs reference, render_grid_bruteforce, uses the same
@@ -91,11 +97,14 @@ def _axis_centers(origin, voxel_size, dims):
     return [origin[a] + (np.arange(dims[a]) + 0.5) * voxel_size for a in range(3)]
 
 
-def _finalize(log_keep, sem_num, sem_den, origin, voxel_size):
+def _finalize(field, sem_den, origin, voxel_size):
     """The labelled grid with its probabilities from the accumulators, which
-    it overwrites: the class-major (C, X, Y, Z) numerator `sem_num` with the
-    class channels, `log_keep` with scratch values."""
-    alpha = -np.expm1(log_keep)
+    it overwrites: the channel-major (C+1, X, Y, Z) `field` (log-occupancy
+    sum, then the class numerators) becomes the probabilities
+    [1 - alpha; alpha * e], and the density sum `sem_den` scratch values."""
+    log_keep, sem_num = field[0], field[1:]
+    # alpha = -expm1(log_keep), in the memory of log_keep.
+    alpha = np.negative(np.expm1(log_keep, out=log_keep), out=log_keep)
     c = len(sem_num)
     covered = sem_den > 0
     uncovered = ~covered
@@ -105,20 +114,23 @@ def _finalize(log_keep, sem_num, sem_den, origin, voxel_size):
         np.divide(num, sem_den, out=num, where=covered)
         np.copyto(num, 1.0 / c, where=uncovered)
         num *= alpha
-    # Labels before the interleave: a running strict > over the contiguous
-    # channels keeps the first maximum, as probs.argmax(axis=-1) does. The
-    # running maximum takes the memory of log_keep, which is no longer read.
-    best = np.subtract(1.0, alpha, out=log_keep)
-    labels = np.zeros(alpha.shape, dtype=np.uint8)
+    # The empty channel 1 - alpha takes the place of alpha.
+    empty = np.subtract(1.0, alpha, out=alpha)
+    # A running strict > over the channels keeps the first maximum, as
+    # probs.argmax(axis=-1) does. The running maximum takes the memory of
+    # sem_den, which is no longer read.
+    best = sem_den
+    np.copyto(best, empty)
+    labels = np.zeros(best.shape, dtype=np.uint8)
     for k, num in enumerate(sem_num, 1):
         np.copyto(labels, k, where=num > best)
         np.maximum(best, num, out=best)
-    # probs is the only (X, Y, Z, C)-sized result: the empty channel, then
-    # the class channels, interleaved once.
-    probs = np.empty(alpha.shape + (c + 1,))
-    probs[..., 0] = 1.0 - alpha
-    probs[..., 1:] = np.moveaxis(sem_num, 0, -1)
-    return OccupancyGrid(origin=origin, voxel_size=float(voxel_size), labels=labels, probs=probs)
+    return OccupancyGrid(
+        origin=origin,
+        voxel_size=float(voxel_size),
+        labels=labels,
+        probs=np.moveaxis(field, 0, -1),
+    )
 
 
 def render_grid(gs: GaussianSet, dims, origin, voxel_size: float) -> OccupancyGrid:
@@ -127,8 +139,7 @@ def render_grid(gs: GaussianSet, dims, origin, voxel_size: float) -> OccupancyGr
     dims = tuple(int(d) for d in dims)
     origin = np.asarray(origin, dtype=np.float64)
     c = gs.num_classes
-    log_keep = np.zeros(dims)
-    sem_num = np.zeros((c,) + dims)
+    field = np.zeros((c + 1,) + dims)
     sem_den = np.zeros(dims)
     if len(gs):
         rots = quaternion_to_matrices(gs.rotations)
@@ -163,14 +174,14 @@ def render_grid(gs: GaussianSet, dims, origin, voxel_size: float) -> OccupancyGr
             phi = np.exp(-0.5 * m2)
             a_phi = gs.opacities[g] * phi
             w = a_phi * inv_norm[g]
-            # The accumulators are contiguous, so each reshape is a view.
+            # Every channel is contiguous, so each reshape is a view.
             with np.errstate(divide="ignore"):
-                np.add.at(log_keep.reshape(-1), vox, np.log1p(-a_phi))
+                np.add.at(field[0].reshape(-1), vox, np.log1p(-a_phi))
             np.add.at(sem_den.reshape(-1), vox, w)
             for k in range(c):
-                np.add.at(sem_num[k].reshape(-1), vox, w * sem_soft[k].take(g))
+                np.add.at(field[k + 1].reshape(-1), vox, w * sem_soft[k].take(g))
             start = stop
-    return _finalize(log_keep, sem_num, sem_den, origin, voxel_size)
+    return _finalize(field, sem_den, origin, voxel_size)
 
 
 def _axis_terms(d, rots_a, scales):
@@ -237,8 +248,7 @@ def render_grid_bruteforce(gs: GaussianSet, dims, origin, voxel_size: float) -> 
     origin = np.asarray(origin, dtype=np.float64)
     c = gs.num_classes
     n_vox = int(np.prod(dims))
-    log_keep = np.zeros(n_vox)
-    sem_num = np.zeros((c, n_vox))
+    field = np.zeros((c + 1, n_vox))
     sem_den = np.zeros(n_vox)
     axes = _axis_centers(origin, voxel_size, dims)
     rots = quaternion_to_matrices(gs.rotations)
@@ -254,13 +264,7 @@ def render_grid_bruteforce(gs: GaussianSet, dims, origin, voxel_size: float) -> 
             phi = np.exp(-0.5 * m2[mask])
             a_phi = gs.opacities[i] * phi
             w = a_phi / (_DENSITY_NORM * gs.scales[i].prod())
-            log_keep[mask] += np.log1p(-a_phi)
+            field[0, mask] += np.log1p(-a_phi)
             sem_den[mask] += w
-            sem_num[:, mask] += w * softmax_logits(gs.semantics[i])[:, None]
-    return _finalize(
-        log_keep.reshape(dims),
-        sem_num.reshape((c,) + dims),
-        sem_den.reshape(dims),
-        origin,
-        voxel_size,
-    )
+            field[1:, mask] += w * softmax_logits(gs.semantics[i])[:, None]
+    return _finalize(field.reshape((c + 1,) + dims), sem_den.reshape(dims), origin, voxel_size)

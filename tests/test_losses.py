@@ -79,6 +79,12 @@ def tied_zero_error_case(rng, n, c=4):
     return pred, gt
 
 
+def channel_major(pred):
+    """`pred` as the (N, C) view of (C, N) memory that the render's loss
+    stage passes: the same values, each class a contiguous row."""
+    return np.moveaxis(np.ascontiguousarray(pred.T), 0, -1)
+
+
 class TestCrossEntropy:
     def test_perfect_one_hot(self):
         gt = np.array([0, 1, 2, 1])
@@ -98,6 +104,36 @@ class TestCrossEntropy:
         for i in range(30):
             total += -math.log(min(max(pred[i][gt[i]], 1e-7), 1.0))
         assert got == pytest.approx(total / 30, abs=1e-9)
+        assert cross_entropy_loss(channel_major(pred), gt) == got
+
+    def test_row_blocks_do_not_change_the_loss(self, rng, monkeypatch):
+        pred = rng.dirichlet(np.ones(4), size=100)
+        gt = rng.integers(0, 4, size=100)
+        want = cross_entropy_loss(pred, gt)
+        monkeypatch.setattr(losses, "_ROWS", 7)
+        assert cross_entropy_loss(pred, gt) == want
+        assert cross_entropy_loss(channel_major(pred), gt) == want
+        pred[-1, 0] += 2e-4  # a row of the last, partial block (rows 98-99)
+        with pytest.raises(GsoccError, match="sum to 1"):
+            cross_entropy_loss(pred, gt)
+
+    def test_channel_major_rows_are_read_without_a_copy(self, rng):
+        # No (N, C) copy and no n-length temporary beyond the picked
+        # probabilities: the peak stays below two n-length float64 arrays.
+        import tracemalloc
+
+        n = 524_288
+        pred = channel_major(np.full((n, 5), 0.2))
+        gt = rng.integers(0, 5, size=n).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = cross_entropy_loss(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert loss == pytest.approx(math.log(5), abs=1e-12)
+        assert peak < 2 * 8 * n, f"{peak / 2**20:.1f} MiB"
 
     def test_empty_grid_raises(self):
         with pytest.raises(UndefinedMetricError):
@@ -179,6 +215,7 @@ class TestLovasz:
                 pred, gt = tied_zero_error_case(rng, n)
                 want, nonzero = lovasz_full_sort(pred, gt)
                 assert lovasz_softmax_loss(pred, gt) == want
+                assert lovasz_softmax_loss(channel_major(pred), gt) == want
                 classes = np.unique(gt).tolist()
                 assert nonzero[classes.index(1)] == 0
                 assert nonzero[classes.index(2)] == n
@@ -187,7 +224,9 @@ class TestLovasz:
             pred = r.dirichlet(np.ones(3), size=500)
             gt = r.integers(0, 3, size=500)
             pred[::3] = np.eye(3)[gt[::3]]
-            assert lovasz_softmax_loss(pred, gt) == lovasz_full_sort(pred, gt)[0]
+            want = lovasz_full_sort(pred, gt)[0]
+            assert lovasz_softmax_loss(pred, gt) == want
+            assert lovasz_softmax_loss(channel_major(pred), gt) == want
 
     def test_ties_across_foreground_and_background_bitwise_the_full_sort(self, rng):
         # Multiples of 1/8 make |1 - p| of a foreground row equal |0 - q| of
@@ -197,7 +236,9 @@ class TestLovasz:
             for c in (2, 3, 5):
                 gt = rng.integers(0, c, size=n)
                 pred = rng.integers(0, 9, size=(n, c)) / 8.0
-                assert lovasz_softmax_loss(pred, gt) == lovasz_full_sort(pred, gt)[0]
+                want = lovasz_full_sort(pred, gt)[0]
+                assert lovasz_softmax_loss(pred, gt) == want
+                assert lovasz_softmax_loss(channel_major(pred), gt) == want
 
     def test_long_runs_of_equal_errors_bitwise_the_full_sort(self, rng):
         # Four error values (1/8, 3/8, 5/8, 7/8), each held by about n / 4
@@ -206,7 +247,9 @@ class TestLovasz:
             for _ in range(4):
                 gt = rng.integers(0, 3, size=n)
                 pred = rng.choice([0.125, 0.375, 0.625, 0.875], size=(n, 3))
-                assert lovasz_softmax_loss(pred, gt) == lovasz_full_sort(pred, gt)[0]
+                want = lovasz_full_sort(pred, gt)[0]
+                assert lovasz_softmax_loss(pred, gt) == want
+                assert lovasz_softmax_loss(channel_major(pred), gt) == want
 
     def test_descending_order_is_the_stable_sort(self, rng):
         for n in (1, 2, 3, 100, 5000):

@@ -309,6 +309,36 @@ def test_pair_limit_counts_box_voxels(rng, monkeypatch):
         render_grid(gs, *grid)
 
 
+def test_render_peak_stays_near_the_field(rng):
+    # The accumulators become the probabilities in place: besides the
+    # field, the render holds one (X, Y, Z) float64 density sum, the labels
+    # and three boolean masks (1.3x the field with 4 classes), not a second,
+    # interleaved copy of the field.
+    import tracemalloc
+
+    gs = random_gaussian_set(rng, 50, num_classes=4, lo=(-16, -16, -4), hi=(16, 16, 4))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        field = render_grid(gs, (128, 128, 32), np.array([-16.0, -16.0, -4.0]), 0.25)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert field.probs.shape == (128, 128, 32, 5)
+    assert peak < 1.75 * field.probs.nbytes, f"{peak / field.probs.nbytes:.2f}x the field"
+
+
+@pytest.mark.parametrize("renderer", [render_grid, render_grid_bruteforce],
+                         ids=lambda f: f.__name__)
+def test_probs_channels_are_contiguous(rng, renderer):
+    gs = random_gaussian_set(rng, 40, lo=(-2, -2, -1), hi=(2, 2, 1))
+    probs = renderer(gs, TestRenderGrid.DIMS, TestRenderGrid.ORIGIN, TestRenderGrid.VOX).probs
+    for k in range(probs.shape[-1]):
+        assert probs[..., k].flags.c_contiguous
+    # The loss stage's (N, C+1) rows are a view, not a copy of the field.
+    assert np.shares_memory(probs.reshape(-1, probs.shape[-1]), probs)
+
+
 _H = math.sqrt(0.5)
 # Quarter and half turns about each axis, each with both quaternion signs,
 # and the two cyclic axis permutations. Quarter turns leave entries of about
