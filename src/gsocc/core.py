@@ -187,26 +187,31 @@ class CameraModel:
     def origin(self) -> np.ndarray:
         return np.asarray(self.translation, dtype=np.float64)
 
-    def ray_directions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Unit world-space ray directions through the given pixel centers."""
-        u = np.asarray(cols, dtype=np.float64) + 0.5
-        v = np.asarray(rows, dtype=np.float64) + 0.5
-        x = (u - self.cx) / self.fx
-        y = (v - self.cy) / self.fy
+    def ray_directions(self, rows, cols) -> np.ndarray:
+        """Unit world-space ray directions through the pixel centers (rows,
+        cols), of shape np.broadcast(rows, cols).shape + (3,). Rows and cols
+        broadcast: (H, 1) rows and (W,) cols give the (H, W, 3) rays of a
+        pixel grid, with x worked out once per column and y once per row."""
+        x = (np.asarray(cols, dtype=np.float64) + 0.5 - self.cx) / self.fx
+        y = (np.asarray(rows, dtype=np.float64) + 0.5 - self.cy) / self.fy
         # The camera-frame direction (x, y, 1) over its norm; the norm's
         # sum is ordered as np.linalg.norm's, so every bit is the same.
         norm = np.sqrt((x * x + y * y) + 1.0)
-        d = np.empty(np.shape(x) + (3,))
+        d = np.empty(norm.shape + (3,))
         np.divide(x, norm, out=d[..., 0])
         np.divide(y, norm, out=d[..., 1])
         np.divide(1.0, norm, out=d[..., 2])
-        return d @ np.asarray(self.rotation, dtype=np.float64).T
+        # One (N, 3) operand for the rotation, so its bits do not depend on
+        # the shape the pixels were given in.
+        rotated = d.reshape(-1, 3) @ np.asarray(self.rotation, dtype=np.float64).T
+        return rotated.reshape(d.shape)
 
     def pixel_rays(self, stride: int = 1) -> np.ndarray:
-        """Unit world-space ray directions through every stride-th pixel
-        center of rows and columns, in row-major pixel order."""
-        rr, cc = np.mgrid[0 : self.height : stride, 0 : self.width : stride]
-        return self.ray_directions(rr.ravel(), cc.ravel())
+        """(N, 3) unit world-space ray directions through every stride-th
+        pixel center of rows and columns, in row-major pixel order."""
+        rows = np.arange(0, self.height, stride)[:, None]
+        cols = np.arange(0, self.width, stride)
+        return self.ray_directions(rows, cols).reshape(-1, 3)
 
 
 # Depth value marking a pixel with no surface return.

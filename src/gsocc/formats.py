@@ -19,12 +19,17 @@ All binary formats are little-endian:
 
 GSB1 is written by `gaussian_block_writer`, which appends blocks of rows in
 call order and writes the header with the final row count when it closes,
-so the bytes do not depend on how the rows are split into blocks.
-`write_gaussian_set` writes a whole set as one block. Three readers:
+so the bytes do not depend on how the rows are split into blocks. A block
+is given as its means and a table of attribute rows (a record without its
+mean) with the table row of each record, so a block whose records share a
+few attribute rows is never built field by field. `write_gaussian_set`
+writes a whole set as one block, one table row per record. Three readers:
 `read_gaussian_set` returns the whole set, each field its own C-contiguous
 float64 array converted straight from the f32 records; `read_gaussian_means`
-checks every row in chunks of _ROWS but keeps only the means (a
+checks every row in chunks of _ROWS but keeps only the f32 means (a
 `GaussianFile`); `read_gaussian_rows` loads only the rows it is given.
+`check_gaussian_rows` is their record check, on f32 means and attribute rows
+held in memory.
 
 `read_occupancy(path, num_classes)` returns one core.OccupancyGrid: the
 labels, the f32 origin and voxel size widened to float64, and the f32
@@ -61,8 +66,8 @@ OCC_MAGIC = b"OCC1"
 # Class ids 1..C are stored as u8 OCC1 labels.
 MAX_CLASSES = 255
 
-# Rows per chunk of the GSB1 readers that stream a file; each chunk's
-# float64 fields take about 1 MiB with four classes.
+# Rows per chunk of the GSB1 writer and of the readers that stream a file;
+# each chunk's float64 fields take about 1 MiB with four classes.
 _ROWS = 1 << 13
 
 # The f32 columns of each GaussianSet field in a GSB1 record.
@@ -118,8 +123,12 @@ def _pwrite(fd: int, array: np.ndarray, offset: int) -> None:
 @contextmanager
 def gaussian_block_writer(path, c: int):
     """Create the GSB1 file `path` of Gaussians with `c` classes and yield
-    write(block), which appends the GaussianSet `block` after the rows
-    already written. The row count P is known only when the block exits, so
+    write(means, table, index, provenance), which appends n records after the
+    rows already written: record i is the (n, 3) `means[i]` followed by row
+    `index[i]` of the (K, 8 + c) attribute `table` (scale, rotation, opacity,
+    logits), each rounded to f32, and `provenance[i]` is its (view, row, col)
+    triple. The writer checks nothing, so it can write any record; `index`
+    must lie in [0, K). The row count P is known only when the block exits, so
     the provenance triples, which follow all P records, and the header are
     written then, and only when no error left the block: the file of a
     failed writer starts with zeros, not the GSB1 magic."""
@@ -132,15 +141,22 @@ def gaussian_block_writer(path, c: int):
             width = (11 + c) * 4
             p = 0
 
-            def write(block: GaussianSet) -> None:
+            def write(means, table, index, provenance) -> None:
                 nonlocal p
-                # Slice assignment rounds float64 to f32 as astype does.
-                rec = np.empty((len(block), 11 + c), dtype="<f4")
-                for name, cols in _GSB_FIELDS:
-                    rec[:, cols] = getattr(block, name)
-                _pwrite(fd, rec, 16 + p * width)
-                prov.write(np.ascontiguousarray(block.source_index, dtype="<u4"))
-                p += len(block)
+                # Slice assignment rounds float64 to f32 as astype does: the
+                # table once, each mean as it is placed in its record. The
+                # records are built and written _ROWS at a time, so a block's
+                # records are never all in memory.
+                rows = np.zeros((len(table), 11 + c), dtype="<f4")
+                rows[:, 3:] = table
+                rec = np.empty((min(len(index), _ROWS), 11 + c), dtype="<f4")
+                for lo in range(0, len(index), _ROWS):
+                    chunk = rec[: len(index) - lo]
+                    rows.take(index[lo : lo + _ROWS], axis=0, out=chunk)
+                    chunk[:, 0:3] = means[lo : lo + _ROWS]
+                    _pwrite(fd, chunk, 16 + (p + lo) * width)
+                prov.write(np.ascontiguousarray(provenance, dtype="<u4"))
+                p += len(index)
 
             yield write
             prov.seek(0)
@@ -154,8 +170,9 @@ def gaussian_block_writer(path, c: int):
 
 
 def write_gaussian_set(path, gs: GaussianSet) -> None:
+    table = np.concatenate([gs.scales, gs.rotations, gs.opacities[:, None], gs.semantics], axis=1)
     with gaussian_block_writer(path, gs.num_classes) as write:
-        write(gs)
+        write(gs.means, table, np.arange(len(gs)), gs.source_index)
 
 
 def _gsb_header(f, path) -> tuple:
@@ -196,17 +213,19 @@ def _gaussian_set(path, rec: np.ndarray, prov: np.ndarray) -> GaussianSet:
     return gs
 
 
-def _check_records(path, rec: np.ndarray) -> None:
-    """Raise ConfigError naming `path` unless the f32 GSB1 records `rec` hold
-    a valid Gaussian set: GaussianSet.validate()'s checks, in its order, on
-    the f32 fields, with the verdicts of their float64 widening."""
-    # Fields are checked as rows of the transposed records: over a field's
-    # (n, k) record columns numpy would loop k values at a time.
-    cols = np.ascontiguousarray(rec.T)
+def check_gaussian_rows(path, means: np.ndarray, rows: np.ndarray) -> None:
+    """Raise ConfigError naming `path` unless the (n, 3) f32 `means` and the
+    (K, 8 + C) f32 attribute rows `rows` (GSB1 records without their means)
+    hold valid Gaussians: GaussianSet.validate()'s checks, in its order, on
+    the f32 fields, with the verdicts of their float64 widening. Records
+    built from them pass the same checks, whichever row each mean takes."""
+    # Fields are checked as rows of the transposed attribute rows: over a
+    # field's (K, k) columns numpy would loop k values at a time.
+    cols = np.ascontiguousarray(rows.T)
     # A signaling NaN may raise the invalid flag where it is widened or
     # compared; the checks reject it.
     with _invalid_content(path), np.errstate(invalid="ignore"):
-        check_gaussian_fields(**{name: cols[c].T for name, c in _GSB_FIELDS})
+        check_gaussian_fields(means, cols[0:3].T, cols[3:7].T, cols[7], cols[8:].T)
 
 
 def read_gaussian_set(path) -> GaussianSet:
@@ -218,9 +237,10 @@ def read_gaussian_set(path) -> GaussianSet:
 
 @dataclass(frozen=True)
 class GaussianFile:
-    """The Gaussian set of a GSB1 file with only its (P, 3) float64 means
-    in memory. len(), `means` and `num_classes` read as a GaussianSet's do;
-    take() loads the rows it is given from the file."""
+    """The Gaussian set of a GSB1 file with only its (P, 3) f32 means, as
+    the file stores them, in memory. len() and `num_classes` read as a
+    GaussianSet's do, and `means` holds the same values in f32; take() loads
+    the rows it is given from the file."""
 
     path: Path
     means: np.ndarray
@@ -234,17 +254,16 @@ class GaussianFile:
 
 
 def read_gaussian_means(path) -> GaussianFile:
-    """The means of the GSB1 file `path`. Every row is read and checked as
-    read_gaussian_set checks it, one chunk of _ROWS rows at a time; only the
-    means are widened to float64."""
+    """The f32 means of the GSB1 file `path`. Every row is read and checked
+    as read_gaussian_set checks it, one chunk of _ROWS rows at a time."""
     with open(path, "rb") as f:
         p, c = _gsb_header(f, path)
-        means = np.empty((p, 3))
+        means = np.empty((p, 3), dtype=np.float32)
         for lo in range(0, p, _ROWS):
             hi = min(lo + _ROWS, p)
             rec = _gsb_records(f, c, lo, hi)
-            _check_records(path, rec)
             means[lo:hi] = rec[:, 0:3]
+            check_gaussian_rows(path, means[lo:hi], rec[:, 3:])
     return GaussianFile(Path(path), means, c)
 
 

@@ -297,7 +297,8 @@ def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray):
     dist = np.empty(len(means))
     for lo in range(0, len(means), _CHUNK):
         chunk = slice(lo, lo + _CHUNK)
-        p = np.ascontiguousarray(means[chunk].T)
+        # Widened a chunk at a time: exact for f32 means.
+        p = np.ascontiguousarray(means[chunk].T, dtype=np.float64)
         k = np.floor((p - origin[:, None]) / vs)
         k = (np.fmin(np.fmax(k, -1), dims[:, None]) + 2).astype(np.intp)
         occupied[chunk] = flat[(k[0] * strides[0] + k[1] * strides[1]) + k[2]]
@@ -317,7 +318,7 @@ def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray):
         from scipy.spatial import cKDTree
 
         tree = cKDTree(origin + (np.argwhere(occ) + 0.5) * vs)
-        dist[rest] = tree.query(means[rest])[0]
+        dist[rest] = tree.query(np.asarray(means[rest], dtype=np.float64))[0]
     return occupied, dist
 
 

@@ -9,9 +9,10 @@ depth-loss terms; the render-depth, init and eval-loss subcommands each run
 the same cast_views and do only their own part. Within run_pipeline,
 artifacts of a stage are written to <name>.partial and committed by rename
 when the stage completes, so a failed stage leaves its partial outputs
-behind for inspection. The stages after init consume the *reloaded* GSB of
-the stage before, which makes the standalone subcommands reproduce the
-pipeline's artifacts bitwise.
+behind for inspection. The stages after init consume the GSB of the stage
+before: the sampled and refined sets are reloaded, and the init set's means
+are the f32 values init wrote to its file, kept in memory. This makes the
+standalone subcommands reproduce the pipeline's artifacts bitwise.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import ConfigError, GsoccError, StageError, entries_error
 from .initialize import init_gaussians
 from .losses import compute_loss_report
 from .refine import SurfaceSnapWeights, refine_positions
-from .render import CUTOFF, render_grid
+from .render import CUTOFF, MAX_RENDER_PAIRS, render_grid
 from .sampling import OUT_OF_BOUNDS, narrow_keys, sample_representatives, voxel_keys
 from .synth import MAX_BOXES
 
@@ -49,9 +50,9 @@ MAX_FIELD_BYTES = 1 << 30
 
 # Most pixels over all cameras of the rig accepted at config load (7x
 # dense-rig). Every pixel casts a ray and may become a Gaussian; a run's
-# peak memory grows by about 23 bytes per pixel (scripts/peak_memory.py,
-# 2-core VM), since init casts, writes and drops one camera at a time and
-# only the means stay in memory after it.
+# peak memory grows by about 18 bytes per pixel (scripts/peak_memory.py,
+# 2-core VM), since init casts, writes and drops one camera at a time, writes
+# its records in chunks, and keeps only the f32 means it wrote.
 MAX_RIG_PIXELS = 1 << 23
 
 # Entries each tuple field must hold: an exact count, or None for at least one.
@@ -149,7 +150,7 @@ class PipelineConfig:
             raise ConfigError(f"refine mode must be one of {REFINE_MODES}")
         if self.grid_size <= 0 or self.voxel_size <= 0:
             raise ConfigError("grid sizes must be positive")
-        self.sampling_spec()  # rejects a grid too fine for int64 voxel keys
+        cells = self.sampling_spec().num_cells  # rejects a grid too fine for int64 voxel keys
         dims = self.grid_dims()  # rejects a voxel size that does not divide the extents
         if not all(r >= 1 for r in self.resolution):
             raise ConfigError("resolution entries must be >= 1: [height, width]")
@@ -187,6 +188,19 @@ class PipelineConfig:
                 f"a {'x'.join(map(str, dims))} grid of {self.num_classes + 1} channels renders"
                 f" {field_bytes / 2**30:.2f} GiB of probabilities; the limit is"
                 f" {MAX_FIELD_BYTES / 2**30:g} GiB"
+            )
+        # Sampling keeps at most one Gaussian per rig pixel and per sampling
+        # cell, and each keeps the config's scale and the identity rotation,
+        # so its 3-sigma box spans at most `reach` voxels per axis: a bound on
+        # the padded pairs render_grid checks against MAX_RENDER_PAIRS.
+        reach = math.ceil(2 * CUTOFF * self.gauss_scale / self.voxel_size) + 1
+        box = math.prod(min(d, reach) for d in dims)
+        pairs = min(pixels, cells) * box
+        if pairs > MAX_RENDER_PAIRS:
+            raise ConfigError(
+                f"up to {min(pixels, cells)} sampled Gaussians with 3-sigma boxes of up to"
+                f" {box} voxels render up to {pairs} (Gaussian, voxel) pairs; the render"
+                f" limit is {MAX_RENDER_PAIRS}"
             )
 
     @staticmethod
@@ -235,26 +249,22 @@ class GroundTruthClassAttributes:
     """Attribute provider of one view that labels each pixel's Gaussian with
     the class of the surface its ray hits, read from the view's (H, W) uint8
     class map (0 for a miss, see cast_views). Scale/rotation/opacity are
-    constants."""
+    constants, so its table has one row per class id 0..C, whose logits are
+    LOGIT_STRENGTH at that class (all 0 for a miss), and a pixel's table row
+    is its class id."""
 
     def __init__(self, classes: np.ndarray, scale: float, opacity: float, num_classes: int):
         self.num_classes = num_classes
-        self.scale = float(scale)
-        self.opacity = float(opacity)
         self.classes = classes
+        table = np.zeros((num_classes + 1, 8 + num_classes))
+        table[:, 0:3] = scale
+        table[:, 3] = 1.0  # the identity rotation (1, 0, 0, 0)
+        table[:, 7] = opacity
+        table[1:, 8:] = np.eye(num_classes) * LOGIT_STRENGTH
+        self.table = table
 
     def __call__(self, view: int, rows: np.ndarray, cols: np.ndarray):
-        n = len(rows)
-        cls = self.classes[rows, cols]
-        logits = np.zeros((n, self.num_classes))
-        hit = cls > 0
-        logits[np.flatnonzero(hit), cls[hit] - 1] = LOGIT_STRENGTH
-        return (
-            np.full((n, 3), self.scale),
-            np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (n, 1)),
-            np.full(n, self.opacity),
-            logits,
-        )
+        return self.table, self.classes[rows, cols]
 
 
 class _Stage:
@@ -301,7 +311,10 @@ def distinct_occupied_voxels(gs, spec: VoxelGridSpec, n_workers: int = 1) -> int
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Execute all stages; returns the run summary dict."""
+    """Execute all stages; returns the run summary dict. The init stage
+    keeps the f32 means it wrote and checked, so gaussians_init.gsb is never
+    read whole: sampling keys those means and loads only the rows it keeps,
+    and the metrics score the same means."""
     # A scene whose boxes miss the extents is rejected before --out exists.
     scene = synth.generate_scene(config)
     out = Path(config.out_dir)
@@ -311,9 +324,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     gt_grid = _run_stage("rasterize-gt", out, lambda st: write_gt(config, scene, st.path("gt.occ")))
     staged, depth_loss = _run_stage("init", out, lambda st: write_cast(config, scene, st.path))
     # After init the run holds no per-pixel array: only the three depth-loss
-    # terms and the init set's f32-rounded means, read back from the
-    # artifact with every row checked; the sample stage loads
-    # the rows it keeps from the committed file. Each stage below consumes
+    # terms and the init set's f32 means, as init wrote and checked them; the
+    # sample stage loads the rows it keeps from the committed file. Each stage below consumes
     # what the stage before wrote, not an in-memory float64 set, so the
     # standalone subcommands reproduce the same bytes.
     init_set = dataclasses.replace(staged, path=out / "gaussians_init.gsb")
@@ -429,7 +441,8 @@ def view_depth_loss(config: PipelineConfig, scene, view: CastView) -> losses.Dep
 def write_gaussians(config: PipelineConfig, views, path) -> formats.GaussianFile:
     """Pixel-aligned Gaussians of the CastViews `views`, placed along the
     cast's rays, labelled from their class maps and streamed to `path`
-    view by view; returns the file's checked means."""
+    view by view; returns the file (a formats.GaussianFile) with the f32
+    means written, every record checked."""
     scale, opacity, c = config.gauss_scale, config.gauss_opacity, config.num_classes
     inputs = (
         (v.origin, v.rays, v.depth, GroundTruthClassAttributes(v.classes, scale, opacity, c))
@@ -442,8 +455,8 @@ def write_cast(config: PipelineConfig, scene, path_for) -> tuple:
     """The pipeline's init stage: one pass over cast_views that writes each
     view's depth map, appends its Gaussians to
     `path_for("gaussians_init.gsb")` and adds its depth-loss terms. Returns
-    (the init set's checked means, the losses.DepthLossBreakdown summed over
-    the views in view order)."""
+    (the init set as a formats.GaussianFile of its checked f32 means, the
+    losses.DepthLossBreakdown summed over the views in view order)."""
     total = losses.DepthLossBreakdown(0.0, 0.0, 0.0)
 
     def views():

@@ -69,14 +69,16 @@ def voxel_keys(means: np.ndarray, spec: VoxelGridSpec, n_workers: int = 1) -> np
     In-bounds means satisfy min_corner <= mean < max_corner on every axis.
     Keys are elementwise; they are computed in chunks of _KEY_ROWS means on
     up to `n_workers` threads (at most one per CPU), which bounds the
-    temporaries and does not change any key.
+    temporaries and does not change any key. Each chunk is widened to
+    float64 on its own, which is exact for f32 means.
     """
-    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
+    means = np.atleast_2d(np.asarray(means))
     n = means.shape[0]
     out = np.empty(n, dtype=np.uint64)
 
     def work(lo):
-        out[lo : lo + _KEY_ROWS] = _chunk_keys(means[lo : lo + _KEY_ROWS], spec)
+        chunk = np.asarray(means[lo : lo + _KEY_ROWS], dtype=np.float64)
+        out[lo : lo + _KEY_ROWS] = _chunk_keys(chunk, spec)
 
     chunks = range(0, n, _KEY_ROWS)
     n_workers = min(n_workers, os.cpu_count() or 1, len(chunks))

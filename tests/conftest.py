@@ -44,13 +44,16 @@ def unproject_pixels(cam, rows, cols, depths):
 
 def init_oracle(cams, depths, attrs):
     """Per-view reference for initialize.init_gaussians: each view's valid
-    pixels unprojected and given their attributes by that view's provider
-    in `attrs` on their own, in float64, then concatenated in view order."""
+    pixels unprojected and given, each on its own, the table row that view's
+    provider in `attrs` points it at, as float64 fields, then concatenated
+    in view order."""
     views = []
     for view, (cam, dm, provider) in enumerate(zip(cams, depths, attrs)):
         rows, cols = np.nonzero(dm.valid)
+        table, index = provider(view, rows, cols)
+        per_pixel = np.asarray(table, dtype=np.float64)[np.asarray(index)]
         views.append((unproject_pixels(cam, rows, cols, dm.depth[dm.valid]),
-                      *provider(view, rows, cols),
+                      per_pixel[:, 0:3], per_pixel[:, 3:7], per_pixel[:, 7], per_pixel[:, 8:],
                       np.stack([np.full(len(rows), view), rows, cols], axis=1).astype(np.uint32)))
     return GaussianSet(*(np.concatenate(parts) for parts in zip(*views)))
 

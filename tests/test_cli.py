@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from gsocc.pipeline import (
     _Stage,
     run_pipeline,
 )
+from gsocc.render import MAX_RENDER_PAIRS
 from gsocc.sampling import sample_indices
 
 SMALL_CONFIG = {
@@ -510,6 +512,31 @@ def test_rig_at_the_limit_accepted():
     assert MAX_RIG_PIXELS - 6 * 1024 < pixels <= MAX_RIG_PIXELS
 
 
+# The default config on 5 cm sampling cells and 25 cm voxels with the widest
+# Gaussians its extents accept: 18 432 rig pixels, each of whose Gaussians may
+# be kept, times 33 x 33 x 32 voxels of a 3-sigma box is 6.4e8 padded pairs.
+RENDER_WORK_PAST_THE_LIMIT = {"grid_size": 0.05, "voxel_size": 0.25, "gauss_scale": 1.3}
+
+
+def test_render_work_past_the_limit_exits_2_at_load(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(RENDER_WORK_PAST_THE_LIMIT))
+    start = time.perf_counter()
+    assert run(["pipeline", "--config", bad, "--out", tmp_path / "x"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "x").exists()
+
+
+def test_render_work_at_the_limit_accepted():
+    # 65 536 sampling cells (fewer than the 98 304 rig pixels) times 16^3
+    # voxels of a 7.5 m box on 0.5 m voxels is MAX_RENDER_PAIRS; a wider
+    # Gaussian reaches 17 voxels on x and y.
+    doc = {"resolution": [128, 128], "gauss_scale": 1.25}
+    assert PipelineConfig.from_dict(doc).sampling_spec().num_cells * 16**3 == MAX_RENDER_PAIRS
+    with pytest.raises(ConfigError, match=f"render limit is {MAX_RENDER_PAIRS}"):
+        PipelineConfig.from_dict({**doc, "gauss_scale": 1.26})
+
+
 def test_box_count_limit_at_load():
     # Config load only: no box is generated.
     assert PipelineConfig.from_dict({"num_boxes": MAX_BOXES}).num_boxes == MAX_BOXES
@@ -538,14 +565,20 @@ def test_bad_init_row_outside_the_kept_ones_rejected(tmp_path, monkeypatch, dama
     bad_view, bad_row, bad_col = init.source_index[row]
 
     class Damaged(pipeline.GroundTruthClassAttributes):
+        """Adds a damaged copy of the bad pixel's table row and points the
+        pixel at it."""
+
         def __call__(self, view, rows, cols):
-            scales, rotations, opacities, logits = super().__call__(view, rows, cols)
+            table, index = super().__call__(view, rows, cols)
+            index = index.astype(np.intp)
             hit = (view == bad_view) & (rows == bad_row) & (cols == bad_col)
+            damaged = table[index[hit]]
             if damage == "logit-nan":
-                logits[hit, 0] = np.nan
+                damaged[:, 8] = np.nan
             else:
-                rotations[hit] = [2.0, 0.0, 0.0, 0.0]
-            return scales, rotations, opacities, logits
+                damaged[:, 3:7] = [2.0, 0.0, 0.0, 0.0]
+            index[hit] = len(table)
+            return np.concatenate([table, damaged]), index
 
     monkeypatch.setattr(pipeline, "GroundTruthClassAttributes", Damaged)
     cfg.out_dir = str(tmp_path / "damaged")
@@ -610,7 +643,7 @@ def test_pixel_rays_cast_once_per_camera(tmp_path, monkeypatch):
 
     def recorded(cam, rows, cols):
         if stage[0] == "init":
-            rays.append(np.size(rows))
+            rays.append(np.broadcast(rows, cols).size)
         return directions(cam, rows, cols)
 
     def staged(name, out_dir, fn):

@@ -177,6 +177,10 @@ def test_ray_directions_bitwise_the_stacked_norm(rng):
             rr, cc = np.mgrid[0:h:stride, 0:w:stride]
             want = ray_directions_oracle(cam, rr.ravel(), cc.ravel())
             assert np.array_equal(cam.pixel_rays(stride), want)
+            # (H, 1) rows and (W,) cols broadcast to the grid's rays.
+            rows, cols = np.arange(0, h, stride)[:, None], np.arange(0, w, stride)
+            grid = ray_directions_oracle(cam, rr, cc)
+            assert np.array_equal(cam.ray_directions(rows, cols), grid)
         # Any array shape: here one (rows, cols) grid, and one pixel.
         assert np.array_equal(cam.ray_directions(rr, cc), ray_directions_oracle(cam, rr, cc))
         assert np.array_equal(cam.ray_directions(3, 4), ray_directions_oracle(cam, 3, 4))

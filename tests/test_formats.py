@@ -35,6 +35,11 @@ from gsocc.sampling import sample_indices, sample_representatives
 from conftest import init_oracle, random_gaussian_set
 
 
+def attribute_rows(gs):
+    """The (P, 8 + C) attribute rows of `gs`: its GSB1 records without the means."""
+    return np.concatenate([gs.scales, gs.rotations, gs.opacities[:, None], gs.semantics], axis=1)
+
+
 class TestGSB1:
     def test_roundtrip_exact_at_f32(self, tmp_path, rng):
         gs = random_gaussian_set(rng, 37, num_classes=5)
@@ -104,7 +109,8 @@ class TestGSB1:
         with pytest.raises(RuntimeError, match="stage failed"):
             with gaussian_block_writer(path, 3) as write:
                 for _ in range(blocks):
-                    write(random_gaussian_set(rng, 5))
+                    gs = random_gaussian_set(rng, 5)
+                    write(gs.means, attribute_rows(gs), np.arange(len(gs)), gs.source_index)
                 raise RuntimeError("stage failed")
         assert list(tmp_path.iterdir()) == [path]
         with pytest.raises(ConfigError, match="not a GSB1 file"):
@@ -479,7 +485,9 @@ def test_means_reader_agrees_with_set_reader_on_boundary_records(tmp_path, rng, 
         except ConfigError as e:
             outcomes.append((type(e.__cause__), str(e)))
     if valid:
-        assert outcomes[0].dtype == outcomes[1].dtype == np.float64
+        # The set reader widens its means to float64; the means reader keeps
+        # the f32 the file holds.
+        assert (outcomes[0].dtype, outcomes[1].dtype) == (np.float64, np.float32)
         np.testing.assert_array_equal(outcomes[0], outcomes[1])
         np.testing.assert_array_equal(outcomes[1], rec[:, 0:3])
     else:

@@ -3,10 +3,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from gsocc import formats, pipeline
 from gsocc.core import CameraModel, DepthMap
-from gsocc.errors import ShapeError
-from gsocc.formats import read_gaussian_set
+from gsocc.errors import ConfigError, ShapeError
+from gsocc.formats import GSB_MAGIC, read_gaussian_set
 from gsocc.initialize import init_gaussians
+from gsocc.pipeline import PipelineConfig, run_pipeline, write_cast, write_scene
 from gsocc.synth import look_rotation
 
 from conftest import init_oracle, unproject_pixels
@@ -40,7 +42,8 @@ def project(cam, points):
 
 @dataclass(frozen=True)
 class ConstantAttributes:
-    """Attribute provider with the same attributes at every pixel."""
+    """Attribute provider with the same attributes at every pixel: one table
+    row, which every pixel takes."""
 
     scale: np.ndarray
     rotation: np.ndarray
@@ -52,13 +55,8 @@ class ConstantAttributes:
         return np.asarray(self.logits).shape[0]
 
     def __call__(self, view, rows, cols):
-        n = len(rows)
-        return (
-            np.tile(np.asarray(self.scale, dtype=np.float64), (n, 1)),
-            np.tile(np.asarray(self.rotation, dtype=np.float64), (n, 1)),
-            np.full(n, float(self.opacity)),
-            np.tile(np.asarray(self.logits, dtype=np.float64), (n, 1)),
-        )
+        row = np.concatenate([self.scale, self.rotation, [self.opacity], self.logits])
+        return row[None, :].astype(np.float64), np.zeros(len(rows), dtype=np.intp)
 
 
 ATTRS = ConstantAttributes(
@@ -70,28 +68,43 @@ ATTRS = ConstantAttributes(
 
 
 class PixelAttributes:
-    """Attributes that differ from pixel to pixel and from view to view."""
+    """Attributes that differ from pixel to pixel and from view to view: one
+    table row per pixel, in pixel order."""
 
     num_classes = 3
 
     def __call__(self, view, rows, cols):
         u = (view + 1) * 0.01 + rows * 1e-3 + cols * 1e-4
         q = np.stack([np.ones_like(u), u, -u, 2 * u], axis=1)
-        return (
+        table = np.concatenate([
             np.stack([0.1 + u, 0.2 + u, 0.3 + u], axis=1),
             q / np.linalg.norm(q, axis=1, keepdims=True),
-            0.5 + u,
+            (0.5 + u)[:, None],
             np.stack([u, -u, rows * 1.0], axis=1),
-        )
+        ], axis=1)
+        return table, np.arange(len(rows))
+
+
+class Returned:
+    """Attribute provider that returns the given table and index."""
+
+    num_classes = 3
+
+    def __init__(self, table, index):
+        self.table, self.index = table, index
+
+    def __call__(self, view, rows, cols):
+        return self.table, self.index
 
 
 def init_set(path, cams, depths, attrs=ATTRS):
     """The set init_gaussians streams to `path` from each camera's pixel
-    rays, read back whole; its returned means are the file's."""
+    rays, read back whole; its returned means are the file's f32 means."""
     views = ((cam.origin, cam.pixel_rays(), dm, attrs) for cam, dm in zip(cams, depths))
     means = init_gaussians(views, attrs.num_classes, path).means
     gs = read_gaussian_set(path)
-    assert np.array_equal(means, gs.means)
+    assert means.dtype == np.float32
+    assert means.tobytes() == gs.means.astype(np.float32).tobytes()
     return gs
 
 
@@ -217,5 +230,79 @@ class TestInitGaussians:
                       uncertainty=np.ones((cam.height, cam.width)))
         wide = ConstantAttributes(scale=np.ones(4), rotation=np.array([1.0, 0, 0, 0]),
                                   opacity=0.5, logits=np.zeros(3))
-        with pytest.raises(ShapeError, match="scales"):
+        with pytest.raises(ShapeError, match=r"table of shape \(1, 12\), expected \(K, 11\)"):
             init_set(tmp_path / "init.gsb", [cam], [dm], wide)
+
+    @pytest.mark.parametrize("table, index, message", [
+        (np.ones(11), np.zeros(4, dtype=np.intp), r"table of shape \(11,\)"),
+        (np.ones((1, 11)), np.zeros(4), r"index of float64 and shape \(4,\), expected \(4,\) integers"),
+        (np.ones((1, 11)), np.zeros(3, dtype=np.intp), r"index of int64 and shape \(3,\)"),
+        (np.ones((1, 11)), np.zeros((4, 1), dtype=np.intp), r"shape \(4, 1\)"),
+        (np.ones((2, 11)), np.array([0, 1, -1, 0]), r"index outside \[0, 2\)"),
+        (np.ones((2, 11)), np.array([0, 2, 1, 0], dtype=np.uint8), r"index outside \[0, 2\)"),
+    ])
+    def test_provider_contract_breaches_raise(self, tmp_path, table, index, message):
+        # An index of -1 would otherwise take the last table row.
+        cam = make_camera(height=2, width=2)
+        dm = DepthMap(depth=np.full((2, 2), 3.0), uncertainty=np.full((2, 2), 1e-3))
+        with pytest.raises(ShapeError, match=message):
+            init_set(tmp_path / "init.gsb", [cam], [dm], Returned(table, index))
+
+    def test_shared_rows_equal_rows_per_pixel(self, tmp_path, rng):
+        # Three table rows shared by every pixel give the bytes of the same
+        # attributes given one row per pixel.
+        cam = make_camera(rng)
+        depth = rng.uniform(1, 10, size=(cam.height, cam.width))
+        depth[rng.random(depth.shape) < 0.3] = np.inf
+        dm = DepthMap(depth=depth, uncertainty=np.full(depth.shape, 0.01))
+        table = PixelAttributes()(0, np.arange(3), np.arange(3))[0]
+        index = rng.integers(0, 3, size=int(dm.valid.sum()))
+        init_set(tmp_path / "shared.gsb", [cam], [dm], Returned(table, index))
+        init_set(tmp_path / "own.gsb", [cam], [dm], Returned(table[index], np.arange(len(index))))
+        assert (tmp_path / "shared.gsb").read_bytes() == (tmp_path / "own.gsb").read_bytes()
+
+    def test_mean_beyond_f32_range_rejected(self, tmp_path):
+        cam = make_camera(height=2, width=2)
+        depth = np.full((2, 2), 3.0)
+        depth[1, 0] = 1e39  # finite in float64, inf in f32
+        dm = DepthMap(depth=depth, uncertainty=np.full((2, 2), 1e-3))
+        path = tmp_path / "gaussians_init.gsb.partial"
+        with pytest.raises(ConfigError, match=r"gaussians_init\.gsb\.partial: means must be finite"):
+            init_set(path, [cam], [dm])
+        assert path.read_bytes()[:8] != GSB_MAGIC
+
+
+class TestKeepWhatWasWritten:
+    CONFIG = {"seed": 7, "num_boxes": 3, "resolution": [24, 32], "focal": 16.0}
+
+    def test_init_stage_never_reopens_its_file(self, tmp_path, monkeypatch):
+        config = PipelineConfig.from_dict(self.CONFIG)
+        scene = write_scene(config, tmp_path / "scene.json")
+
+        def refused(*args):
+            raise AssertionError("init read its file back")
+
+        monkeypatch.setattr(formats, "read_gaussian_means", refused)
+        monkeypatch.setattr(formats, "read_gaussian_set", refused)
+        init_set, _ = write_cast(config, scene, lambda name: tmp_path / name)
+        monkeypatch.undo()
+        assert len(init_set) > 1000 and init_set.means.dtype == np.float32
+        whole = formats.read_gaussian_set(tmp_path / "gaussians_init.gsb")
+        assert init_set.means.tobytes() == whole.means.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("column, value", [(1, 0.0), (5, 0.5), (7, 1.5), (9, np.inf)])
+    def test_bad_table_row_fails_init(self, tmp_path, monkeypatch, column, value):
+        # Scale below s_min, a rotation off unit norm, opacity above 1, an
+        # infinite logit: each in the table row of class 1.
+        class Damaged(pipeline.GroundTruthClassAttributes):
+            def __call__(self, view, rows, cols):
+                table, index = super().__call__(view, rows, cols)
+                table = table.copy()
+                table[1, column] = value
+                return table, index
+
+        monkeypatch.setattr(pipeline, "GroundTruthClassAttributes", Damaged)
+        config = PipelineConfig.from_dict({**self.CONFIG, "out_dir": str(tmp_path / "run")})
+        with pytest.raises(ConfigError, match=r"gaussians_init\.gsb\.partial: "):
+            run_pipeline(config)
+        assert not (tmp_path / "run" / "gaussians_init.gsb").exists()

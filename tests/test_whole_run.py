@@ -14,7 +14,9 @@ voxels. The largest Gaussian box the default extents accept (gauss_scale
 1.3, a 7.8 m 3-sigma box in 8 m of z) loads only with the default extents,
 so it also runs as an explicit example. So do three grid sizes that, with
 the default extents, make sampling sort uint8, uint32 and uint64 keys; the
-default grid size sorts uint16 keys.
+default grid size sorts uint16 keys. One more example, the default rig with
+those Gaussians on 5 cm cells and 25 cm voxels, would render past
+MAX_RENDER_PAIRS and must be rejected at load, not run for seconds.
 """
 
 import math
@@ -91,6 +93,7 @@ config_docs = st.fixed_dictionaries(
 @example({"resolution": (16, 24), "grid_size": 4.0})
 @example({"resolution": (16, 24), "grid_size": 0.25})
 @example({"resolution": (16, 24), "grid_size": 1e-3})
+@example({"grid_size": 0.05, "voxel_size": 0.25, "gauss_scale": 1.3})
 def test_every_loaded_config_runs_or_fails_as_documented(doc):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
