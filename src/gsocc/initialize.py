@@ -36,8 +36,6 @@ class AttributeProvider(Protocol):
     invariants.
     """
 
-    num_classes: int
-
     def __call__(self, view: int, rows: np.ndarray, cols: np.ndarray): ...
 
 

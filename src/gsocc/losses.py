@@ -227,9 +227,9 @@ def compute_loss_report(
     pred_probs: np.ndarray,
     gt_labels: np.ndarray,
     depth: DepthLossBreakdown,
-    lambda_occ: float = 1.0,
-    lambda_depth: float = 0.05,
-    alpha_unc: float = 0.5,
+    lambda_occ: float,
+    lambda_depth: float,
+    alpha_unc: float,
 ) -> LossReport:
     """Occupancy losses of `pred_probs` against `gt_labels`, weighted with
     the `depth` terms, which were computed with `alpha_unc`."""

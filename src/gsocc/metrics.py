@@ -239,8 +239,8 @@ def ray_iou(
     pred: OccupancyGrid,
     gt: OccupancyGrid,
     cams: list,
-    thresholds=(1.0, 2.0, 4.0),
-    stride: int = 4,
+    thresholds,
+    stride: int,
 ):
     """Per-threshold ray-level IoU over rays from every camera through each
     stride-th pixel center. Returns {threshold: iou}. Raises ConfigError for
@@ -380,9 +380,9 @@ def evaluate(
     pred: OccupancyGrid,
     gt: OccupancyGrid,
     cams: list,
+    thresholds,
+    stride: int,
     gaussians=None,
-    thresholds=(1.0, 2.0, 4.0),
-    stride: int = 4,
 ) -> MetricReport:
     """IoU, mIoU and RayIoU of `pred` against `gt` in one report, plus
     Perc./Dist. of the means of `gaussians` when it is given. Raises

@@ -10,9 +10,11 @@ the same cast_views and do only their own part. Within run_pipeline,
 artifacts of a stage are written to <name>.partial and committed by rename
 when the stage completes, so a failed stage leaves its partial outputs
 behind for inspection. The stages after init consume the GSB of the stage
-before: the sampled and refined sets are reloaded, and the init set's means
-are the f32 values init wrote to its file, kept in memory. This makes the
-standalone subcommands reproduce the pipeline's artifacts bitwise.
+before: the init set's means are the f32 values init wrote to its file, kept
+in memory; the sampled set is the rows sampling read from that file, as
+written to its own; and the refined set, whose float64 means its file rounds
+to f32, is reloaded. This makes the standalone subcommands reproduce the
+pipeline's artifacts bitwise.
 """
 
 from __future__ import annotations
@@ -254,7 +256,6 @@ class GroundTruthClassAttributes:
     is its class id."""
 
     def __init__(self, classes: np.ndarray, scale: float, opacity: float, num_classes: int):
-        self.num_classes = num_classes
         self.classes = classes
         table = np.zeros((num_classes + 1, 8 + num_classes))
         table[:, 0:3] = scale
@@ -325,14 +326,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
     staged, depth_loss = _run_stage("init", out, lambda st: write_cast(config, scene, st.path))
     # After init the run holds no per-pixel array: only the three depth-loss
     # terms and the init set's f32 means, as init wrote and checked them; the
-    # sample stage loads the rows it keeps from the committed file. Each stage below consumes
-    # what the stage before wrote, not an in-memory float64 set, so the
-    # standalone subcommands reproduce the same bytes.
+    # sample stage loads the rows it keeps from the committed file, so its set
+    # equals its own file's read-back. Each stage below consumes what the
+    # stage before wrote, not an in-memory float64 set, so the standalone
+    # subcommands reproduce the same bytes.
     init_set = dataclasses.replace(staged, path=out / "gaussians_init.gsb")
-    _run_stage(
+    sampled = _run_stage(
         "sample", out, lambda st: write_sampled(config, init_set, st.path("gaussians_sampled.gsb"))
     )
-    sampled = formats.read_gaussian_set(out / "gaussians_sampled.gsb")
     _run_stage(
         "refine",
         out,
@@ -472,7 +473,8 @@ def write_cast(config: PipelineConfig, scene, path_for) -> tuple:
 
 def write_sampled(config: PipelineConfig, gs, path) -> GaussianSet:
     """Sample `gs`, a GaussianSet or a formats.GaussianFile whose kept rows
-    are read from its file."""
+    are read from its file. The returned set of a GaussianFile equals the
+    read-back of `path` bit for bit, since its rows come from f32 records."""
     sampled = sample_representatives(
         gs, config.sampling_spec(), config.seed, n_workers=config.threads
     )

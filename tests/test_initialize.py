@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +9,7 @@ from gsocc.core import CameraModel, DepthMap
 from gsocc.errors import ConfigError, ShapeError
 from gsocc.formats import GSB_MAGIC, read_gaussian_set
 from gsocc.initialize import init_gaussians
-from gsocc.pipeline import PipelineConfig, run_pipeline, write_cast, write_scene
+from gsocc.pipeline import PipelineConfig, run_pipeline, write_cast, write_sampled, write_scene
 from gsocc.synth import look_rotation
 
 from conftest import init_oracle, unproject_pixels
@@ -289,6 +290,19 @@ class TestKeepWhatWasWritten:
         assert len(init_set) > 1000 and init_set.means.dtype == np.float32
         whole = formats.read_gaussian_set(tmp_path / "gaussians_init.gsb")
         assert init_set.means.tobytes() == whole.means.astype(np.float32).tobytes()
+
+    def test_sampled_set_equals_its_file_read_back(self, tmp_path):
+        # run_pipeline refines the set write_sampled returns, not a reload.
+        config = PipelineConfig.from_dict({**self.CONFIG, "threads": 2})
+        scene = write_scene(config, tmp_path / "scene.json")
+        init_set, _ = write_cast(config, scene, lambda name: tmp_path / name)
+        sampled = write_sampled(config, init_set, tmp_path / "gaussians_sampled.gsb")
+        back = read_gaussian_set(tmp_path / "gaussians_sampled.gsb")
+        assert len(sampled) > 100
+        for field in dataclasses.fields(back):
+            got, want = getattr(sampled, field.name), getattr(back, field.name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
+            assert got.tobytes() == want.tobytes(), field.name
 
     @pytest.mark.parametrize("column, value", [(1, 0.0), (5, 0.5), (7, 1.5), (9, np.inf)])
     def test_bad_table_row_fails_init(self, tmp_path, monkeypatch, column, value):

@@ -369,6 +369,7 @@ class TestLossReport:
         pred = rng.dirichlet(np.ones(2), size=8)
         gt = rng.integers(0, 2, size=8)
         depths = flat_map(rng.uniform(1, 4, size=(4, 4)))
-        rep = compute_loss_report(pred, gt, depth_uncertainty_loss(depths, depths, 0.5))
+        rep = compute_loss_report(pred, gt, depth_uncertainty_loss(depths, depths, 0.5),
+                                  lambda_occ=1.0, lambda_depth=0.05, alpha_unc=0.5)
         doc = rep.to_json()
         assert '"occ_ce"' in doc and '"total"' in doc

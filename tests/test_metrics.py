@@ -110,7 +110,7 @@ class TestIoU:
         cam = forward_camera((0.1, 2.0, 2.0))
         for p in (empty, pred):
             with pytest.raises(UndefinedMetricError, match="no occupied voxel"):
-                evaluate(p, empty, [cam])
+                evaluate(p, empty, [cam], thresholds=(1.0, 2.0, 4.0), stride=4)
 
 
 def ray_iou_oracle(pred, gt, cams, taus, stride):
@@ -540,7 +540,7 @@ class TestBitmaskMarch:
         gt = scene.make_scene_grid()
         with pytest.raises(ValueError, match="finite"):
             cams = [dataclasses.replace(cam, fx=np.nan) for cam in scene.cams()]
-            ray_iou(gt, gt, cams)
+            ray_iou(gt, gt, cams, thresholds=(1.0, 2.0, 4.0), stride=4)
 
     @pytest.mark.parametrize("n_grids", [0, 8])
     def test_one_to_seven_grids(self, n_grids):
@@ -568,6 +568,7 @@ class TestRaySampling:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rejected_as_the_config_rejects_it(self, case, score):
         kwargs, field = self.CASES[case]
+        kwargs = {"thresholds": (1.0, 2.0, 4.0), "stride": 4, **kwargs}
         scene = TestRayIoU()
         gt = scene.make_scene_grid()
         with pytest.raises(ConfigError) as got:
