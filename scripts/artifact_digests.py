@@ -23,8 +23,8 @@ exits 1 if there is any.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
-import importlib.util
 import sys
 import tempfile
 from pathlib import Path
@@ -34,13 +34,17 @@ SEED = 7
 
 
 def load_workloads() -> dict:
-    """The benchmark's workload configs, imported from pipebench/run.py."""
-    bench = ROOT / "pipebench"
-    sys.path.insert(0, str(bench))  # run.py imports its sibling spans.py
-    spec = importlib.util.spec_from_file_location("pipebench_run", bench / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
+    """The benchmark's workload configs: the WORKLOADS literal of
+    pipebench/run.py, read from its source. The file is not executed, since
+    running it would pin the caller's BLAS thread variables and import its
+    sibling spans.py."""
+    tree = ast.parse((ROOT / "pipebench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WORKLOADS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise SystemExit("pipebench/run.py assigns no WORKLOADS literal")
 
 
 def digests(name: str, out: Path) -> list:

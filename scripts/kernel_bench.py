@@ -4,7 +4,8 @@
 Runs `run_pipeline` once per workload config of `pipebench/run.py` at seed
 7 in a temporary directory and reads the kernels' inputs from its files.
 Each kernel of KERNELS runs on its own workload, or on W with
-`--workload W`: the init stage `pipeline.write_cast` and
+`--workload W`: the cast `synth.ray_hit_classes` of every camera with its
+pixel grid, the init stage `pipeline.write_cast` and
 `sampling.sample_indices` on dense-rig, `render_grid` and the occupancy
 losses (as eval-loss calls them) on fine-grid, and `metrics.first_hits`,
 the RayIoU march, on hires-rays. It prints the sizes of each run, then per
@@ -86,9 +87,23 @@ def _bytes(*arrays) -> bytes:
     return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
 
 
+def cast_rig(scene, views) -> list:
+    """synth.ray_hit_classes of each (origin, pixel rays, (H, W) grid) of
+    `views`: the (depths, classes) of every camera's cast."""
+    return [synth.ray_hit_classes(scene, *view) for view in views]
+
+
+def rig_views(run: Run) -> tuple:
+    """The scene and the (origin, pixel rays, grid) of each camera of `run`."""
+    cams = run.config.cameras()
+    return run.scene, [(cam.origin, cam.pixel_rays(), (cam.height, cam.width)) for cam in cams]
+
+
 # name: (default workload, kernel, its arguments from a Run, the bytes its
 # digest covers from the Run and the kernel's result)
 KERNELS = {
+    "ray_hit_classes": ("dense-rig", cast_rig, rig_views,
+                        lambda r, casts: _bytes(*(a for cast in casts for a in cast))),
     "write_cast": ("dense-rig", write_cast, lambda r: (r.config, r.scene, r.cast_dir.joinpath),
                    lambda r, out: (r.cast_dir / "gaussians_init.gsb").read_bytes()),
     "sample_indices": ("dense-rig", sample_indices,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -83,6 +84,7 @@ def cmd_render_depth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for view in pipeline.cast_views(cfg, scene):
         pipeline.write_depth(out_dir.joinpath, view)
+        del view  # so that no view is held while the next camera is cast
     return 0
 
 
@@ -138,9 +140,10 @@ def cmd_eval_loss(args) -> int:
     scene = _read_scene(args.scene, cfg)
     gt = _read_grid(args.gt, cfg)
     pred = pipeline.render_field(cfg, formats.read_gaussian_set(args.gaussians))
+    # `map`, unlike a generator expression, holds no view while the next is cast.
+    loss_of = functools.partial(pipeline.view_depth_loss, cfg, scene)
     depth_loss = sum(
-        (pipeline.view_depth_loss(cfg, scene, v) for v in pipeline.cast_views(cfg, scene)),
-        losses.DepthLossBreakdown(0.0, 0.0, 0.0),
+        map(loss_of, pipeline.cast_views(cfg, scene)), losses.DepthLossBreakdown(0.0, 0.0, 0.0)
     )
     pipeline.write_losses(cfg, pred.probs, gt, depth_loss, args.output)
     return 0

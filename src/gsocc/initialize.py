@@ -15,6 +15,7 @@ file back.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 from typing import Protocol
 
@@ -89,8 +90,8 @@ def init_gaussians(views, num_classes: int, path) -> formats.GaussianFile:
     pixels. Emits primitives in (view, row, col) raster order with
     provenance recorded; pixels whose depth is the no-return sentinel are
     skipped. Each view's block is built on the calling thread and appended
-    to the file as soon as the view is yielded, so no view is held after
-    the next is drawn.
+    to the file as soon as the view is yielded, and its inputs are dropped
+    before the next is drawn.
 
     Before a block is written, its f32 means and its provider's f32 table
     are checked as `formats.read_gaussian_means` checks records, which
@@ -100,19 +101,18 @@ def init_gaussians(views, num_classes: int, path) -> formats.GaussianFile:
     the file back.
     """
 
-    def append(write, view, origin, rays, depth_map, attrs):
-        means, table, index, provenance = _view_block(
-            view, origin, rays, depth_map, attrs, num_classes
-        )
+    def append(view, inputs):
+        means, table, index, provenance = _view_block(view, *inputs, num_classes)
         with np.errstate(over="ignore"):  # an attribute beyond f32 is inf; rejected below
             table = table.astype(np.float32)
         formats.check_gaussian_rows(path, means, table)
         write(means, table, index, provenance)
         return means
 
-    # A comprehension, so that no view's arrays outlive it while the kept
-    # means are joined.
+    # `map` drops each view's inputs when its call returns, so no view's
+    # arrays are held while the next is drawn (a for loop's target, or the
+    # tuple enumerate reuses, would hold the previous one).
     with formats.gaussian_block_writer(path, num_classes) as write:
-        kept = [append(write, view, *inputs) for view, inputs in enumerate(views)]
+        kept = list(map(append, itertools.count(), views))
     means = np.concatenate(kept) if kept else np.empty((0, 3), dtype=np.float32)
     return formats.GaussianFile(Path(path), means, num_classes)

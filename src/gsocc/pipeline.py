@@ -412,20 +412,27 @@ class CastView:
 def cast_views(config: PipelineConfig, scene):
     """Cast every pixel ray of the rig once, one camera at a time in view
     order, and yield each camera's CastView. The render-depth, init and
-    eval-loss work of a view all reads its one cast; a view's arrays are
-    released once the caller has drawn the next view."""
+    eval-loss work of a view all reads its one cast. The generator holds no
+    view's arrays once it has yielded it, so a caller that drops its own
+    references before drawing the next view holds one view at a time."""
     for view, cam in enumerate(config.cameras()):
-        rays = cam.pixel_rays()
-        hits, cls = synth.ray_hit_classes(scene, cam.origin, rays)
-        clean = hits.reshape(cam.height, cam.width)
-        yield CastView(
-            view,
-            cam.origin,
-            rays,
-            clean,
-            synth.depth_map(scene.seed, view, clean, config.noise_std),
-            cls.astype(np.uint8).reshape(clean.shape),
-        )
+        yield _cast_view(config, scene, view, cam)
+
+
+def _cast_view(config: PipelineConfig, scene, view: int, cam) -> CastView:
+    """The CastView of camera `cam`, view number `view`: its pixel rays cast
+    by synth.ray_hit_classes with their (H, W) grid."""
+    rays = cam.pixel_rays()
+    hits, cls = synth.ray_hit_classes(scene, cam.origin, rays, (cam.height, cam.width))
+    clean = hits.reshape(cam.height, cam.width)
+    return CastView(
+        view,
+        cam.origin,
+        rays,
+        clean,
+        synth.depth_map(scene.seed, view, clean, config.noise_std),
+        cls.astype(np.uint8).reshape(clean.shape),
+    )
 
 
 def write_depth(path_for, view: CastView) -> None:
@@ -445,11 +452,13 @@ def write_gaussians(config: PipelineConfig, views, path) -> formats.GaussianFile
     view by view; returns the file (a formats.GaussianFile) with the f32
     means written, every record checked."""
     scale, opacity, c = config.gauss_scale, config.gauss_opacity, config.num_classes
-    inputs = (
-        (v.origin, v.rays, v.depth, GroundTruthClassAttributes(v.classes, scale, opacity, c))
-        for v in views
-    )
-    return init_gaussians(inputs, c, path)
+
+    def inputs(v: CastView) -> tuple:
+        return v.origin, v.rays, v.depth, GroundTruthClassAttributes(v.classes, scale, opacity, c)
+
+    # `map` keeps no reference to a view once its call returns, as a for
+    # loop's target or a generator expression's would until the next view.
+    return init_gaussians(map(inputs, views), c, path)
 
 
 def write_cast(config: PipelineConfig, scene, path_for) -> tuple:
@@ -457,17 +466,18 @@ def write_cast(config: PipelineConfig, scene, path_for) -> tuple:
     view's depth map, appends its Gaussians to
     `path_for("gaussians_init.gsb")` and adds its depth-loss terms. Returns
     (the init set as a formats.GaussianFile of its checked f32 means, the
-    losses.DepthLossBreakdown summed over the views in view order)."""
+    losses.DepthLossBreakdown summed over the views in view order). No view
+    is held while the next camera is cast."""
     total = losses.DepthLossBreakdown(0.0, 0.0, 0.0)
 
-    def views():
+    def record(view: CastView) -> CastView:
         nonlocal total
-        for view in cast_views(config, scene):
-            write_depth(path_for, view)
-            total += view_depth_loss(config, scene, view)
-            yield view
+        write_depth(path_for, view)
+        total += view_depth_loss(config, scene, view)
+        return view
 
-    init_set = write_gaussians(config, views(), path_for("gaussians_init.gsb"))
+    views = map(record, cast_views(config, scene))
+    init_set = write_gaussians(config, views, path_for("gaussians_init.gsb"))
     return init_set, total
 
 

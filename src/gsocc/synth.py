@@ -10,6 +10,16 @@ so no execution schedule can change results.
 declares and checks the scene and rig parameters; they read them as
 attributes and keep no defaults of their own. A scene read from JSON is
 checked here, and holds at most MAX_BOXES boxes, as a generated one does.
+
+The depth cast, ray_hit_classes, slab-tests each box only against the rays
+in the cone its bounding sphere subtends from the origin. Given the pixel
+grid of a camera's rays, it first tests the box's cone against 16 x 16
+pixel tiles, each bounded by the cone from its middle ray to its four
+corner rays; the per-ray test then runs on the rays of the tiles it may
+reach. The corners bound a tile only below 90 degrees, so a tile whose
+corner angle is not below it, a cast without a grid, and a box whose
+bounding sphere holds the origin test every ray. Either way the kept rays,
+and so the depths and classes, are those of the per-ray test alone.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_MAGNITUDE, CameraModel, DepthMap, OccupancyGrid, row_norms
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 # Most boxes in a scene, generated or read. Each box is one slab test per
 # camera ray in the depth cast and one pass of the GT raster.
@@ -255,8 +265,63 @@ def rasterize_gt_grid(scene: SceneSpec, dims, origin, voxel_size: float) -> Occu
 # rays whose angle to the cone axis rounds onto the far side of its edge.
 _CONE_MARGIN = 1e-9
 
+# Side, in pixels, of the tiles a pixel-grid cast tests against each box's
+# cone before its rays; and the slack added to each tile's half-angle (rad),
+# far above the rounding of the angles it bounds (about 2e-8 rad at worst,
+# for an arccos near 1).
+_TILE = 16
+_TILE_SLACK = 1e-6
 
-def ray_hit_classes(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray):
+
+class _PixelTiles:
+    """The row-major pixel rays of one (H, W) pinhole camera, cut into
+    _TILE x _TILE pixel tiles (narrower at the last row and column). Each
+    tile is a cone: its axis is the tile's middle ray, and its half-angle is
+    the largest angle from that axis to the tile's four corner rays, plus
+    _TILE_SLACK.
+
+    Below 90 degrees, the set of directions within an angle of a fixed axis
+    is a convex cone, and a pixel center of the tile is a convex combination
+    of its corner pixel centers on the image plane: so the corners bound the
+    angle of every ray of the tile. A tile whose corner bound is not below
+    90 degrees (a small focal length) or not finite gets an infinite
+    half-angle and is never culled."""
+
+    def __init__(self, dirs: np.ndarray, grid):
+        h, w = (int(n) for n in grid)
+        if h < 1 or w < 1 or h * w != len(dirs):
+            raise ShapeError(f"a pixel grid of {grid} does not hold the {len(dirs)} rays")
+        self.shape = h, w
+        first_r, first_c = np.arange(0, h, _TILE), np.arange(0, w, _TILE)
+        last_r, last_c = np.minimum(first_r + _TILE, h) - 1, np.minimum(first_c + _TILE, w) - 1
+        self.tiles = len(first_r), len(first_c)
+
+        def rays(r, c):
+            """The unit rays of the pixels (r, c) of every tile; NaN for a zero ray."""
+            v = dirs[(r[:, None] * w + c).ravel()]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return v / row_norms(v)[:, None]
+
+        self.axes = rays((first_r + last_r) // 2, (first_c + last_c) // 2)
+        cos = [np.einsum("ij,ij->i", self.axes, rays(r, c)) for r in (first_r, last_r)
+               for c in (first_c, last_c)]
+        half = np.arccos(np.clip(np.min(cos, axis=0), -1.0, 1.0)) + _TILE_SLACK
+        self.half = np.where(half < np.pi / 2, half, np.inf)
+
+    def near(self, u: np.ndarray, reach: float):
+        """Ascending indices of the rays of every tile whose cone may come
+        within `reach` rad of the unit direction `u`, or None when every
+        tile may. A tile is left out only when the angle from its axis to
+        `u` exceeds its half-angle plus `reach`."""
+        keep = ~(np.arccos(np.clip(self.axes @ u, -1.0, 1.0)) > self.half + reach)
+        if keep.all():
+            return None
+        h, w = self.shape
+        mask = keep.reshape(self.tiles).repeat(_TILE, axis=0)[:h].repeat(_TILE, axis=1)
+        return np.flatnonzero(mask[:, :w])
+
+
+def ray_hit_classes(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray, grid=None):
     """(depths, class ids) of the nearest scene surface per ray.
 
     Misses get depth +inf and class 0. Each box is slab-tested only against
@@ -268,25 +333,45 @@ def ray_hit_classes(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray):
     operations as a full cast, so depths and classes are those of testing
     every ray against every box. Directions need not be unit length; a
     zero direction is always kept.
+
+    `grid` = (H, W) declares that `dirs` are the row-major pixel rays of one
+    pinhole camera of H x W pixels (CameraModel.pixel_rays). The per-ray cone
+    test then runs only on the rays of the pixel tiles (see _PixelTiles)
+    whose cone reaches the box's cone widened to the test's own threshold,
+    arccos(cos_cone - _CONE_MARGIN). A tile's cone bounds the angle of each
+    of its rays, with a slack far above the rounding of the angles, so the
+    per-ray test keeps the same rays, in the same ascending order, as when
+    it tests every ray. Without a grid every ray is tested, through the same
+    code; so is every ray of a tile whose corner bound is not below 90
+    degrees, and every ray of a box whose bounding sphere holds the origin.
     """
     dirs = np.atleast_2d(dirs)
-    best = np.full(dirs.shape[0], np.inf)
-    cls = np.zeros(dirs.shape[0], dtype=np.int64)
-    dz = dirs[:, 2]
+    tiles = None if grid is None else _PixelTiles(dirs, grid)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_plane = (scene.ground_z - o[2]) / dz
+        t_plane = (scene.ground_z - o[2]) / dirs[:, 2]
     # A subnormal dz overflows t_plane to inf: a miss, as for dz = 0.
     plane_hit = np.isfinite(t_plane) & (t_plane > 0)
-    best[plane_hit] = t_plane[plane_hit]
-    cls[plane_hit] = scene.ground_class
-    norms = row_norms(dirs)
+    best = np.where(plane_hit, t_plane, np.inf)
+    cls = np.where(plane_hit, np.int64(scene.ground_class), np.int64(0))
+    all_norms = None  # row_norms(dirs), computed once when a box tests every ray
     for box in scene.boxes:
         w = box.center - o
         dist = np.linalg.norm(w)
         r = np.linalg.norm(box.half_extents)
         if dist > r:
             cos_cone = np.sqrt(1.0 - (r / dist) ** 2)
-            idx = np.flatnonzero(dirs @ w >= (cos_cone - _CONE_MARGIN) * dist * norms)
+            reach = np.arccos(cos_cone - _CONE_MARGIN)
+            near = None if tiles is None else tiles.near(w / dist, reach)
+            if near is None:
+                if all_norms is None:
+                    all_norms = row_norms(dirs)
+                rays, norms = dirs, all_norms
+            else:
+                rays = dirs[near]
+                norms = row_norms(rays)
+            idx = np.flatnonzero(rays @ w >= (cos_cone - _CONE_MARGIN) * dist * norms)
+            if near is not None:
+                idx = near[idx]
         else:
             idx = np.arange(dirs.shape[0])
         t = box.ray_hits(o, dirs[idx])
@@ -318,7 +403,7 @@ def render_depth_maps(scene: SceneSpec, cams: list, noise_std: float = 0.0) -> l
     camera's pixel rays cast once by ray_hit_classes, then depth_map."""
     maps = []
     for view, cam in enumerate(cams):
-        depth = ray_hit_classes(scene, cam.origin, cam.pixel_rays())[0]
+        depth = ray_hit_classes(scene, cam.origin, cam.pixel_rays(), (cam.height, cam.width))[0]
         maps.append(depth_map(scene.seed, view, depth.reshape(cam.height, cam.width), noise_std))
     return maps
 

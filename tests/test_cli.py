@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +472,25 @@ class TestErrors:
         stage.commit()
         assert (tmp_path / "artifact.bin").exists()
 
+    def test_commit_renames_over_the_previous_file(self, tmp_path, monkeypatch):
+        # A re-run into a used out dir replaces each old file by one rename,
+        # so the final name holds the old or the new file at every moment.
+        replaced = []
+        rename = os.replace
+
+        def recorded(src, dst):
+            replaced.append(Path(dst).exists())
+            rename(src, dst)
+
+        monkeypatch.setattr(pipeline.os, "replace", recorded)
+        for text in ("first", "second"):
+            stage = _Stage("demo", tmp_path)
+            stage.path("artifact.txt").write_text(text)
+            stage.commit()
+        assert replaced == [False, True]
+        assert (tmp_path / "artifact.txt").read_text() == "second"
+        assert not (tmp_path / "artifact.txt.partial").exists()
+
 
 def test_config_roundtrip(tmp_path):
     cfg = PipelineConfig(seed=3, num_boxes=2)
@@ -637,9 +657,9 @@ def test_pixel_rays_cast_once_per_camera(tmp_path, monkeypatch):
     cast, directions = synth.ray_hit_classes, CameraModel.ray_directions
     run_stage = pipeline._run_stage
 
-    def counted(scene, o, dirs):
+    def counted(scene, o, dirs, grid=None):
         casts.append(len(dirs))
-        return cast(scene, o, dirs)
+        return cast(scene, o, dirs, grid)
 
     def recorded(cam, rows, cols):
         if stage[0] == "init":
@@ -659,6 +679,30 @@ def test_pixel_rays_cast_once_per_camera(tmp_path, monkeypatch):
     pixels = [cam.height * cam.width for cam in cfg.cameras()]
     assert casts == pixels
     assert rays == pixels
+
+
+def test_previous_view_is_dead_when_the_next_camera_is_cast(tmp_path, monkeypatch):
+    """The init stage holds one view at a time: when a camera is cast, the
+    rays, depths and class map of every view before it are gone."""
+    made, dead = [], []
+    cast, cast_view = synth.ray_hit_classes, pipeline.CastView
+
+    def checked(*args):
+        dead.append([ref() is None for refs in made for ref in refs])
+        return cast(*args)
+
+    def recorded(*fields):
+        view = cast_view(*fields)
+        made.append([weakref.ref(a) for a in (view.rays, view.clean, view.depth.depth,
+                                              view.classes)])
+        return view
+
+    monkeypatch.setattr(synth, "ray_hit_classes", checked)
+    monkeypatch.setattr(pipeline, "CastView", recorded)
+    cfg = PipelineConfig(**{**SMALL_CONFIG, "noise_std": 0.05})
+    pipeline.write_cast(cfg, synth.generate_scene(cfg), tmp_path.joinpath)
+    assert len(dead) == len(cfg.cameras())
+    assert dead == [[True] * 4 * k for k in range(len(dead))]
 
 
 @pytest.mark.parametrize("command, calls", [

@@ -8,6 +8,7 @@ benchmark workload.
 """
 
 import importlib.util
+import os
 import re
 import sys
 from pathlib import Path
@@ -51,3 +52,23 @@ def test_every_kernel_prints_the_same_digest_twice(kernel_bench, capsys):
     first = kernel_digests(kernel_bench, capsys)
     assert list(first) == list(kernel_bench.KERNELS)
     assert kernel_digests(kernel_bench, capsys) == first
+
+
+def test_load_workloads_leaves_the_process_as_it_was(monkeypatch):
+    """Reading the workload configs neither pins the BLAS thread variables
+    nor touches the import path or the imported modules."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", ROOT / "scripts" / "artifact_digests.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    environ, path, modules = dict(os.environ), list(sys.path), dict(sys.modules)
+    workloads = module.load_workloads()
+    assert dict(os.environ) == environ
+    assert sys.path == path
+    assert sys.modules == modules
+    assert set(workloads) == {"hires-rays", "fine-grid", "dense-rig"}
+    assert workloads["dense-rig"]["resolution"] == [384, 512]

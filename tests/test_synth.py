@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from gsocc.errors import ConfigError
+from gsocc import synth
+from gsocc.core import CameraModel, quaternion_to_matrices
+from gsocc.errors import ConfigError, ShapeError
 from gsocc.pipeline import PipelineConfig
 from gsocc.synth import (
     Box,
@@ -478,3 +480,124 @@ def test_subnormal_direction_component_casts_like_zero(axis):
                 for got, want in zip(ray_hit_classes(scene, o, tiny),
                                      ray_hit_classes(scene, o, zeroed)):
                     np.testing.assert_array_equal(got, want)
+
+
+def random_camera(rng, height, width, focal):
+    """A pinhole camera of `height` x `width` pixels with focal lengths near
+    `focal` px, a principal point in or around the image and a random pose."""
+    q = rng.standard_normal((1, 4))
+    return CameraModel(
+        fx=focal * rng.uniform(0.8, 1.25), fy=focal * rng.uniform(0.8, 1.25),
+        cx=rng.uniform(-0.5, 1.5) * width, cy=rng.uniform(-0.5, 1.5) * height,
+        height=height, width=width, rotation=quaternion_to_matrices(q / np.linalg.norm(q))[0],
+        translation=rng.uniform(-3.0, 3.0, size=3),
+    )
+
+
+def scene_around(rng, cam):
+    """Boxes ahead of, beside, behind and around the camera, one of whose
+    bounding spheres (but not the box) holds its origin."""
+    o, fwd = cam.origin, cam.rotation[:, 2]
+    side = np.cross(fwd, rng.standard_normal(3))
+    side /= np.linalg.norm(side)
+    centers = [o + rng.uniform(2.0, 40.0) * fwd + rng.uniform(-6.0, 6.0) * side,
+               o + rng.uniform(2.0, 40.0) * fwd + rng.uniform(-1.0, 1.0, size=3),
+               o + rng.uniform(2.0, 10.0) * side,
+               o - rng.uniform(2.0, 20.0) * fwd,
+               o + rng.uniform(-0.3, 0.3, size=3)]
+    boxes = [Box(center=c, half_extents=rng.uniform(0.2, 2.0, size=3),
+                 yaw=rng.uniform(-np.pi, np.pi), class_id=int(rng.integers(2, 5)))
+             for c in centers]
+    # Half extents (1, 1, 1) around a center sqrt(2) < 1.2 < sqrt(3) from o
+    # along x: o is inside the bounding sphere, outside the box.
+    boxes.append(Box(center=o + np.array([1.2, 0.0, 0.0]), half_extents=np.ones(3),
+                     yaw=0.0, class_id=3))
+    order = rng.permutation(len(boxes))
+    return scene_of(*(boxes[i] for i in order), ground_z=o[2] - rng.uniform(0.5, 3.0))
+
+
+class TestTileCull:
+    """With the pixel grid, ray_hit_classes tests each box's cone per pixel
+    tile before per ray; it must keep the same rays, in the same order, as
+    the per-ray test over every ray."""
+
+    SIZES = [(1, 1), (16, 16), (17, 33), (40, 7), (64, 48), (23, 90)]
+    FOCALS = [1.0, 3.0, 20.0, 150.0, 1000.0]
+
+    def cameras(self, rng):
+        for height, width in self.SIZES:
+            for focal in self.FOCALS:
+                yield random_camera(rng, height, width, focal)
+
+    def test_grid_call_equals_the_call_without_it(self, rng, monkeypatch):
+        tested = []
+        full = Box.ray_hits
+
+        def recorded(box, o, dirs):
+            tested.append((box.class_id, dirs.tobytes()))
+            return full(box, o, dirs)
+
+        monkeypatch.setattr(Box, "ray_hits", recorded)
+        hits = 0
+        for cam in self.cameras(rng):
+            scene, rays, grid = scene_around(rng, cam), cam.pixel_rays(), (cam.height, cam.width)
+            for o in (cam.origin, cam.origin + rng.uniform(-0.2, 0.2, size=3)):
+                tested.clear()
+                want = ray_hit_classes(scene, o, rays)
+                per_ray = list(tested)
+                tested.clear()
+                got = ray_hit_classes(scene, o, rays, grid)
+                # Every box sees the same rays, in the same order.
+                assert tested == per_ray
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                hits += int((want[1] > 1).sum())
+        assert hits > 1000  # the rays do reach boxes
+
+    def test_corner_rays_bound_every_ray_of_a_tile(self, rng):
+        guarded = bounded = 0
+        for cam in self.cameras(rng):
+            rays = cam.pixel_rays()
+            tiles = synth._PixelTiles(rays, (cam.height, cam.width))
+            rows, cols = np.divmod(np.arange(len(rays)), cam.width)
+            tile = (rows // synth._TILE) * tiles.tiles[1] + cols // synth._TILE
+            axes = tiles.axes[tile]
+            # Accurate at small angles, unlike an arccos of the dot product.
+            apart = np.arctan2(np.linalg.norm(np.cross(axes, rays), axis=1),
+                               np.einsum("ij,ij->i", axes, rays))
+            # The corners alone bound the tile, to a tenth of the slack.
+            assert (apart <= tiles.half[tile] - synth._TILE_SLACK / 10).all()
+            guarded += int(np.isinf(tiles.half).sum())
+            bounded += int(np.isfinite(tiles.half).sum())
+        # Small focal lengths put some tile corners 90 degrees or more apart.
+        assert guarded > 0 and bounded > 0
+
+    def test_tiles_spare_the_per_ray_test(self, rng, monkeypatch):
+        counted = []
+        norms = synth.row_norms
+
+        def recorded(a):
+            counted.append(len(a))
+            return norms(a)
+
+        cam = PipelineConfig(resolution=(96, 128), focal=64.0).cameras()[0]
+        scene = generate_scene(PipelineConfig(seed=7))
+        monkeypatch.setattr(synth, "row_norms", recorded)
+        rays = cam.pixel_rays()
+        ray_hit_classes(scene, cam.origin, rays)
+        # Without a grid, one norms pass serves the per-ray test of every box.
+        assert counted == [len(rays)]
+        counted.clear()
+        ray_hit_classes(scene, cam.origin, rays, (cam.height, cam.width))
+        outside = sum(
+            np.linalg.norm(b.center - cam.origin) > np.linalg.norm(b.half_extents)
+            for b in scene.boxes
+        )
+        assert outside > 1
+        assert sum(counted) < outside * len(rays) / 4
+
+    def test_grid_must_hold_the_rays(self):
+        rays = PipelineConfig().cameras()[0].pixel_rays()
+        for grid in [(48, 63), (64, 48 + 1), (0, 0)]:
+            with pytest.raises(ShapeError):
+                ray_hit_classes(generate_scene(PipelineConfig()), np.zeros(3), rays, grid)
