@@ -5,7 +5,8 @@ Runs `run_pipeline` once per workload config of `pipebench/run.py` at seed
 7 in a temporary directory and reads the kernels' inputs from its files.
 Each kernel of KERNELS runs on its own workload, or on W with
 `--workload W`: the cast `synth.ray_hit_classes` of every camera with its
-pixel grid, the init stage `pipeline.write_cast` and
+pixel grid, the init stage `pipeline.write_cast`, the keying
+`sampling.voxel_keys` (with the config's threads) and
 `sampling.sample_indices` on dense-rig, `render_grid` and the occupancy
 losses (as eval-loss calls them) on fine-grid, and `metrics.first_hits`,
 the RayIoU march, on hires-rays. It prints the sizes of each run, then per
@@ -48,7 +49,7 @@ from gsocc.losses import cross_entropy_loss, lovasz_softmax_loss  # noqa: E402
 from gsocc.metrics import camera_rays, first_hits  # noqa: E402
 from gsocc.pipeline import PipelineConfig, run_pipeline, write_cast  # noqa: E402
 from gsocc.render import render_grid  # noqa: E402
-from gsocc.sampling import sample_indices  # noqa: E402
+from gsocc.sampling import sample_indices, voxel_keys  # noqa: E402
 
 CALLS = 15
 
@@ -106,6 +107,9 @@ KERNELS = {
                         lambda r, casts: _bytes(*(a for cast in casts for a in cast))),
     "write_cast": ("dense-rig", write_cast, lambda r: (r.config, r.scene, r.cast_dir.joinpath),
                    lambda r, out: (r.cast_dir / "gaussians_init.gsb").read_bytes()),
+    "voxel_keys": ("dense-rig", voxel_keys,
+                   lambda r: (r.init.means, r.config.sampling_spec(), r.config.threads),
+                   lambda r, keys: keys.astype("<u8").tobytes()),
     "sample_indices": ("dense-rig", sample_indices,
                        lambda r: (r.init.means, r.config.sampling_spec(), r.config.seed,
                                   r.config.threads),

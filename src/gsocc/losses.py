@@ -182,24 +182,32 @@ def depth_uncertainty_loss(pred: DepthMap, gt: DepthMap, alpha_unc: float) -> De
     RMS(sigma * (dhat - d)) + RMS(sigma * (grad dhat - grad d))
     - alpha * mean(log sigma), with forward-difference gradients and all
     statistics over pixels valid in both maps.
+
+    A view that is its own reference (`gt.depth is pred.depth`, as for a
+    noise-free view) has exact-zero residual and gradient terms, which are
+    not computed: on a valid pixel d - d is +0 for the finite d, sigma > 0
+    times +0 is +0, and an RMS over +0s, or over no pixels, is 0.0.
     """
     if pred.depth.shape != gt.depth.shape:
         raise ShapeError(f"view shapes differ: {pred.depth.shape} vs {gt.depth.shape}")
     valid = pred.valid & gt.valid
     sig = pred.uncertainty
-    # Sentinel pixels produce inf-inf before masking; silence, then drop.
-    with np.errstate(invalid="ignore"):
-        residual = _rms((sig * (pred.depth - gt.depth))[valid])
-        grads = []
-        for axis in (0, 1):
-            dp = np.diff(pred.depth, axis=axis)
-            dg = np.diff(gt.depth, axis=axis)
-            # Views of a map without its last (head) or first (tail) line.
-            head = (slice(None),) * axis + (slice(None, -1),)
-            tail = (slice(None),) * axis + (slice(1, None),)
-            ok = valid[tail] & valid[head]
-            grads.append((sig[head] * (dp - dg))[ok])
-        gradient = _rms(np.concatenate(grads))
+    if gt.depth is pred.depth:
+        residual = gradient = 0.0
+    else:
+        # Sentinel pixels produce inf-inf before masking; silence, then drop.
+        with np.errstate(invalid="ignore"):
+            residual = _rms((sig * (pred.depth - gt.depth))[valid])
+            grads = []
+            for axis in (0, 1):
+                dp = np.diff(pred.depth, axis=axis)
+                dg = np.diff(gt.depth, axis=axis)
+                # Views of a map without its last (head) or first (tail) line.
+                head = (slice(None),) * axis + (slice(None, -1),)
+                tail = (slice(None),) * axis + (slice(1, None),)
+                ok = valid[tail] & valid[head]
+                grads.append((sig[head] * (dp - dg))[ok])
+            gradient = _rms(np.concatenate(grads))
     uncertainty = float(-alpha_unc * np.log(sig[valid]).mean()) if valid.any() else 0.0
     return DepthLossBreakdown(residual=residual, gradient=gradient, uncertainty=uncertainty)
 

@@ -41,25 +41,30 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def voxel_coords(means: np.ndarray, spec: VoxelGridSpec, where=True) -> np.ndarray:
-    """floor(mean / grid_size) per component; floor is toward -inf. Rows
-    where the (P, 1) mask `where` is False get 0 instead, so a mean outside
-    the grid (NaN, or beyond the int64 range of coords) is never cast."""
-    q = np.divide(means, spec.grid_size, out=np.zeros(np.shape(means)), where=where)
-    return np.floor(q, out=q).astype(np.int64)
-
-
-def _chunk_keys(means: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
-    # Column by column: a reduction over the short last axis is slow.
-    in_bounds = np.ones(means.shape[0], dtype=bool)
+def _chunk_keys(chunk: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
+    """Keys of one chunk of means, one contiguous axis at a time: the chunk
+    is widened once into a (3, n) float64 array, whose out-of-bounds columns
+    are set to 0 so that no mean outside the grid (NaN, or beyond the int64
+    range of coords) is ever cast. Per axis the coords are floor(mean /
+    grid_size) - v_min, and lin = (v0 * dy + v1) * dz + v2 in int64."""
+    q = np.array(chunk.T, dtype=np.float64, order="C")
+    in_bounds = np.ones(q.shape[1], dtype=bool)
     for axis in range(3):
-        m = means[:, axis]
+        m = q[axis]
         in_bounds &= (m >= spec.min_corner[axis]) & (m < spec.max_corner[axis])
-    v = voxel_coords(means, spec, where=in_bounds[:, None]) - spec.v_min
-    dy, dz = int(spec.dims[1]), int(spec.dims[2])
-    lin = (v[:, 0] * dy + v[:, 1]) * dz + v[:, 2]
-    keys = lin.astype(np.uint64)
-    keys[~in_bounds] = OUT_OF_BOUNDS
+    out = ~in_bounds
+    q[:, out] = 0.0
+    for axis in range(3):
+        m = np.floor(np.divide(q[axis], spec.grid_size, out=q[axis]), out=q[axis])
+        v = m.astype(np.int64)
+        v -= spec.v_min[axis]
+        if axis:
+            lin *= spec.dims[axis]
+            lin += v
+        else:
+            lin = v
+    keys = lin.view(np.uint64)
+    keys[out] = OUT_OF_BOUNDS
     return keys
 
 
@@ -70,15 +75,14 @@ def voxel_keys(means: np.ndarray, spec: VoxelGridSpec, n_workers: int = 1) -> np
     Keys are elementwise; they are computed in chunks of _KEY_ROWS means on
     up to `n_workers` threads (at most one per CPU), which bounds the
     temporaries and does not change any key. Each chunk is widened to
-    float64 on its own, which is exact for f32 means.
+    float64 on its own (see _chunk_keys), which is exact for f32 means.
     """
     means = np.atleast_2d(np.asarray(means))
     n = means.shape[0]
     out = np.empty(n, dtype=np.uint64)
 
     def work(lo):
-        chunk = np.asarray(means[lo : lo + _KEY_ROWS], dtype=np.float64)
-        out[lo : lo + _KEY_ROWS] = _chunk_keys(chunk, spec)
+        out[lo : lo + _KEY_ROWS] = _chunk_keys(means[lo : lo + _KEY_ROWS], spec)
 
     chunks = range(0, n, _KEY_ROWS)
     n_workers = min(n_workers, os.cpu_count() or 1, len(chunks))

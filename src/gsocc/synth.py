@@ -90,8 +90,10 @@ class Box:
         inside_slab = np.broadcast_to(np.abs(o_l) <= self.half_extents, d_l.shape)
         t_lo[par] = np.where(inside_slab[par], -np.inf, np.inf)
         t_hi[par] = np.where(inside_slab[par], np.inf, -np.inf)
-        t_near = t_lo.max(axis=1)
-        t_far = t_hi.min(axis=1)
+        # Column by column, left to right: numpy's reduction over a short
+        # last axis is slow.
+        t_near = np.maximum(np.maximum(t_lo[:, 0], t_lo[:, 1]), t_lo[:, 2])
+        t_far = np.minimum(np.minimum(t_hi[:, 0], t_hi[:, 1]), t_hi[:, 2])
         hit = (t_near <= t_far) & (t_far > 0)
         t = np.where(t_near > 0, t_near, 0.0)
         return np.where(hit, t, np.inf)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from gsocc import losses
+from gsocc import losses, pipeline, synth
 from gsocc.core import DepthMap
 from gsocc.errors import GsoccError, UndefinedMetricError
 from gsocc.losses import (
+    DepthLossBreakdown,
     compute_loss_report,
     cross_entropy_loss,
     depth_uncertainty_loss,
@@ -350,6 +351,55 @@ class TestDepthLoss:
         assert loss.residual == 0.0
         # only the valid pixel's uncertainty enters the log term
         assert loss.uncertainty == pytest.approx(-math.log(2.0))
+
+
+def loss_bits(loss: DepthLossBreakdown) -> bytes:
+    return np.array([loss.residual, loss.gradient, loss.uncertainty]).tobytes()
+
+
+def depth_cases(rng, shape):
+    """Depth arrays of `shape`: all valid with zeros and -0.0 among them,
+    none valid, every other row +inf, and scattered +inf."""
+    depth = rng.uniform(0.0, 80.0, size=shape)
+    depth.flat[:: 3] = 0.0
+    depth.flat[1 :: 5] = -0.0
+    rows, scattered = depth.copy(), depth.copy()
+    rows[::2] = np.inf
+    scattered[rng.random(shape) < 0.3] = np.inf
+    return depth, np.full(shape, np.inf), rows, scattered
+
+
+class TestOwnReferenceDepthLoss:
+    """A map that is its own reference gets exact-zero residual and
+    gradient terms without computing them."""
+
+    @pytest.mark.parametrize("shape", [(6, 9), (1, 9), (9, 1), (1, 1)])
+    def test_equals_the_full_formula_on_a_copy(self, rng, shape):
+        for depth in depth_cases(rng, shape):
+            for unc in (np.broadcast_to(1e-3, shape), 10.0 ** rng.uniform(-300, 300, shape)):
+                own = DepthMap(depth=depth, uncertainty=unc)
+                copy = DepthMap(depth=depth.copy(), uncertainty=unc)
+                want = depth_uncertainty_loss(own, copy, alpha_unc=0.7)
+                assert want.residual == want.gradient == 0.0
+                for gt in (own, DepthMap(depth=depth, uncertainty=np.ones(shape))):
+                    got = depth_uncertainty_loss(own, gt, alpha_unc=0.7)
+                    assert loss_bits(got) == loss_bits(want)
+
+    def test_noise_free_view_makes_no_rms_call(self, monkeypatch):
+        config = pipeline.PipelineConfig(seed=7)
+        assert config.noise_std == 0.0
+        scene = synth.generate_scene(config)
+        view = next(pipeline.cast_views(config, scene))
+        assert view.depth.valid.any() and not view.depth.valid.all()
+        clean = DepthMap(depth=view.clean.copy(), uncertainty=view.depth.uncertainty)
+        want = depth_uncertainty_loss(view.depth, clean, config.alpha_unc)
+
+        def no_rms(values):
+            raise AssertionError("a noise-free view computed an RMS")
+
+        monkeypatch.setattr(losses, "_rms", no_rms)
+        got = pipeline.view_depth_loss(config, scene, view)
+        assert loss_bits(got) == loss_bits(want)
 
 
 class TestLossReport:

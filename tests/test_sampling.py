@@ -16,7 +16,6 @@ from gsocc.sampling import (
     narrow_keys,
     sample_representatives,
     splitmix64,
-    voxel_coords,
     voxel_keys,
 )
 
@@ -48,12 +47,79 @@ def dict_grouping_oracle(means, spec):
     return groups
 
 
+def key_coords(key, spec=SPEC) -> list:
+    """The voxel coordinate of the in-bounds linear key `key`."""
+    dy, dz = int(spec.dims[1]), int(spec.dims[2])
+    k = int(key)
+    return (np.array([k // (dy * dz), (k // dz) % dy, k % dz]) + spec.v_min).tolist()
+
+
+def row_major_chunk_keys(means, spec):
+    """The keys of a float64 chunk as the row-major formulation computes
+    them: a masked divide over (n, 3), floor, cast, and column passes."""
+    in_bounds = np.ones(means.shape[0], dtype=bool)
+    for axis in range(3):
+        m = means[:, axis]
+        in_bounds &= (m >= spec.min_corner[axis]) & (m < spec.max_corner[axis])
+    q = np.divide(means, spec.grid_size, out=np.zeros(np.shape(means)), where=in_bounds[:, None])
+    v = np.floor(q, out=q).astype(np.int64) - spec.v_min
+    dy, dz = int(spec.dims[1]), int(spec.dims[2])
+    keys = ((v[:, 0] * dy + v[:, 1]) * dz + v[:, 2]).astype(np.uint64)
+    keys[~in_bounds] = OUT_OF_BOUNDS
+    return keys
+
+
+def row_major_voxel_keys(means, spec):
+    """voxel_keys of the row-major formulation, each chunk of _KEY_ROWS
+    means widened to float64 on its own."""
+    means = np.atleast_2d(np.asarray(means))
+    rows = sampling._KEY_ROWS
+    parts = [
+        row_major_chunk_keys(np.asarray(means[lo : lo + rows], dtype=np.float64), spec)
+        for lo in range(0, len(means), rows)
+    ]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+
+
+def edge_means(rng, spec, n):
+    """`n` means of which many lie on cell faces, on the extents' corners
+    or just inside or outside them, with NaN, +-inf, far and negative
+    coordinates mixed in."""
+    lo, hi, g = spec.min_corner, spec.max_corner, spec.grid_size
+    faces = rng.integers(np.floor(lo / g) - 1, np.ceil(hi / g) + 2, size=(n, 3)) * g
+    means = rng.uniform(lo - 1.0, hi + 1.0, size=(n, 3))
+    pick = rng.random((n, 3))
+    means = np.where(pick < 0.4, faces, means)
+    special = np.array([np.nan, np.inf, -np.inf, 1e30, -1e30, -0.0, 0.0])
+    means = np.where(pick > 0.97, rng.choice(special, size=(n, 3)), means)
+    corners = np.stack([lo, hi, np.nextafter(hi, lo), np.nextafter(lo, hi), np.nextafter(lo, -np.inf)])
+    k = min(n, len(corners))
+    means[:k] = means[n - k :] = corners[:k]
+    return means
+
+
 class TestVoxelize:
     def test_floor_arithmetic(self):
-        assert voxel_coords(np.array([[1.2, -0.7, 0.3]]), SPEC).tolist() == [[2, -2, 0]]
+        assert key_coords(voxel_keys(np.array([[1.2, -0.7, 0.3]]), SPEC)[0]) == [2, -2, 0]
 
     def test_boundary_is_half_open(self):
-        assert voxel_coords(np.array([[1.0, 0.0, 0.0]]), SPEC)[0, 0] == 2
+        assert key_coords(voxel_keys(np.array([[1.0, 0.0, 0.0]]), SPEC)[0])[0] == 2
+
+    def test_keys_equal_the_row_major_formulation(self, rng, monkeypatch):
+        """Bitwise against the masked (n, 3) divide, for f32 and f64 means
+        on faces, corners, NaN, +-inf and negative coordinates, with chunks
+        that straddle _KEY_ROWS, on 1 to 3 workers."""
+        monkeypatch.setattr(sampling, "_KEY_ROWS", 700)
+        odd = VoxelGridSpec(np.array([-3.3, 0.25, -1e-3]), np.array([2.6, 4.0, 0.7]), 0.1)
+        for spec in (SPEC, odd, *(s for s, _ in WIDTH_SPECS[:3])):
+            for n in (0, 1, 699, 700, 701, 2101):
+                for dtype in (np.float32, np.float64):
+                    means = edge_means(rng, spec, n).astype(dtype)
+                    want = row_major_voxel_keys(means, spec)
+                    for n_workers in (1, 2, 3):
+                        got = voxel_keys(means, spec, n_workers)
+                        assert got.dtype == np.uint64
+                        assert got.tobytes() == want.tobytes()
 
     def test_out_of_extent_yields_marker(self):
         keys = voxel_keys(np.array([[9.0, 0.0, 0.0], [8.0, 0.0, 0.0], [-8.0, 0.0, 0.0]]), SPEC)
@@ -94,10 +160,7 @@ class TestVoxelize:
         key = voxel_keys(point, SPEC)[0]
         assert key != OUT_OF_BOUNDS
         # invert the linear index and compare with the voxel coordinate
-        dy, dz = int(SPEC.dims[1]), int(SPEC.dims[2])
-        k = int(key)
-        v = np.array([k // (dy * dz), (k // dz) % dy, k % dz]) + SPEC.v_min
-        np.testing.assert_array_equal(v, voxel_coords(point, SPEC)[0])
+        assert key_coords(key) == np.floor(point[0] / SPEC.grid_size).astype(np.int64).tolist()
 
 
 class TestSplitmix:
