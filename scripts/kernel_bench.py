@@ -6,8 +6,9 @@ Runs `run_pipeline` once per workload config of `pipebench/run.py` at seed
 Each kernel of KERNELS runs on its own workload, or on W with
 `--workload W`: the cast `synth.ray_hit_classes` of every camera with its
 pixel grid, the init stage `pipeline.write_cast`, the keying
-`sampling.voxel_keys` (with the config's threads) and
-`sampling.sample_indices` on dense-rig, `render_grid` and the occupancy
+`sampling.voxel_keys` (with the config's threads),
+`sampling.sample_indices` and Perc./Dist. of the init means
+(`metrics.init_quality`) on dense-rig, `render_grid` and the occupancy
 losses (as eval-loss calls them) on fine-grid, and `metrics.first_hits`,
 the RayIoU march, on hires-rays. It prints the sizes of each run, then per
 kernel the median and quartiles of CALLS calls, the tracemalloc peak of one
@@ -46,7 +47,7 @@ from artifact_digests import SEED, load_workloads  # noqa: E402
 
 from gsocc import formats, synth  # noqa: E402
 from gsocc.losses import cross_entropy_loss, lovasz_softmax_loss  # noqa: E402
-from gsocc.metrics import camera_rays, first_hits  # noqa: E402
+from gsocc.metrics import camera_rays, first_hits, init_quality  # noqa: E402
 from gsocc.pipeline import PipelineConfig, run_pipeline, write_cast  # noqa: E402
 from gsocc.render import render_grid  # noqa: E402
 from gsocc.sampling import sample_indices, voxel_keys  # noqa: E402
@@ -114,6 +115,8 @@ KERNELS = {
                        lambda r: (r.init.means, r.config.sampling_spec(), r.config.seed,
                                   r.config.threads),
                        lambda r, rows: rows.astype("<i8").tobytes()),
+    "init_quality": ("dense-rig", init_quality, lambda r: (r.init, r.gt),
+                     lambda r, out: _bytes(np.array(out))),
     "render_grid": ("fine-grid", render_grid,
                     lambda r: (r.refined, *r.grid),
                     lambda r, grid: _bytes(grid.probs, grid.labels)),

@@ -24,9 +24,13 @@ cells of their center lattice, so a mean in an occupied voxel is nearest
 to its own center unless the floor put it on the wrong side of a face by
 rounding. A mean in an occupied voxel that is no nearer, per axis, to the
 neighbour center on its side than to its own takes the distance to its
-own center, computed with the KD-tree's center values and distance
-formula, so the result is bitwise the tree's; the KD-tree answers every
-other mean.
+own center. Every other mean searches the 27 voxels around its voxel
+(clamped onto the grid) and takes the least distance to their occupied
+centers when no center outside the block can be nearer. Both use the
+centers and the distance formula of cKDTree(centers).query, so every
+distance is bitwise the tree's; the rare mean that its block does not
+certify, a non-finite one included, is queried in a KD-tree, and
+scipy.spatial is imported only then.
 """
 
 from __future__ import annotations
@@ -271,6 +275,61 @@ def ray_iou(
 # Means per pass of the own-voxel route; keeps its temporaries in cache.
 _CHUNK = 1 << 14
 
+# Means per pass of the block search, which holds about 280 bytes per mean.
+# Passes of _CHUNK means were not measurably faster on the dense-rig init
+# means, and they raised the metrics stage's tracemalloc peak on a 192x256
+# dense rig by 3 MiB, above the sample stage's.
+_BLOCK_CHUNK = 1 << 12
+
+# Voxel offsets of the 27-voxel block around a mean's clamped voxel.
+_OFFS = np.arange(-1, 2)
+
+
+def _block_search(p, q, occ_flat, strides, centers, dims):
+    """(dist, ok) for the (3, n) widened means `p` whose clamped voxels
+    have the (3, n) padded indices `q`: ok marks the means whose 27-voxel
+    block certifies its least distance over the occupied centers, dist
+    holds that distance (not meaningful where ok is False).
+
+    The block certifies its least squared distance when that is at most a
+    lower bound on the squared distance of every center outside it (see
+    `init_quality`)."""
+    # Per axis: the (3, n) squared offsets to the block's centers; the
+    # squared offset to the grid's first or last center for a mean beyond
+    # it, else 0, a bound for every center on that axis; and the squared
+    # offset to the nearest center beyond the block (inf where the grid
+    # ends first), a bound for every center outside the block on that axis.
+    # The grid's voxels have the padded indices 2 .. dims + 1.
+    sq, edge, out = [], [], []
+    for a in range(3):
+        d = p[a] - centers[a][q[a] + _OFFS[:, None]]
+        sq.append(d * d)
+        first, last = centers[a][2], centers[a][dims[a] + 1]
+        g = np.maximum(np.maximum(first - p[a], p[a] - last), 0.0)
+        edge.append(g * g)
+        below = np.where(q[a] > 3, p[a] - centers[a][q[a] - 2], np.inf)
+        above = np.where(q[a] < dims[a], centers[a][q[a] + 2] - p[a], np.inf)
+        e = np.maximum(np.minimum(below, above), 0.0)
+        out.append(e * e)
+    # cKDTree's sum (dx*dx + dy*dy) + dz*dz over the block's occupied cells.
+    best = np.full(p.shape[1], np.inf)
+    base = (q[0] * strides[0] + q[1] * strides[1]) + q[2]
+    for i in range(3):
+        for j in range(3):
+            sxy = sq[0][i] + sq[1][j]
+            row = base + (_OFFS[i] * strides[0] + _OFFS[j] * strides[1])
+            for k in range(3):
+                np.minimum(best, sxy + sq[2][k], out=best, where=occ_flat[row + _OFFS[k]])
+    bound = np.minimum(
+        np.minimum((out[0] + edge[1]) + edge[2], (edge[0] + out[1]) + edge[2]),
+        (edge[0] + edge[1]) + out[2],
+    )
+    # Only a finite least value is certified: a block with no occupied
+    # center has none, even where no center lies outside it, and neither
+    # has a non-finite mean.
+    ok = (best <= bound) & (best < np.inf)
+    return np.sqrt(best), ok
+
 
 def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray):
     """(occupied, dist) of (P, 3) `means` against the voxels of `gt` that the
@@ -280,15 +339,18 @@ def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray):
     occupied; dist (P,) is its distance to the nearest occupied voxel
     center, bitwise what `cKDTree(centers).query(means)[0]` returns. A mean
     in an occupied voxel whose own center is nearest takes the own-voxel
-    route (see `init_quality`); every other mean is queried in the KD-tree.
+    route, every other mean the block search (see `init_quality`); a mean
+    that its block does not certify is queried in a KD-tree.
     """
     origin = np.asarray(gt.origin, dtype=np.float64)
     vs = gt.voxel_size
     dims = np.asarray(gt.dims)
     # Occupancy and center coordinates with two empty voxels around the
     # grid. An out-of-grid or NaN mean is clipped onto the inner ring, which
-    # reads as empty, and its neighbour indices stay in the padded arrays;
-    # the tree query answers it (and rejects a non-finite one).
+    # reads as empty, for the own-voxel route, and onto the grid for the
+    # block search, so the indices of its neighbours and of the centers
+    # just beyond its block stay in the padded arrays; a non-finite mean
+    # reaches the tree, which rejects it.
     flat = np.pad(occ, 2).ravel()
     strides = np.array([(dims[1] + 4) * (dims[2] + 4), dims[2] + 4, 1])
     centers = [origin[a] + (np.arange(-2, dims[a] + 2) + 0.5) * vs for a in range(3)]
@@ -313,8 +375,17 @@ def _nearest_occupied(means: np.ndarray, gt: OccupancyGrid, occ: np.ndarray):
             own[chunk] &= e * e >= sq[a]
         # cKDTree's sum (dx*dx + dy*dy) + dz*dz.
         np.sqrt((sq[0] + sq[1]) + sq[2], out=dist[chunk])
-    rest = ~own
-    if rest.any():
+    rest = np.flatnonzero(~own)
+    to_tree = []
+    for lo in range(0, rest.size, _BLOCK_CHUNK):
+        idx = rest[lo : lo + _BLOCK_CHUNK]
+        p = np.ascontiguousarray(means[idx].T, dtype=np.float64)
+        q = np.floor((p - origin[:, None]) / vs)
+        q = (np.fmin(np.fmax(q, 0), dims[:, None] - 1) + 2).astype(np.intp)
+        dist[idx], ok = _block_search(p, q, flat, strides, centers, dims)
+        to_tree.append(idx[~ok])
+    rest = np.concatenate([np.empty(0, dtype=np.intp), *to_tree])
+    if rest.size:
         from scipy.spatial import cKDTree
 
         tree = cKDTree(origin + (np.argwhere(occ) + 0.5) * vs)
@@ -343,11 +414,26 @@ def init_quality(gs, gt: OccupancyGrid):
     the own center is the nearest occupied one, bit for bit. Its distance
     uses the tree's centers origin + (idx + 0.5) * voxel_size and
     cKDTree's own formula sqrt((dx*dx + dy*dy) + dz*dz), so it equals the
-    tree query. Only a mean the floor put on the wrong side of a face by
-    rounding fails the test; it goes to the KD-tree with every mean outside
-    an occupied voxel. Both routes fill one (P,) array in input order, so
-    the mean sums the same values in the same order as one full tree
-    query.
+    tree query.
+
+    Every other mean (outside an occupied voxel, or put on the wrong side
+    of a face by rounding) takes the block search. With q its voxel clamped
+    onto the grid, the block holds the 27 voxels within 1 of q on every
+    axis; its least squared distance over the occupied centers, in the
+    tree's formula, is certified when it is at most a lower bound on the
+    squared distance of every center outside the block. Such a center lies
+    beyond the block on some axis a, where its offset is at least the
+    offset to the center at q_a - 2 or q_a + 2 (inf on a side where the
+    grid ends first); on each other axis its offset is at least the one to
+    the grid's first or last center when the mean lies beyond it, and 0
+    otherwise. Summed in the tree's order, and least over the three axes,
+    these give the bound, since rounded subtraction, multiplication and
+    addition are all monotone. A certified value is thus the tree's least
+    squared distance, and its square root the tree's distance. The means
+    their block does not certify go to the KD-tree; at seeds 7 and 11 no
+    mean of the benchmark workloads does. All routes fill one (P,) array
+    in input order, so the mean sums the same values in the same order as
+    one full tree query.
     """
     occ = gt.labels != 0
     if not occ.any():

@@ -52,7 +52,7 @@ MAX_FIELD_BYTES = 1 << 30
 
 # Most pixels over all cameras of the rig accepted at config load (7x
 # dense-rig). Every pixel casts a ray and may become a Gaussian; a run's
-# peak memory grows by about 18 bytes per pixel (scripts/peak_memory.py,
+# peak memory grows by about 26 bytes per pixel (scripts/peak_memory.py,
 # 2-core VM), since init casts, writes and drops one camera at a time, writes
 # its records in chunks, and keeps only the f32 means it wrote.
 MAX_RIG_PIXELS = 1 << 23

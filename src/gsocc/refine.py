@@ -27,14 +27,19 @@ SNAP_MARGIN = 1e-3
 
 def refine_positions(gs: GaussianSet, delta_max: float, weights: np.ndarray) -> GaussianSet:
     """Apply mu' = mu + B^T sigmoid(w) per Gaussian for (P, 6) weights."""
-    from scipy.special import expit
-
     if not (math.isfinite(delta_max) and delta_max > 0):
         raise ValueError(f"delta_max must be finite and positive, got {delta_max}")
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(gs), 6):
         raise ShapeError(f"weights must be ({len(gs)}, 6), got {weights.shape}")
-    scaled = delta_max * expit(weights)
+    if weights.any():
+        from scipy.special import expit
+
+        sigmoid = expit(weights)
+    else:
+        # expit(+-0) is exactly 0.5: all-zero weights need no scipy.special.
+        sigmoid = np.full(weights.shape, 0.5)
+    scaled = delta_max * sigmoid
     return dataclasses.replace(gs, means=gs.means + (scaled[:, 0::2] - scaled[:, 1::2]))
 
 

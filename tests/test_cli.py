@@ -754,8 +754,10 @@ def test_config_load_imports_no_numpy_random():
 
 
 def test_import_loads_no_scipy():
-    # Only Perc./Dist. and the refine weights call scipy; the subcommands
-    # that use neither do not pay its import.
+    # Only the oracle-snap refine (its weights and their sigmoid) and the
+    # rare Perc./Dist. mean that no block search certifies (it goes to the
+    # KD-tree) call scipy; the subcommands that use neither do not pay its
+    # import.
     src = str(Path(gsocc.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, gsocc.cli; print('scipy' in sys.modules)"],
@@ -763,3 +765,23 @@ def test_import_loads_no_scipy():
         check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_zero_refine_run_loads_no_scipy_submodule(tmp_path):
+    # Zero refine weights take no scipy.special.expit, and Perc./Dist.
+    # certifies every mean of a run by block search, with no KD-tree.
+    src = str(Path(gsocc.__file__).resolve().parents[1])
+    doc = {"seed": 7, "resolution": [48, 64], "voxel_size": 1.0, "ray_stride": 8,
+           "refine": "zero", "out_dir": str(tmp_path / "run")}
+    code = (
+        "import json, sys\n"
+        "from gsocc.pipeline import PipelineConfig, run_pipeline\n"
+        "run_pipeline(PipelineConfig.from_dict(json.loads(sys.argv[1])))\n"
+        "print(sorted({'scipy.spatial', 'scipy.special'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(doc)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

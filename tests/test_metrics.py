@@ -650,8 +650,9 @@ def lattice_means(rng, grid, n, f32=False):
 
 
 def assert_matches_tree(means, grid):
-    """The own-voxel route and the tree agree bit for bit, per mean and in
-    the mean; returns how many means lie in an occupied voxel."""
+    """The own-voxel route, the block search and the tree agree bit for bit,
+    per mean and in the mean; returns how many means lie in an occupied
+    voxel."""
     occ = grid.labels != 0
     centers = grid.origin + (np.argwhere(occ) + 0.5) * grid.voxel_size
     want = cKDTree(centers).query(means)[0]  # the full tree query
@@ -665,7 +666,8 @@ def assert_matches_tree(means, grid):
 
 
 class TestOwnVoxelRoute:
-    """The own-voxel route of Dist. returns the KD-tree's distances exactly."""
+    """The own-voxel route and the block search of Dist. return the KD-tree's
+    distances exactly."""
 
     @pytest.mark.parametrize("voxel_size", [0.3, 1 / 3, 0.5, 0.1])
     @pytest.mark.parametrize(
@@ -721,3 +723,32 @@ class TestOwnVoxelRoute:
         with pytest.raises(ValueError, match="finite"):
             init_quality(dataclasses.replace(gs, means=means), grid)
 
+
+def test_sparse_grid_sends_uncertified_means_to_the_tree(rng, monkeypatch):
+    """On a sparse grid, many means have no occupied voxel within their
+    27-voxel block: the tree answers them, and the block search the others,
+    bit for bit as one full tree query."""
+    import scipy.spatial
+
+    labels = np.zeros((40, 40, 12), dtype=np.uint8)
+    labels[[3, 20, 21, 35, 9], [4, 20, 22, 30, 37], [1, 6, 6, 10, 0]] = [1, 2, 2, 3, 1]
+    grid = grid_of(labels, origin=(-10.3, 7.9, -2.2), voxel_size=0.5)
+    centers = grid.origin + (np.argwhere(labels != 0) + 0.5) * grid.voxel_size
+    # Means around each occupied center, up to 5 voxels away, on and next to
+    # voxel faces, and means anywhere over the grid and one voxel around it.
+    near = centers[rng.integers(0, len(centers), 3000)] + rng.uniform(-2.5, 2.5, (3000, 3))
+    face = grid.origin + np.round((near - grid.origin) / 0.5) * 0.5
+    near = np.where(rng.integers(0, 2, near.shape) == 1, np.nextafter(face, np.inf), near)
+    means = np.concatenate([near, lattice_means(rng, grid, 3000)])
+    queried = []
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    inside = assert_matches_tree(means, grid)
+    # One tree query per call; the tree answered some means, and fewer than
+    # lie outside an occupied voxel, so the block search certified others.
+    assert len(queried) == 2 and 0 < queried[0] < len(means) - inside

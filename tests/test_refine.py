@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,21 @@ class TestRefinePositions:
         gs = random_gaussian_set(rng, 100)
         out = refine_positions(gs, 0.25, np.zeros((100, 6)))
         np.testing.assert_array_equal(out.means, gs.means)
+
+    @pytest.mark.parametrize("delta_max", [0.25, 0.3, 1 / 3])
+    def test_zero_weights_give_the_expit_bits(self, rng, delta_max):
+        # All-zero weights, -0.0 among them, skip scipy.special: expit(+-0)
+        # is exactly 0.5, and the offsets come out as with expit.
+        from scipy.special import expit
+
+        gs = random_gaussian_set(rng, 50)
+        gs = dataclasses.replace(gs, means=np.where(rng.random((50, 3)) < 0.2, -0.0, gs.means))
+        for w in (np.zeros((50, 6)), np.full((50, 6), -0.0),
+                  np.where(rng.random((50, 6)) < 0.5, -0.0, 0.0)):
+            scaled = delta_max * expit(w)
+            want = gs.means + (scaled[:, 0::2] - scaled[:, 1::2])
+            got = refine_positions(gs, delta_max, w).means
+            assert got.tobytes() == want.tobytes()
 
     def test_sigmoid_saturation_limits(self):
         gs = random_gaussian_set(np.random.default_rng(0), 1)
