@@ -5,7 +5,8 @@ Runs `run_pipeline` once per workload config of `pipebench/run.py` at seed
 7 in a temporary directory and reads the kernels' inputs from its files.
 Each kernel of KERNELS runs on its own workload, or on W with
 `--workload W`: the cast `synth.ray_hit_classes` of every camera with its
-pixel grid, the init stage `pipeline.write_cast`, the keying
+pixel grid, the init stage `pipeline.write_cast` with its commit (as
+`run_pipeline` runs it, each call over the previous call's files), the keying
 `sampling.voxel_keys` (with the config's threads),
 `sampling.sample_indices` and Perc./Dist. of the init means
 (`metrics.init_quality`) on dense-rig, `render_grid` and the occupancy
@@ -48,7 +49,7 @@ from artifact_digests import SEED, load_workloads  # noqa: E402
 from gsocc import formats, synth  # noqa: E402
 from gsocc.losses import cross_entropy_loss, lovasz_softmax_loss  # noqa: E402
 from gsocc.metrics import camera_rays, first_hits, init_quality  # noqa: E402
-from gsocc.pipeline import PipelineConfig, run_pipeline, write_cast  # noqa: E402
+from gsocc.pipeline import PipelineConfig, _run_stage, run_pipeline, write_cast  # noqa: E402
 from gsocc.render import render_grid  # noqa: E402
 from gsocc.sampling import sample_indices, voxel_keys  # noqa: E402
 
@@ -95,6 +96,12 @@ def cast_rig(scene, views) -> list:
     return [synth.ray_hit_classes(scene, *view) for view in views]
 
 
+def init_stage(config, scene, out_dir) -> tuple:
+    """The init stage as `run_pipeline` runs it: `write_cast` into partial
+    files, committed over the previous call's files in `out_dir`."""
+    return _run_stage("init", out_dir, lambda stage: write_cast(config, scene, stage.path))
+
+
 def rig_views(run: Run) -> tuple:
     """The scene and the (origin, pixel rays, grid) of each camera of `run`."""
     cams = run.config.cameras()
@@ -106,7 +113,7 @@ def rig_views(run: Run) -> tuple:
 KERNELS = {
     "ray_hit_classes": ("dense-rig", cast_rig, rig_views,
                         lambda r, casts: _bytes(*(a for cast in casts for a in cast))),
-    "write_cast": ("dense-rig", write_cast, lambda r: (r.config, r.scene, r.cast_dir.joinpath),
+    "write_cast": ("dense-rig", init_stage, lambda r: (r.config, r.scene, r.cast_dir),
                    lambda r, out: (r.cast_dir / "gaussians_init.gsb").read_bytes()),
     "voxel_keys": ("dense-rig", voxel_keys,
                    lambda r: (r.init.means, r.config.sampling_spec(), r.config.threads),

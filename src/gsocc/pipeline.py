@@ -7,22 +7,25 @@ same stage. The init stage (write_cast) casts each camera once and, in the
 same pass, writes the view's depth map, appends its Gaussians and adds its
 depth-loss terms; the render-depth, init and eval-loss subcommands each run
 the same cast_views and do only their own part. Within run_pipeline,
-artifacts of a stage are written to <name>.partial and committed by rename
-when the stage completes, so a failed stage leaves its partial outputs
-behind for inspection. The stages after init consume the GSB of the stage
-before: the init set's means are the f32 values init wrote to its file, kept
-in memory; the sampled set is the rows sampling read from that file, as
-written to its own; and the refined set, whose float64 means its file rounds
-to f32, is reloaded. This makes the standalone subcommands reproduce the
-pipeline's artifacts bitwise.
+artifacts of a stage are written to <name>.partial and committed when the
+stage completes, so a failed stage leaves its partial outputs behind for
+inspection; a commit over a previous run's file swaps the two names and
+unlinks the old file (see _Stage.commit). The stages after init consume the
+GSB of the stage before: the init set's means are the f32 values init wrote
+to its file, kept in memory; the sampled set is the rows sampling read from
+that file, as written to its own; and the refined set, whose float64 means
+its file rounds to f32, is reloaded. This makes the standalone subcommands
+reproduce the pipeline's artifacts bitwise.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -268,6 +271,39 @@ class GroundTruthClassAttributes:
         return self.table, self.classes[rows, cols]
 
 
+_AT_FDCWD = -100
+_RENAME_EXCHANGE = 2  # linux/fs.h
+
+
+def _load_renameat2():
+    """The C library's renameat2 (glibc >= 2.28, Linux), or None."""
+    try:
+        fn = ctypes.CDLL(None).renameat2
+    except (AttributeError, OSError, TypeError):
+        return None
+    fn.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_renameat2 = _load_renameat2()
+
+
+def _swap(a: Path, b: Path) -> bool:
+    """Exchange the files at `a` and `b` in one atomic step; False, with
+    neither name changed, where the C library or the filesystem cannot."""
+    if _renameat2 is None:
+        return False
+    return _renameat2(_AT_FDCWD, os.fsencode(a), _AT_FDCWD, os.fsencode(b), _RENAME_EXCHANGE) == 0
+
+
+def _holds_regular_file(path: Path) -> bool:
+    try:
+        return stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:
+        return False
+
+
 class _Stage:
     """Commit-on-success artifact writer for one pipeline stage."""
 
@@ -282,8 +318,18 @@ class _Stage:
         return p
 
     def commit(self):
+        """Move each pending file to its final name, which holds the old or
+        the new complete file at every instant. Over a regular file (a
+        re-run into a used out dir) the two names are swapped and the old
+        file, now at the partial name, is unlinked: its dirty pages are
+        dropped before they reach storage, where a rename over it would make
+        ext4 (auto_da_alloc) flush the new file. Any other target, or a failed
+        swap, takes os.replace, which raises the error if there is one."""
         for partial, final in self.pending:
-            os.replace(partial, final)
+            if _holds_regular_file(final) and _swap(partial, final):
+                os.unlink(partial)
+            else:
+                os.replace(partial, final)
         self.pending.clear()
 
 

@@ -1,4 +1,7 @@
+import ctypes
 import dataclasses
+import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -146,11 +149,20 @@ class TestPipelineCommand:
         assert summary["sampled_count"] <= summary["initial_count"]
 
     def test_same_config_twice_byte_identical(self, tmp_path, config_file):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run(["pipeline", "--config", config_file, "--out", out1]) == 0
-        assert run(["pipeline", "--config", config_file, "--out", out2]) == 0
-        for name in ("metrics.json", "pred.occ", "summary.json", "losses.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        # The last run goes into the second one's out dir, so each of its
+        # commits swaps a new file in over the previous run's.
+        def digests(out):
+            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+        fresh, reused = tmp_path / "a", tmp_path / "b"
+        assert run(["pipeline", "--config", config_file, "--out", fresh]) == 0
+        assert run(["pipeline", "--config", config_file, "--out", reused]) == 0
+        first = {p.name: p.stat().st_ino for p in reused.iterdir()}
+        assert run(["pipeline", "--config", config_file, "--out", reused]) == 0
+        assert len(digests(fresh)) == 15
+        assert digests(reused) == digests(fresh)
+        assert not list(reused.glob("*.partial"))
+        assert all(p.stat().st_ino != first[p.name] for p in reused.iterdir())
 
     @pytest.mark.parametrize("overrides, refine, argv, artifacts", [
         pytest.param(overrides, refine, argv, artifacts, id=name + suffix)
@@ -472,23 +484,67 @@ class TestErrors:
         stage.commit()
         assert (tmp_path / "artifact.bin").exists()
 
-    def test_commit_renames_over_the_previous_file(self, tmp_path, monkeypatch):
-        # A re-run into a used out dir replaces each old file by one rename,
-        # so the final name holds the old or the new file at every moment.
-        replaced = []
-        rename = os.replace
+    def test_recommit_swaps_in_the_new_file(self, tmp_path, monkeypatch):
+        # A re-run into a used out dir swaps each new file in and unlinks the
+        # old one: no rename lands on an existing name, and the final name
+        # reads the old or the new file at every instant.
+        final = tmp_path / "artifact.txt"
+        replaced, swapped = [], []
+        rename, swap = os.replace, pipeline._swap
 
-        def recorded(src, dst):
+        def recorded_replace(src, dst):
             replaced.append(Path(dst).exists())
             rename(src, dst)
 
-        monkeypatch.setattr(pipeline.os, "replace", recorded)
+        def recorded_swap(a, b):
+            before = final.read_text()
+            done = swap(a, b)
+            swapped.append((before, done, final.read_text()))
+            return done
+
+        monkeypatch.setattr(pipeline.os, "replace", recorded_replace)
+        monkeypatch.setattr(pipeline, "_swap", recorded_swap)
         for text in ("first", "second"):
             stage = _Stage("demo", tmp_path)
             stage.path("artifact.txt").write_text(text)
             stage.commit()
-        assert replaced == [False, True]
+        assert replaced == [False]
+        assert swapped == [("first", True, "second")]
+        assert final.read_text() == "second"
+        assert not (tmp_path / "artifact.txt.partial").exists()
+
+    @pytest.mark.parametrize("renameat2", [
+        pytest.param(None, id="no-renameat2"),
+        pytest.param(lambda *args: (ctypes.set_errno(errno.EINVAL), -1)[1], id="einval"),
+    ])
+    def test_recommit_without_exchange_replaces(self, tmp_path, monkeypatch, renameat2):
+        monkeypatch.setattr(pipeline, "_renameat2", renameat2)
+        for text in ("first", "second"):
+            stage = _Stage("demo", tmp_path)
+            stage.path("artifact.txt").write_text(text)
+            stage.commit()
         assert (tmp_path / "artifact.txt").read_text() == "second"
+        assert not (tmp_path / "artifact.txt.partial").exists()
+
+    def test_commit_over_a_directory_moves_nothing(self, tmp_path):
+        (tmp_path / "artifact.txt").mkdir()
+        stage = _Stage("demo", tmp_path)
+        stage.path("artifact.txt").write_text("new")
+        with pytest.raises(IsADirectoryError):
+            stage.commit()
+        assert (tmp_path / "artifact.txt").is_dir()
+        assert (tmp_path / "artifact.txt.partial").read_text() == "new"
+
+    def test_commit_replaces_a_symlink_not_its_target(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("target")
+        (tmp_path / "artifact.txt").symlink_to(target)
+        stage = _Stage("demo", tmp_path)
+        stage.path("artifact.txt").write_text("new")
+        stage.commit()
+        assert not (tmp_path / "artifact.txt").is_symlink()
+        assert (tmp_path / "artifact.txt").read_text() == "new"
+        assert target.read_text() == "target"
         assert not (tmp_path / "artifact.txt.partial").exists()
 
 
