@@ -1,7 +1,9 @@
 """Command-line interface: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 2 config error, 3 stage failure, 4 undefined metric.
-Every subcommand is a pure function of its inputs plus the declared seed.
+Every subcommand is a pure function of its inputs plus the declared seed,
+and writes its files through a partial name and the pipeline's stage
+commit, so a subcommand that fails leaves the previous files whole.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -72,8 +75,23 @@ def _emit(doc: dict):
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _committed(path, write, *args):
+    """`write(*args, partial)` with a partial name beside `path`, moved to
+    `path` by the pipeline's stage commit once it returns, so a write that
+    fails leaves the previous file whole. A `path` of None (print to
+    stdout), or one that holds other than a regular file (a device, a FIFO,
+    a symlink such as /dev/stdout), is written in place."""
+    if path is None or (os.path.lexists(path) and not pipeline._holds_regular_file(path)):
+        return write(*args, path)
+    path = Path(path)
+    stage = pipeline._Stage(path.name, path.parent)
+    result = write(*args, stage.path(path.name))
+    stage.commit()
+    return result
+
+
 def cmd_gen_scene(args) -> int:
-    pipeline.write_scene(_load_config(args), args.scene or Path("scene.json"))
+    _committed(args.scene or Path("scene.json"), pipeline.write_scene, _load_config(args))
     return 0
 
 
@@ -82,16 +100,18 @@ def cmd_render_depth(args) -> int:
     scene = _read_scene(args.scene, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    stage = pipeline._Stage(args.command, out_dir)
     for view in pipeline.cast_views(cfg, scene):
-        pipeline.write_depth(out_dir.joinpath, view)
+        pipeline.write_depth(stage.path, view)
         del view  # so that no view is held while the next camera is cast
+    stage.commit()
     return 0
 
 
 def cmd_init(args) -> int:
     cfg = _load_config(args)
     views = pipeline.cast_views(cfg, _read_scene(args.scene, cfg))
-    pipeline.write_gaussians(cfg, views, args.output)
+    _committed(args.output, pipeline.write_gaussians, cfg, views)
     return 0
 
 
@@ -108,7 +128,7 @@ def cmd_sample(args) -> int:
             }
         )
         return 0
-    pipeline.write_sampled(cfg, gs, args.output)
+    _committed(args.output, pipeline.write_sampled, cfg, gs)
     return 0
 
 
@@ -116,13 +136,13 @@ def cmd_refine(args) -> int:
     cfg = _load_config(args)
     gs = formats.read_gaussian_set(args.gaussians)
     scene = _read_scene(args.scene, cfg) if args.scene else None
-    pipeline.write_refined(cfg, gs, scene, args.output)
+    _committed(args.output, pipeline.write_refined, cfg, gs, scene)
     return 0
 
 
 def cmd_render(args) -> int:
     cfg = _load_config(args)
-    pipeline.write_render(cfg, formats.read_gaussian_set(args.gaussians), args.output)
+    _committed(args.output, pipeline.write_render, cfg, formats.read_gaussian_set(args.gaussians))
     return 0
 
 
@@ -131,7 +151,7 @@ def cmd_metrics(args) -> int:
     pred = _read_grid(args.pred, cfg)
     gt = _read_grid(args.gt, cfg)
     gaussians = formats.read_gaussian_means(args.gaussians) if args.gaussians else None
-    pipeline.write_metrics(cfg, pred, gt, gaussians, args.output)
+    _committed(args.output, pipeline.write_metrics, cfg, pred, gt, gaussians)
     return 0
 
 
@@ -145,7 +165,7 @@ def cmd_eval_loss(args) -> int:
     depth_loss = sum(
         map(loss_of, pipeline.cast_views(cfg, scene)), losses.DepthLossBreakdown(0.0, 0.0, 0.0)
     )
-    pipeline.write_losses(cfg, pred.probs, gt, depth_loss, args.output)
+    _committed(args.output, pipeline.write_losses, cfg, pred.probs, gt, depth_loss)
     return 0
 
 

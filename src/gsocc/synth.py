@@ -11,15 +11,15 @@ declares and checks the scene and rig parameters; they read them as
 attributes and keep no defaults of their own. A scene read from JSON is
 checked here, and holds at most MAX_BOXES boxes, as a generated one does.
 
-The depth cast, ray_hit_classes, slab-tests each box only against the rays
-in the cone its bounding sphere subtends from the origin. Given the pixel
-grid of a camera's rays, it first tests the box's cone against 16 x 16
+The depth cast, ray_hit_classes, slab-tests each box against every ray
+that may reach it. Given the pixel grid of a camera's rays, it tests the
+cone the box's bounding sphere subtends from the origin against 16 x 16
 pixel tiles, each bounded by the cone from its middle ray to its four
-corner rays; the per-ray test then runs on the rays of the tiles it may
-reach. The corners bound a tile only below 90 degrees, so a tile whose
-corner angle is not below it, a cast without a grid, and a box whose
-bounding sphere holds the origin test every ray. Either way the kept rays,
-and so the depths and classes, are those of the per-ray test alone.
+corner rays, and slab-tests the rays of the tiles it may reach. The
+corners bound a tile only below 90 degrees, so a tile whose corner angle
+is not below it, a cast without a grid, and a box whose bounding sphere
+holds the origin test every ray. A culled ray would have missed the box,
+so the depths and classes are those of testing every ray.
 """
 
 from __future__ import annotations
@@ -263,14 +263,10 @@ def rasterize_gt_grid(scene: SceneSpec, dims, origin, voxel_size: float) -> Occu
     return OccupancyGrid(origin=origin, voxel_size=float(voxel_size), labels=labels)
 
 
-# Slack on the cosine of a box's bounding cone, relative to |w| |d|: keeps
-# rays whose angle to the cone axis rounds onto the far side of its edge.
-_CONE_MARGIN = 1e-9
-
 # Side, in pixels, of the tiles a pixel-grid cast tests against each box's
 # cone before its rays; and the slack added to each tile's half-angle (rad),
 # far above the rounding of the angles it bounds (about 2e-8 rad at worst,
-# for an arccos near 1).
+# for an arccos near 1) and of the box cone's half-angle, arcsin(r / dist).
 _TILE = 16
 _TILE_SLACK = 1e-6
 
@@ -326,26 +322,17 @@ class _PixelTiles:
 def ray_hit_classes(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray, grid=None):
     """(depths, class ids) of the nearest scene surface per ray.
 
-    Misses get depth +inf and class 0. Each box is slab-tested only against
-    the rays that can reach it: when the origin lies outside the box's
-    bounding sphere, those are the rays inside the cone the sphere subtends
-    from the origin, kept by one dot product per ray with a small
-    conservative margin; when it lies inside, every ray. A culled ray would
-    have missed the box, and the kept rays go through the same float
-    operations as a full cast, so depths and classes are those of testing
-    every ray against every box. Directions need not be unit length; a
-    zero direction is always kept.
-
-    `grid` = (H, W) declares that `dirs` are the row-major pixel rays of one
-    pinhole camera of H x W pixels (CameraModel.pixel_rays). The per-ray cone
-    test then runs only on the rays of the pixel tiles (see _PixelTiles)
-    whose cone reaches the box's cone widened to the test's own threshold,
-    arccos(cos_cone - _CONE_MARGIN). A tile's cone bounds the angle of each
-    of its rays, with a slack far above the rounding of the angles, so the
-    per-ray test keeps the same rays, in the same ascending order, as when
-    it tests every ray. Without a grid every ray is tested, through the same
-    code; so is every ray of a tile whose corner bound is not below 90
-    degrees, and every ray of a box whose bounding sphere holds the origin.
+    Misses get depth +inf and class 0. Each box is slab-tested against
+    every ray, or, given `grid` = (H, W), the row-major pixel rays of one
+    pinhole camera of H x W pixels (CameraModel.pixel_rays), only against
+    the rays of the pixel tiles (see _PixelTiles) whose cone reaches the
+    cone the box's bounding sphere subtends from the origin; a box whose
+    bounding sphere holds the origin tests every ray. A tile's cone bounds
+    the angle of each of its rays, with a slack far above the rounding of
+    the angles, so a culled ray would have missed the box, and the slab
+    test of a ray does not depend on the other rays tested with it: depths
+    and classes are those of testing every ray against every box.
+    Directions need not be unit length.
     """
     dirs = np.atleast_2d(dirs)
     tiles = None if grid is None else _PixelTiles(dirs, grid)
@@ -355,27 +342,14 @@ def ray_hit_classes(scene: SceneSpec, o: np.ndarray, dirs: np.ndarray, grid=None
     plane_hit = np.isfinite(t_plane) & (t_plane > 0)
     best = np.where(plane_hit, t_plane, np.inf)
     cls = np.where(plane_hit, np.int64(scene.ground_class), np.int64(0))
-    all_norms = None  # row_norms(dirs), computed once when a box tests every ray
     for box in scene.boxes:
         w = box.center - o
         dist = np.linalg.norm(w)
         r = np.linalg.norm(box.half_extents)
-        if dist > r:
-            cos_cone = np.sqrt(1.0 - (r / dist) ** 2)
-            reach = np.arccos(cos_cone - _CONE_MARGIN)
-            near = None if tiles is None else tiles.near(w / dist, reach)
-            if near is None:
-                if all_norms is None:
-                    all_norms = row_norms(dirs)
-                rays, norms = dirs, all_norms
-            else:
-                rays = dirs[near]
-                norms = row_norms(rays)
-            idx = np.flatnonzero(rays @ w >= (cos_cone - _CONE_MARGIN) * dist * norms)
-            if near is not None:
-                idx = near[idx]
-        else:
-            idx = np.arange(dirs.shape[0])
+        near = None
+        if tiles is not None and dist > r:
+            near = tiles.near(w / dist, np.arcsin(r / dist))
+        idx = np.arange(dirs.shape[0]) if near is None else near
         t = box.ray_hits(o, dirs[idx])
         closer = t < best[idx]
         best[idx[closer]] = t[closer]

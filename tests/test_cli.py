@@ -73,6 +73,20 @@ REPRODUCED_ARTIFACTS = [
      ["losses.json"]),
 ]
 
+# The writer each subcommand of REPRODUCED_ARTIFACTS writes its files with,
+# as (module, attribute), by id.
+OUTPUT_WRITERS = {
+    "gen-scene": (pipeline, "_write_text"),
+    "render-depth": (formats, "write_depth_map"),
+    "init": (pipeline, "init_gaussians"),
+    "sample": (formats, "write_gaussian_set"),
+    "refine-zero": (formats, "write_gaussian_set"),
+    "refine-oracle-snap": (formats, "write_gaussian_set"),
+    "render": (formats, "write_occupancy"),
+    "metrics": (pipeline, "_write_text"),
+    "eval-loss": (pipeline, "_write_text"),
+}
+
 # (id suffix, config overrides): SMALL_CONFIG itself, with seeded depth noise
 # and the scene-reading refine mode, and on 0.1 m voxels, a size f32 does
 # not hold: OCC1 stores the origin and voxel size as f32, and the ground
@@ -546,6 +560,50 @@ class TestErrors:
         assert (tmp_path / "artifact.txt").read_text() == "new"
         assert target.read_text() == "target"
         assert not (tmp_path / "artifact.txt.partial").exists()
+
+    @pytest.mark.parametrize("name, refine, argv, artifacts", [
+        pytest.param(*case, id=case[0]) for case in REPRODUCED_ARTIFACTS
+    ])
+    def test_failed_subcommand_keeps_the_previous_output(self, tmp_path, config_file,
+                                                        monkeypatch, name, refine, argv,
+                                                        artifacts):
+        # The writer raises once it has written its file: the file it
+        # replaces must keep its bytes, and the exit code stays 2.
+        out, new = tmp_path / "run", tmp_path / "new"
+        new.mkdir()
+        refine_flag = ["--refine", refine] if refine else []
+        assert run(["pipeline", "--config", config_file, *refine_flag, "--out", out]) == 0
+        argv = [argv[0], "--config", config_file, *(a.format(run=out, new=new) for a in argv[1:])]
+        for artifact in artifacts:
+            (new / artifact).write_bytes(b"previous")
+        module, attr = OUTPUT_WRITERS[name]
+        write = getattr(module, attr)
+
+        def failing(*args, **kwargs):
+            write(*args, **kwargs)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with monkeypatch.context() as m:
+            m.setattr(module, attr, failing)
+            assert run(argv) == 2
+        for artifact in artifacts:
+            assert (new / artifact).read_bytes() == b"previous", artifact
+        # A re-run commits over the previous files and the partial ones.
+        assert run(argv) == 0
+        for artifact in artifacts:
+            assert (new / artifact).read_bytes() == (out / artifact).read_bytes(), artifact
+        assert not list(new.glob("*.partial"))
+
+    def test_subcommand_writes_through_a_symlink_output(self, tmp_path, config_file):
+        # An --output that is not a regular file is written in place.
+        target = tmp_path / "scene-target.json"
+        link = tmp_path / "scene.json"
+        link.symlink_to(target)
+        assert run(["gen-scene", "--config", config_file, "--scene", link]) == 0
+        assert link.is_symlink()
+        assert target.read_text() == synth.generate_scene(
+            PipelineConfig.from_file(config_file)).to_json()
+        assert not list(tmp_path.glob("*.partial"))
 
 
 def test_config_roundtrip(tmp_path):

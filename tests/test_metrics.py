@@ -752,3 +752,31 @@ def test_sparse_grid_sends_uncertified_means_to_the_tree(rng, monkeypatch):
     # One tree query per call; the tree answered some means, and fewer than
     # lie outside an occupied voxel, so the block search certified others.
     assert len(queried) == 2 and 0 < queried[0] < len(means) - inside
+
+
+def test_block_bound_reaches_the_centers_two_voxels_off(monkeypatch):
+    """A center outside a mean's 27-voxel block lies at least two voxels off
+    its own on some axis, and the block search's bound counts it so: the
+    means in the 26 neighbours of the one occupied voxel, 0.4 voxel toward
+    it, are all certified. At the diagonal neighbours the least squared
+    distance is 3 * 0.6^2 = 1.08 s^2, below the bound 1.6^2 = 2.56 s^2 but
+    above the 0.6^2 = 0.36 s^2 a bound from the centers one voxel off
+    would give."""
+    import scipy.spatial
+
+    labels = np.zeros((9, 9, 9), dtype=np.uint8)
+    labels[4, 4, 4] = 2
+    s = 0.5
+    grid = grid_of(labels, origin=(-1.3, 2.7, 0.1), voxel_size=s)
+    steps = np.array([d for d in np.ndindex(3, 3, 3) if d != (1, 1, 1)]) - 1
+    means = grid.origin + (4.5 + steps) * s - 0.4 * steps * s
+    queried = []
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    assert assert_matches_tree(means, grid) == 0
+    assert sum(queried) == 0

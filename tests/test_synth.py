@@ -303,8 +303,9 @@ def random_dirs(rng, n):
 
 
 class TestConeCull:
-    """ray_hit_classes culls rays per box; its hits must equal the full cast
-    bit for bit."""
+    """ray_hit_classes without a pixel grid slab-tests every ray against
+    every box; its hits must equal the full cast bit for bit, for rays of
+    any direction and length."""
 
     def assert_same_as_full_cast(self, scene, o, dirs):
         o = np.asarray(o, dtype=np.float64)
@@ -352,7 +353,7 @@ class TestConeCull:
             seen |= set(np.unique(cls).tolist())
         assert seen == {0, 1, 2, 3, 4}
 
-    def test_box_behind_the_origin_tests_no_ray(self, rng, monkeypatch):
+    def test_box_behind_the_origin_tests_no_ray(self, monkeypatch):
         tested = []
         full = Box.ray_hits
 
@@ -361,16 +362,22 @@ class TestConeCull:
             return full(box, o, dirs)
 
         monkeypatch.setattr(Box, "ray_hits", counted)
-        dirs = random_dirs(rng, 2000)
-        dirs[:, 0] = np.abs(dirs[:, 0])
+        # A 128 x 192 camera at the origin facing +x.
+        cam = CameraModel(fx=100.0, fy=100.0, cx=96.0, cy=64.0, height=128, width=192,
+                          rotation=synth.look_rotation(np.array([1.0, 0.0, 0.0])),
+                          translation=np.zeros(3))
+        rays = cam.pixel_rays()
         behind = Box(center=np.array([-6.0, 1.0, 0.5]), half_extents=np.array([1.0, 2.0, 0.7]),
                      yaw=0.4, class_id=2)
         front = Box(center=np.array([7.0, -1.0, 0.0]), half_extents=np.array([1.0, 1.0, 1.0]),
                     yaw=0.2, class_id=3)
-        ray_hit_classes(scene_of(behind, front), np.zeros(3), dirs)
+        scene = scene_of(behind, front)
+        got = ray_hit_classes(scene, cam.origin, rays, (cam.height, cam.width))
         counts = dict(tested)
         assert counts[2] == 0
-        assert 0 < counts[3] < len(dirs) // 4
+        assert 0 < counts[3] < len(rays) // 4
+        for g, w in zip(got, full_cast_reference(scene, cam.origin, rays)):
+            assert g.tobytes() == w.tobytes()
 
     def test_origin_on_a_bounding_sphere(self, rng):
         # half extents (1, 2, 2) give a bounding radius of exactly 3.
@@ -560,8 +567,8 @@ def scene_around(rng, cam):
 
 class TestTileCull:
     """With the pixel grid, ray_hit_classes tests each box's cone per pixel
-    tile before per ray; it must keep the same rays, in the same order, as
-    the per-ray test over every ray."""
+    tile and slab-tests only the rays of the tiles it keeps; it must keep
+    every ray that hits the box, and equal the full cast bit for bit."""
 
     SIZES = [(1, 1), (16, 16), (17, 33), (40, 7), (64, 48), (23, 90)]
     FOCALS = [1.0, 3.0, 20.0, 150.0, 1000.0]
@@ -576,23 +583,25 @@ class TestTileCull:
         full = Box.ray_hits
 
         def recorded(box, o, dirs):
-            tested.append((box.class_id, dirs.tobytes()))
+            tested.append({row.tobytes() for row in dirs})
             return full(box, o, dirs)
 
-        monkeypatch.setattr(Box, "ray_hits", recorded)
         hits = 0
         for cam in self.cameras(rng):
             scene, rays, grid = scene_around(rng, cam), cam.pixel_rays(), (cam.height, cam.width)
             for o in (cam.origin, cam.origin + rng.uniform(-0.2, 0.2, size=3)):
+                want = full_cast_reference(scene, o, rays)
                 tested.clear()
-                want = ray_hit_classes(scene, o, rays)
-                per_ray = list(tested)
-                tested.clear()
-                got = ray_hit_classes(scene, o, rays, grid)
-                # Every box sees the same rays, in the same order.
-                assert tested == per_ray
+                with monkeypatch.context() as m:
+                    m.setattr(Box, "ray_hits", recorded)
+                    got = ray_hit_classes(scene, o, rays, grid)
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                # Every ray that hits a box, nearest or not, is slab-tested.
+                assert len(tested) == len(scene.boxes)
+                for box, kept in zip(scene.boxes, tested):
+                    hit = rays[np.isfinite(full(box, o, rays))]
+                    assert {row.tobytes() for row in hit} <= kept
                 hits += int((want[1] > 1).sum())
         assert hits > 1000  # the rays do reach boxes
 
@@ -614,29 +623,72 @@ class TestTileCull:
         # Small focal lengths put some tile corners 90 degrees or more apart.
         assert guarded > 0 and bounded > 0
 
-    def test_tiles_spare_the_per_ray_test(self, rng, monkeypatch):
+    def test_tiles_spare_the_per_ray_test(self, monkeypatch):
         counted = []
-        norms = synth.row_norms
+        full = Box.ray_hits
 
-        def recorded(a):
-            counted.append(len(a))
-            return norms(a)
+        def recorded(box, o, dirs):
+            counted.append(len(dirs))
+            return full(box, o, dirs)
 
         cam = PipelineConfig(resolution=(96, 128), focal=64.0).cameras()[0]
         scene = generate_scene(PipelineConfig(seed=7))
-        monkeypatch.setattr(synth, "row_norms", recorded)
+        monkeypatch.setattr(Box, "ray_hits", recorded)
         rays = cam.pixel_rays()
         ray_hit_classes(scene, cam.origin, rays)
-        # Without a grid, one norms pass serves the per-ray test of every box.
-        assert counted == [len(rays)]
+        # Without a grid, every box slab-tests every ray.
+        assert counted == [len(rays)] * len(scene.boxes)
         counted.clear()
         ray_hit_classes(scene, cam.origin, rays, (cam.height, cam.width))
-        outside = sum(
+        # The camera lies outside every box's bounding sphere, so the tiles
+        # may cull for each box.
+        assert len(scene.boxes) > 1 and all(
             np.linalg.norm(b.center - cam.origin) > np.linalg.norm(b.half_extents)
             for b in scene.boxes
         )
-        assert outside > 1
-        assert sum(counted) < outside * len(rays) / 4
+        assert sum(counted) < len(scene.boxes) * len(rays) / 4
+
+    def test_ray_tangent_to_the_bounding_sphere_at_a_corner(self, rng, monkeypatch):
+        # The middle pixel ray of a 33 x 33 camera runs from o through the
+        # box corner q, along the sphere's tangent plane at q: the edge of
+        # the box's cone. Its tile must be kept, and the cast must equal
+        # the full one.
+        tested = []
+        full = Box.ray_hits
+
+        def recorded(box, o, dirs):
+            tested.append(dirs.copy())
+            return full(box, o, dirs)
+
+        monkeypatch.setattr(Box, "ray_hits", recorded)
+        found_hits = culled = 0
+        for _ in range(200):
+            he = rng.uniform(0.3, 2.0, size=3)
+            box = Box(center=rng.uniform(-2, 2, size=3), half_extents=he,
+                      yaw=rng.uniform(-np.pi, np.pi), class_id=2)
+            sign = rng.choice([-1.0, 1.0], size=3)
+            q = box.center + (sign * he) @ box._yaw_rotation().T
+            radial = q - box.center
+            u = np.cross(radial, rng.standard_normal(3))
+            o = q + rng.uniform(2.0, 20.0) * u / np.linalg.norm(u)
+            focal = 10.0 ** rng.uniform(1.0, 3.5)
+            cam = CameraModel(fx=focal, fy=focal, cx=16.5, cy=16.5, height=33, width=33,
+                              rotation=synth.look_rotation(q - o, up=rng.standard_normal(3)),
+                              translation=o)
+            rays = cam.pixel_rays()
+            middle = rays[16 * 33 + 16]
+            np.testing.assert_allclose(middle, (q - o) / np.linalg.norm(q - o), atol=1e-12)
+            scene = scene_of(box)
+            tested.clear()
+            got = ray_hit_classes(scene, o, rays, (33, 33))
+            (kept,) = tested
+            for g, w in zip(got, full_cast_reference(scene, o, rays)):
+                assert g.tobytes() == w.tobytes()
+            assert (kept == middle).all(axis=1).any()
+            found_hits += int(np.isfinite(got[0][16 * 33 + 16]))
+            culled += len(kept) < len(rays)
+        # The grazing ray does hit at times, and the tiles do cull.
+        assert found_hits > 0 and culled > 0
 
     def test_grid_must_hold_the_rays(self):
         rays = PipelineConfig().cameras()[0].pixel_rays()
