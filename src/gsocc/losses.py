@@ -93,16 +93,16 @@ def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     ConfigError unless every label is a whole number in [0, C) and every
     prediction of a class present in gt is finite.
 
-    Only the k non-zero errors are sorted. A stable descending sort of all
-    n errors puts the zero ones last, in index order, and leaves the first k
-    as the stable sort of the non-zero ones. The gradient of that prefix
-    depends only on the prefix cumsums and on the foreground total, which
-    does not depend on the order. The dot still runs over all n entries, with
-    the tail of both vectors zero. In the full sort each tail product is a
-    zero error times a finite gradient, an exact 0, as it is here, and adding
-    0 leaves a partial sum unchanged. Keeping the length keeps the BLAS
-    kernel's grouping of the non-zero products, so the loss is the full
-    sort's bit for bit.
+    Only the k non-zero errors are sorted, and only their k products are
+    summed. A stable descending sort of all n errors puts the zero ones
+    last, in index order, and leaves the first k as the stable sort of the
+    non-zero ones. The gradient of that prefix depends only on the prefix
+    cumsums and on the foreground total, which does not depend on the order.
+    Each tail product of the full sort is a zero error times a finite
+    gradient, an exact 0, so the loss is the full sort's sum of its first k
+    products. The sum is np.add.reduce, numpy's pairwise sum: its grouping
+    of the k products is fixed in numpy's source, so, unlike a BLAS dot,
+    its bits do not depend on which BLAS kernel the machine selects.
 
     The stable descending order of the non-zero errors comes from
     _stable_descending_order: numpy's default (unstable) sort of the negated
@@ -116,9 +116,7 @@ def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     reads its predictions and labels on that support only, in ascending row
     order, so its non-zero errors keep their order, and |1 - p| (foreground)
     or |p| (background) is |1{gt=c} - p| bit for bit. The foreground total
-    is the class's label count. The two n-length vectors of the dot are
-    shared by the classes; only the prefix the previous class wrote is
-    zeroed again.
+    is the class's label count.
     """
     pred, gt = _rows_and_labels(pred, gt)
     if gt.size == 0:
@@ -130,9 +128,6 @@ def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
         wrong |= pred[:, int(c)] != (gt == c)
     rows = np.flatnonzero(wrong)
     gt_rows = gt.take(rows)
-    sorted_errors = np.zeros(len(gt))
-    grad = np.zeros(len(gt))
-    k = 0
     losses = []
     for c, gts in zip(classes, counts.astype(np.float64)):
         fg = gt_rows == c
@@ -142,16 +137,14 @@ def lovasz_softmax_loss(pred: np.ndarray, gt: np.ndarray) -> float:
         nz = np.flatnonzero(errors)
         order = nz[_stable_descending_order(errors[nz])]
         head = fg[order].astype(np.float64)
-        jaccard = 1.0 - (gts - head.cumsum()) / (gts + (1.0 - head).cumsum())
-        sorted_errors[:k] = 0.0
-        grad[:k] = 0.0
-        k = len(order)
-        sorted_errors[:k] = errors[order]
-        if not np.isfinite(sorted_errors[:k]).all():
+        # The Jaccard index of each prefix, then in place its increments
+        # (numpy reads the overlapping operand as a copy).
+        grad = 1.0 - (gts - head.cumsum()) / (gts + (1.0 - head).cumsum())
+        sorted_errors = errors[order]
+        if not np.isfinite(sorted_errors).all():
             raise ConfigError(f"class {c} predictions must be finite")
-        grad[:k] = jaccard
-        grad[1:k] -= jaccard[:-1]
-        losses.append(float(sorted_errors @ grad))
+        grad[1:] -= grad[:-1]
+        losses.append(float(np.add.reduce(np.multiply(sorted_errors, grad, out=grad))))
     return float(np.mean(losses))
 
 

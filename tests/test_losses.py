@@ -40,9 +40,11 @@ def lovasz_oracle(pred, gt):
 
 
 def lovasz_full_sort(pred, gt):
-    """Every error sorted, dotted with the Jaccard gradient of the whole
-    order: the formula lovasz_softmax_loss must reproduce bit for bit.
-    Also returns the number of non-zero errors per class."""
+    """Every error sorted and multiplied by the Jaccard gradient of the
+    whole order; the first `nonzero` products summed by numpy's pairwise
+    sum (the rest are exact zeros): the formula lovasz_softmax_loss must
+    reproduce bit for bit. Also returns the number of non-zero errors per
+    class."""
 
     def lovasz_gradient(gt_sorted):
         gts = gt_sorted.sum()
@@ -57,8 +59,11 @@ def lovasz_full_sort(pred, gt):
         fg = (gt == c).astype(np.float64)
         errors = np.abs(fg - pred[:, int(c)])
         order = np.argsort(-errors, kind="stable")
-        losses.append(float(errors[order] @ lovasz_gradient(fg[order])))
-        nonzero.append(int(np.count_nonzero(errors)))
+        k = int(np.count_nonzero(errors))
+        products = errors[order] * lovasz_gradient(fg[order])
+        assert not products[k:].any()
+        losses.append(float(np.add.reduce(products[:k])))
+        nonzero.append(k)
     return float(np.mean(losses)), nonzero
 
 
@@ -251,6 +256,27 @@ class TestLovasz:
                 want = lovasz_full_sort(pred, gt)[0]
                 assert lovasz_softmax_loss(pred, gt) == want
                 assert lovasz_softmax_loss(channel_major(pred), gt) == want
+
+    @pytest.mark.parametrize("c", [2, 5])
+    def test_memory_follows_the_non_zero_errors(self, c):
+        # One-hot rows but 10 wrong ones: the peak stays below two n-length
+        # float64 arrays, 16 B per row.
+        import tracemalloc
+
+        n = 1 << 20
+        gt = np.arange(n) % c
+        pred = np.eye(c)[gt]
+        wrong = np.arange(10) * 997
+        pred[wrong] = np.roll(pred[wrong], 1, axis=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = lovasz_softmax_loss(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert loss > 0.0
+        assert peak < 16 * n, f"{peak / n:.1f} B per row"
 
     def test_descending_order_is_the_stable_sort(self, rng):
         for n in (1, 2, 3, 100, 5000):
