@@ -18,7 +18,10 @@ holds both sides' samples with their median, Q1 and Q3 (inclusive
 quartiles), the number of pairs the change won, whether the gap between
 the medians exceeds the parent's interquartile range, and whether the
 change is worse than the parent by more than the metric's bound (read as a
-fraction of the parent's median). Every run's `correct` and `failed` are
+fraction of the parent's median). It also holds the median and quartiles
+of the per-pair ratios new / rev: the two sides of a pair run back to back,
+so host load that drifts across pairs cancels in the ratio but not in the
+gap between the medians. Every run's `correct` and `failed` are
 kept, and so is the machine: nproc, Python, numpy and scipy versions,
 `OPENBLAS_CORETYPE`, numpy's SIMD dispatch, both commits and whether the
 working tree is dirty. `--against HEAD` on a clean tree is an A/A run: its
@@ -73,7 +76,8 @@ def compare(rev: list, new: list, better: str, bound: float) -> dict:
     """One metric over paired runs: `rev[i]` and `new[i]` are pair i's
     parent and change values. A pair is won when the change is strictly
     better; `worse_beyond_bound` when the change's median is worse than the
-    parent's by more than `bound` times the parent's median."""
+    parent's by more than `bound` times the parent's median. `ratio` holds
+    the quartiles of the per-pair ratios new / rev."""
     sign = 1.0 if better == "lower" else -1.0
     a, b = quartiles(rev), quartiles(new)
     gap = b["median"] - a["median"]
@@ -84,6 +88,7 @@ def compare(rev: list, new: list, better: str, bound: float) -> dict:
         "pairs": len(rev),
         "won": sum(sign * (y - x) < 0 for x, y in zip(rev, new)),
         "median_gap": gap,
+        "ratio": quartiles([y / x for x, y in zip(rev, new)]),
         "parent_iqr": iqr,
         "gap_exceeds_parent_iqr": abs(gap) > iqr,
         "worse_beyond_bound": sign * gap > bound * abs(a["median"]),
@@ -212,7 +217,7 @@ def main(argv=None) -> int:
             bad += m["worse_beyond_bound"]
             print(f"{w} {name}: {m['rev']['median']:.4g} -> {m['new']['median']:.4g} "
                   f"{m['unit']}, won {m['won']}/{m['pairs']}, gap {m['median_gap']:+.3g} "
-                  f"vs parent IQR {m['parent_iqr']:.3g}"
+                  f"(median ratio {m['ratio']['median']:.4f}) vs parent IQR {m['parent_iqr']:.3g}"
                   + (", WORSE BEYOND BOUND" if m["worse_beyond_bound"] else ""))
     return 1 if bad else 0
 

@@ -84,7 +84,7 @@ def _committed(path, write, *args):
     if path is None or (os.path.lexists(path) and not pipeline._holds_regular_file(path)):
         return write(*args, path)
     path = Path(path)
-    stage = pipeline._Stage(path.name, path.parent)
+    stage = pipeline._Stage(path.parent)
     result = write(*args, stage.path(path.name))
     stage.commit()
     return result
@@ -100,7 +100,7 @@ def cmd_render_depth(args) -> int:
     scene = _read_scene(args.scene, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stage = pipeline._Stage(args.command, out_dir)
+    stage = pipeline._Stage(out_dir)
     for view in pipeline.cast_views(cfg, scene):
         pipeline.write_depth(stage.path, view)
         del view  # so that no view is held while the next camera is cast

@@ -29,20 +29,6 @@ ROTATION_TOL = 1e-6
 MAX_MAGNITUDE = 1e6
 
 
-def row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of the (P, K) array `a`, in float64. The
-    squares are added left to right, one column at a time, which is the
-    order numpy's reduction takes for short rows: the result is
-    np.linalg.norm(a, axis=1) bit for bit (tested for K of 3 and 4), without
-    numpy's slow reduction over a short last axis. Each column is widened to
-    float64 as it is squared."""
-    cols = np.asarray(a).T
-    acc = np.square(cols[0], dtype=np.float64)
-    for c in cols[1:]:
-        acc += np.square(c, dtype=np.float64)
-    return np.sqrt(acc, out=acc)
-
-
 def quaternion_to_matrices(q: np.ndarray) -> np.ndarray:
     """(P, 3, 3) rotation matrices of P unit quaternions in (w, x, y, z) order.
 
@@ -52,7 +38,7 @@ def quaternion_to_matrices(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != 4:
         raise ShapeError(f"quaternions must have shape (P, 4), got {q.shape}")
-    norm = row_norms(q)
+    norm = np.linalg.norm(q, axis=1)
     bad = ~(np.abs(norm - 1.0) <= ROTATION_TOL)
     if bad.any():
         raise InvalidRotationError(
@@ -112,12 +98,12 @@ class GaussianSet:
         """Subset in the given order; arrays are copied."""
         idx = np.asarray(indices)
         return GaussianSet(
-            means=self.means[idx].copy(),
-            scales=self.scales[idx].copy(),
-            rotations=self.rotations[idx].copy(),
-            opacities=self.opacities[idx].copy(),
-            semantics=self.semantics[idx].copy(),
-            source_index=self.source_index[idx].copy(),
+            means=self.means[idx],
+            scales=self.scales[idx],
+            rotations=self.rotations[idx],
+            opacities=self.opacities[idx],
+            semantics=self.semantics[idx],
+            source_index=self.source_index[idx],
         )
 
     def validate(self) -> None:
@@ -135,7 +121,7 @@ def check_gaussian_fields(means, scales, rotations, opacities, semantics) -> Non
     does: the norms are taken in float64 and S_MIN is compared as float64."""
     if len(means) == 0:
         return
-    norms = row_norms(rotations)
+    norms = np.linalg.norm(np.asarray(rotations, dtype=np.float64), axis=1)
     bad = ~(np.abs(norms - 1.0) <= ROTATION_TOL)
     if bad.any():
         raise InvalidRotationError(

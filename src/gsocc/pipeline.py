@@ -307,8 +307,7 @@ def _holds_regular_file(path: Path) -> bool:
 class _Stage:
     """Commit-on-success artifact writer for one pipeline stage."""
 
-    def __init__(self, name: str, out_dir: Path):
-        self.name = name
+    def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.pending = []
 
@@ -334,7 +333,7 @@ class _Stage:
 
 
 def _run_stage(name, out_dir, fn):
-    stage = _Stage(name, out_dir)
+    stage = _Stage(out_dir)
     try:
         result = fn(stage)
         stage.commit()
@@ -411,7 +410,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "dist": report.dist,
         "loss_total": loss_report.total,
     }
-    stage = _Stage("summary", out)
+    stage = _Stage(out)
     stage.path("summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     stage.commit()
     return summary

@@ -3,14 +3,10 @@
 Keys are collision-free linear indices over the bounded grid extents
 rather than a modular spatial hash; the scene volume is bounded, so
 injectivity is free and there is no collision handling. Grouping is a
-stable sort by key. The keys are cast to the narrowest unsigned type
-that holds every cell index (`narrow_keys`), which keeps their order, and
-sorted by `_stable_key_order`. numpy's stable argsort is a radix sort for
-types of 16 bits or fewer and a timsort for wider ones, so wider keys are
-sorted one 16-bit digit at a time, least significant first: one pass on a
-grid of at most 65 536 cells, two on one of at most 2^32 cells. The
-per-group representative is drawn by a seeded splitmix64 mix so the result
-is a pure function of (input, spec, seed) regardless of worker count.
+stable sort by key, on keys cast to the narrowest unsigned type that holds
+every cell index (`narrow_keys`), which keeps their order. The per-group
+representative is drawn by a seeded splitmix64 mix so the result is a pure
+function of (input, spec, seed) regardless of worker count.
 """
 
 from __future__ import annotations
@@ -101,20 +97,6 @@ def narrow_keys(keys: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
     return keys.astype(np.min_scalar_type(spec.num_cells - 1))
 
 
-def _stable_key_order(keys: np.ndarray, spec: VoxelGridSpec) -> np.ndarray:
-    """np.argsort(keys, kind="stable") of in-bounds `keys` from narrow_keys,
-    as a least-significant-digit radix sort over 16-bit digits: each pass is
-    numpy's stable (radix) argsort of one digit, in the order so far."""
-    order = None
-    for shift in range(0, max((spec.num_cells - 1).bit_length(), 1), 16):
-        digits = keys if order is None else keys[order]
-        if keys.dtype.itemsize > 2:
-            digits = (digits >> shift).astype(np.uint16)
-        step = np.argsort(digits, kind="stable")
-        order = step if order is None else order[step]
-    return order
-
-
 def sample_indices(
     means: np.ndarray, spec: VoxelGridSpec, seed: int, n_workers: int = 1
 ) -> np.ndarray:
@@ -131,7 +113,7 @@ def sample_indices(
         return in_bounds
     keys = narrow_keys(keys[in_bounds], spec)
     # Stable sort keeps global input order within each key group.
-    order = _stable_key_order(keys, spec)
+    order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     sorted_global = in_bounds[order]
     starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_MAGNITUDE, CameraModel, DepthMap, OccupancyGrid, row_norms
+from .core import MAX_MAGNITUDE, CameraModel, DepthMap, OccupancyGrid
 from .errors import ConfigError, ShapeError
 
 # Most boxes in a scene, generated or read. Each box is one slab test per
@@ -298,7 +298,7 @@ class _PixelTiles:
             """The unit rays of the pixels (r, c) of every tile; NaN for a zero ray."""
             v = dirs[(r[:, None] * w + c).ravel()]
             with np.errstate(invalid="ignore", divide="ignore"):
-                return v / row_norms(v)[:, None]
+                return v / np.linalg.norm(v, axis=1)[:, None]
 
         self.axes = rays((first_r + last_r) // 2, (first_c + last_c) // 2)
         cos = [np.einsum("ij,ij->i", self.axes, rays(r, c)) for r in (first_r, last_r)

@@ -84,3 +84,16 @@ def test_pairs_alternate_and_failed_runs_drop_their_pair(bench_pairs, monkeypatc
     assert m["pairs"] == 2
     assert m["rev"]["samples"] == [1.0, 5.0] and m["new"]["samples"] == [2.0, 6.0]
     assert m["won"] == 0
+
+
+def test_ratio_cancels_load_that_drifts_across_pairs(bench_pairs):
+    # From pair 5 on, both sides run 2x slower; pair 4 straddles the slowdown
+    # (its "new" run is already slow). Every other pair reads new / rev = 1.1.
+    rev = [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+    new = [1.1 * x for x in rev]
+    new[3] = 2.2
+    m = bench_pairs.compare(rev, new, "lower", 0.25)
+    assert m["rev"]["median"] == 1.0 and m["new"]["median"] == 2.2
+    assert m["median_gap"] > 1.0 and m["worse_beyond_bound"]
+    assert m["ratio"]["samples"] == [1.1, 1.1, 1.1, 2.2, 1.1, 1.1, 1.1]
+    assert m["ratio"]["q1"] == m["ratio"]["median"] == m["ratio"]["q3"] == 1.1

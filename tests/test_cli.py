@@ -489,7 +489,7 @@ class TestErrors:
         assert (out / "scene.json.partial").exists()
 
     def test_failed_stage_keeps_partial_outputs(self, tmp_path):
-        stage = _Stage("demo", tmp_path)
+        stage = _Stage(tmp_path)
         p = stage.path("artifact.bin")
         p.write_bytes(b"half-done")
         # no commit: the partial file must survive for inspection
@@ -519,7 +519,7 @@ class TestErrors:
         monkeypatch.setattr(pipeline.os, "replace", recorded_replace)
         monkeypatch.setattr(pipeline, "_swap", recorded_swap)
         for text in ("first", "second"):
-            stage = _Stage("demo", tmp_path)
+            stage = _Stage(tmp_path)
             stage.path("artifact.txt").write_text(text)
             stage.commit()
         assert replaced == [False]
@@ -534,7 +534,7 @@ class TestErrors:
     def test_recommit_without_exchange_replaces(self, tmp_path, monkeypatch, renameat2):
         monkeypatch.setattr(pipeline, "_renameat2", renameat2)
         for text in ("first", "second"):
-            stage = _Stage("demo", tmp_path)
+            stage = _Stage(tmp_path)
             stage.path("artifact.txt").write_text(text)
             stage.commit()
         assert (tmp_path / "artifact.txt").read_text() == "second"
@@ -542,7 +542,7 @@ class TestErrors:
 
     def test_commit_over_a_directory_moves_nothing(self, tmp_path):
         (tmp_path / "artifact.txt").mkdir()
-        stage = _Stage("demo", tmp_path)
+        stage = _Stage(tmp_path)
         stage.path("artifact.txt").write_text("new")
         with pytest.raises(IsADirectoryError):
             stage.commit()
@@ -553,7 +553,7 @@ class TestErrors:
         target = tmp_path / "target.txt"
         target.write_text("target")
         (tmp_path / "artifact.txt").symlink_to(target)
-        stage = _Stage("demo", tmp_path)
+        stage = _Stage(tmp_path)
         stage.path("artifact.txt").write_text("new")
         stage.commit()
         assert not (tmp_path / "artifact.txt").is_symlink()

@@ -9,7 +9,6 @@ from gsocc.core import (
     OccupancyGrid,
     VoxelGridSpec,
     quaternion_to_matrices,
-    row_norms,
 )
 from gsocc.errors import ConfigError, InvalidRotationError, ShapeError
 
@@ -206,10 +205,3 @@ def test_validate_quaternion_norm_bounds(rng):
     gs.rotations[1, 2] = np.nan
     with pytest.raises(InvalidRotationError):
         gs.validate()
-
-
-def test_row_norms_bitwise_np_linalg_norm(rng):
-    for shape in ((200_000, 3), (200_000, 4), (8_192, 4), (5, 3), (1, 4), (0, 3)):
-        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
-        for arr in (a, np.asfortranarray(a)):
-            assert np.array_equal(row_norms(arr), np.linalg.norm(a, axis=1))
